@@ -10,6 +10,8 @@ TcpOverlayLink::TcpOverlayLink(transport::TcpConnection& conn) : conn_(conn) {
   });
 }
 
+TcpOverlayLink::~TcpOverlayLink() { conn_.set_on_message({}); }
+
 void TcpOverlayLink::send(FramePtr frame) {
   ++frames_sent_;
   const std::uint64_t bytes = frame->wire_bytes() + kEncapsulationBytes;

@@ -22,6 +22,12 @@ class TcpOverlayLink final : public OverlayLink {
  public:
   /// Wraps one endpoint of an established (or connecting) TCP connection.
   TcpOverlayLink(transport::TcpConnection& conn);
+  /// Detaches from the connection, which outlives the link: frames still in
+  /// flight when the link is removed are then dropped, not delivered here.
+  ~TcpOverlayLink() override;
+
+  TcpOverlayLink(const TcpOverlayLink&) = delete;
+  TcpOverlayLink& operator=(const TcpOverlayLink&) = delete;
 
   void send(FramePtr frame) override;
   net::NodeId peer_host() const override { return conn_.remote_host(); }

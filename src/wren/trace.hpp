@@ -37,6 +37,10 @@ class TraceFacility {
  public:
   /// Taps `host` on `network`. Only TCP packets are recorded (Wren analyzes
   /// TCP flows); UDP is ignored at the tap to keep overhead negligible.
+  /// `capacity` bounds how many records are held between two collect()
+  /// calls; once that many are buffered, each new record drops the oldest.
+  /// It is a bound, not a pre-allocation: the ring starts empty and grows
+  /// with the traffic actually captured.
   TraceFacility(net::Network& network, net::NodeId host, std::size_t capacity = 1 << 16);
   ~TraceFacility();
 
@@ -54,7 +58,7 @@ class TraceFacility {
   net::NodeId host() const { return host_; }
   std::uint64_t records_captured() const { return captured_; }
   std::uint64_t records_dropped() const { return dropped_; }
-  std::size_t buffered() const { return size_; }
+  std::size_t buffered() const { return ring_.size(); }
 
  private:
   void on_tap(const net::TapEvent& ev);
@@ -63,12 +67,13 @@ class TraceFacility {
   net::NodeId host_;
   std::size_t capacity_;
   net::TapId tap_id_;
-  // Fixed-capacity ring, allocated once at construction. `head_` is the
-  // oldest record; overflow overwrites it (drop-oldest, like the kernel
-  // buffer Wren drains) without any deque node churn.
+  // Ring bounded by `capacity_`. Until it is full, records are appended in
+  // arrival order (head_ == 0) and the storage grows geometrically, so
+  // memory follows the most records seen between two collect() calls.
+  // Once full, `head_` is the oldest record and overflow overwrites it
+  // (drop-oldest, like the kernel buffer Wren drains).
   std::vector<PacketRecord> ring_;
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t captured_ = 0;
   std::uint64_t dropped_ = 0;
   obs::Counter* c_captured_ = nullptr;

@@ -188,6 +188,39 @@ TEST(OverlayTest, ResetToStarRemovesDynamicState) {
   EXPECT_EQ(delivered, 1);
 }
 
+TEST(OverlayTest, ResetToStarWithTcpFramesInFlight) {
+  // reset_to_star() destroys the dynamic TcpOverlayLinks while their
+  // connections still carry frames. Those frames must be dropped at the
+  // connection, never delivered into the destroyed links (under ASan this
+  // is a heap-use-after-free if the link leaves its callback behind).
+  OverlayEnv env(3);
+  env.overlay->create_daemon(env.hosts[0], "proxy", true);
+  VnetDaemon& d1 = env.overlay->create_daemon(env.hosts[1], "d1");
+  VnetDaemon& d2 = env.overlay->create_daemon(env.hosts[2], "d2");
+  env.overlay->bootstrap_star(LinkProtocol::kTcp);
+  int delivered = 0;
+  d2.attach_vm(20, [&](FramePtr) { ++delivered; });
+  env.overlay->register_vm(20, d2);
+  env.overlay->install_path({env.hosts[1], env.hosts[2]}, 20, LinkProtocol::kTcp);
+  env.sim.run_until(millis(10));  // handshake done
+
+  constexpr int kFrames = 50;
+  for (int i = 0; i < kFrames; ++i) d1.inject_from_vm(frame(10, 20, 1400));
+  env.sim.run_until(millis(11));
+  const int before_reset = delivered;
+  ASSERT_GT(before_reset, 0);
+  ASSERT_LT(before_reset, kFrames);  // the rest are still in flight
+
+  env.overlay->reset_to_star();
+  env.sim.run_until(millis(100));
+  EXPECT_EQ(delivered, before_reset);
+
+  // The star still carries traffic afterwards.
+  d1.inject_from_vm(frame(10, 20));
+  env.sim.run_until(millis(200));
+  EXPECT_EQ(delivered, before_reset + 1);
+}
+
 TEST(OverlayTest, EnsureLinkIsIdempotent) {
   OverlayEnv env(3);
   env.overlay->create_daemon(env.hosts[0], "proxy", true);

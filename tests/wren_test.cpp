@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/probe.hpp"
@@ -300,6 +304,84 @@ TEST(WrenEndToEndTest, TraceCapturesTcpOnly) {
   const auto records = trace.collect();
   EXPECT_GT(records.size(), 0u);
   for (const auto& r : records) EXPECT_EQ(r.flow.proto, Protocol::kTcp);
+}
+
+bool same_record(const PacketRecord& a, const PacketRecord& b) {
+  return a.timestamp == b.timestamp && a.direction == b.direction && a.flow == b.flow &&
+         a.payload_bytes == b.payload_bytes && a.wire_bytes == b.wire_bytes && a.seq == b.seq &&
+         a.ack == b.ack && a.is_ack == b.is_ack && a.syn == b.syn;
+}
+
+// Differential: a bounded facility must hold exactly the newest `capacity`
+// records of an unbounded one on the same host, whatever the interval
+// between drains. Capacities 1, 5 and 7 fill in one growth step; 100 and
+// 300 take several, so they overflow (and wrap) in the interval in which
+// they grow to the bound, and later intervals reuse the grown storage.
+TEST(WrenEndToEndTest, BoundedTraceKeepsTheNewestRecords) {
+  WrenEnv env;
+  TraceFacility large(env.net, env.sender, 1 << 20);
+  const std::vector<std::size_t> capacities{1, 5, 7, 100, 300};
+  std::vector<std::unique_ptr<TraceFacility>> small;
+  for (std::size_t cap : capacities) {
+    small.push_back(std::make_unique<TraceFacility>(env.net, env.sender, cap));
+  }
+  std::vector<transport::MessagePhase> phases{
+      {.count = 20, .message_bytes = 200'000, .spacing = millis(20), .pause_after = millis(20)},
+      {.count = 60, .message_bytes = 4'000, .spacing = millis(3), .random_spacing = true}};
+  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
+  app.start();
+
+  std::vector<std::uint64_t> kept(capacities.size(), 0);
+  std::vector<int> overflowed(capacities.size(), 0);
+  std::vector<int> within_bound(capacities.size(), 0);
+  // Intervals that overflow while the storage has never held `capacity`
+  // records, i.e. the ring grows to the bound and wraps in one interval.
+  std::vector<int> grew_and_wrapped(capacities.size(), 0);
+  std::size_t largest = 0;  // most records in any earlier interval
+  std::uint64_t total = 0;
+  // Irregular drain points: steps cycle through 0.13 .. 40 ms. The first
+  // one spans the handshake and the start of a burst, so even capacity 1
+  // overflows in the interval that first fills it.
+  const SimTime steps[] = {millis(2),   micros(130), millis(40),
+                           micros(410), millis(9) + micros(100),
+                           micros(870), millis(5) + micros(300),
+                           micros(190)};
+  for (int i = 0; env.sim.now() < millis(800); ++i) {
+    env.sim.run_until(env.sim.now() + steps[i % std::size(steps)]);
+    const std::size_t n = large.buffered();
+    for (std::size_t k = 0; k < small.size(); ++k) {
+      ASSERT_EQ(small[k]->buffered(), std::min(n, capacities[k]));
+    }
+    const auto expected = large.collect();
+    ASSERT_EQ(expected.size(), n);
+    total += n;
+    for (std::size_t k = 0; k < small.size(); ++k) {
+      const auto got = small[k]->collect();
+      ASSERT_EQ(got.size(), std::min(n, capacities[k]));
+      const std::size_t skip = n - got.size();
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        ASSERT_TRUE(same_record(got[j], expected[skip + j]))
+            << "capacity " << capacities[k] << ", record " << j;
+      }
+      kept[k] += got.size();
+      if (n > capacities[k]) ++overflowed[k];
+      if (n > capacities[k] && largest < capacities[k]) ++grew_and_wrapped[k];
+      if (n > 0 && n <= capacities[k]) ++within_bound[k];
+      EXPECT_EQ(small[k]->buffered(), 0u);
+    }
+    largest = std::max(largest, n);
+  }
+  ASSERT_GT(total, 2000u);
+  EXPECT_EQ(large.records_dropped(), 0u);
+  EXPECT_EQ(large.records_captured(), total);
+  for (std::size_t k = 0; k < small.size(); ++k) {
+    EXPECT_EQ(small[k]->records_captured(), total);
+    EXPECT_EQ(small[k]->records_dropped(), total - kept[k]);
+    // Both regimes must have been exercised at every capacity.
+    EXPECT_GT(overflowed[k], 0) << "capacity " << capacities[k];
+    EXPECT_GT(within_bound[k], 0) << "capacity " << capacities[k];
+    EXPECT_EQ(grew_and_wrapped[k], 1) << "capacity " << capacities[k];
+  }
 }
 
 TEST(WrenEndToEndTest, AnalyzerMeasuresIdleLinkBandwidth) {
