@@ -12,26 +12,13 @@
 // Output: CSV objective, iteration, sa, sa_gh, sa_gh_best, ms_best, gh
 // (ms_best = best-so-far of the winning multi-start chain) + timing notes
 // on stderr.
-//
-// `--shards N` switches to the packet-level scale-up phase instead: the
-// same 256-node BRITE topology is instantiated as a real net::Network
-// (topo::make_brite_network), partitioned onto N conservative shards, and
-// driven with ping-pong datagram traffic between the 32 VNET hosts. Output
-// is one CSV row of engine statistics (events, epochs, handoffs, wall
-// time); N=1 is the serial oracle to ratio against.
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
 
-#include "net/network.hpp"
-#include "sim/sharded.hpp"
 #include "topo/brite.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "vadapt/annealing.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/multistart.hpp"
@@ -87,83 +74,9 @@ void run_objective(const CapacityGraph& graph, const std::vector<Demand>& demand
             << ") in " << ms(t3 - t2).count() << " ms\n";
 }
 
-// The packet-level scale-up phase (--shards N): the fig11 physical topology
-// as a live packet network on the sharded engine. Every host ping-pongs
-// 1000-byte datagrams with a partner host for 200 ms of virtual time.
-int run_sharded_scale(std::size_t shards) {
-  topo::BriteParams params;
-  params.nodes = 256;
-  params.out_degree = 2;
-  RngService rngs(99);
-  Rng gen = rngs.stream("fig11.brite");
-  const topo::BriteTopology brite(params, gen);
-
-  std::optional<ThreadPool> pool;
-  if (shards > 1) pool.emplace(shards);
-  sim::ShardedSimulator ssim(shards, pool ? &*pool : nullptr);
-  Rng pick = rngs.stream("fig11.hosts");
-  const topo::BriteNetwork bn =
-      topo::make_brite_network(ssim.shard(0), brite, 32, pick);
-  net::Network& net = *bn.network;
-
-  net::Network::PartitionOptions popts;
-  popts.shards = shards;
-  const net::Network::ShardPlan plan = net.partition(popts);
-  net.bind_shards(ssim, plan);
-  if (plan.lookahead > 0) ssim.set_lookahead(plan.lookahead);
-
-  const std::size_t n = bn.hosts.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId me = bn.hosts[i];
-    const net::NodeId peer = bn.hosts[(i + n / 2) % n];
-    net.set_host_stack(me, [&net, me, peer](net::Packet&&) {
-      net::Packet reply;
-      reply.flow = net::FlowKey{me, peer, 4000, 4000, net::Protocol::kUdp};
-      reply.payload_bytes = 960;
-      net.send(std::move(reply));
-    });
-  }
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    const net::NodeId me = bn.hosts[i];
-    const net::NodeId peer = bn.hosts[i + n / 2];
-    net.sim_for(me).schedule_at(0, [&net, me, peer] {
-      for (int w = 0; w < 16; ++w) {
-        net::Packet pkt;
-        pkt.flow = net::FlowKey{me, peer, 4000, 4000, net::Protocol::kUdp};
-        pkt.payload_bytes = 960;
-        net.send(std::move(pkt));
-      }
-    });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ssim.run_until(millis(200));
-  const auto t1 = std::chrono::steady_clock::now();
-  const double wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const std::uint64_t events = ssim.events_executed();
-
-  CsvWriter csv(std::cout, {"shards", "virtual_ms", "wall_ms", "events",
-                            "events_per_sec", "epochs", "handoffs", "lookahead_ns"});
-  csv.text_row({std::to_string(shards), "200", std::to_string(wall_ms),
-                std::to_string(events), std::to_string(events / (wall_ms / 1e3)),
-                std::to_string(ssim.stats().epochs), std::to_string(ssim.stats().handoffs),
-                std::to_string(plan.lookahead)});
-  std::cerr << "fig11 [--shards " << shards << "]: " << events << " events in " << wall_ms
-            << " ms (" << static_cast<std::uint64_t>(events / (wall_ms / 1e3))
-            << " events/s), " << ssim.stats().epochs << " epochs, "
-            << ssim.stats().handoffs << " cross-shard handoffs, lookahead "
-            << plan.lookahead << " ns, " << net.packets_delivered() << " delivered\n";
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      return run_sharded_scale(static_cast<std::size_t>(std::atoi(argv[i + 1])));
-    }
-  }
+int main() {
   topo::BriteParams params;
   params.nodes = 256;
   params.out_degree = 2;

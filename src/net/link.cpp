@@ -10,7 +10,7 @@ namespace vw::net {
 
 Channel::Channel(sim::Simulator& sim, ChannelId id, NodeId from, NodeId to, double bits_per_sec,
                  SimTime prop_delay, std::int64_t queue_limit_bytes)
-    : sim_(&sim),
+    : sim_(sim),
       id_(id),
       from_(from),
       to_(to),
@@ -19,11 +19,6 @@ Channel::Channel(sim::Simulator& sim, ChannelId id, NodeId from, NodeId to, doub
       queue_limit_bytes_(queue_limit_bytes) {
   VW_REQUIRE(bits_per_sec_ > 0, "Channel: capacity must be positive, got ", bits_per_sec_);
   VW_REQUIRE(prop_delay_ >= 0, "Channel: negative propagation delay ", prop_delay_);
-}
-
-void Channel::set_simulator(sim::Simulator& sim) {
-  VW_REQUIRE(!serving_, "Channel::set_simulator: rebind while serving");
-  sim_ = &sim;
 }
 
 void Channel::set_capacity_bps(double bps) {
@@ -50,7 +45,7 @@ void Channel::set_down(bool down) {
   prio_bytes_ = 0;
   be_bytes_ = 0;
   if (serving_) {
-    sim_->cancel(service_event_);
+    sim_.cancel(service_event_);
     service_event_ = sim::EventHandle{};
     serving_ = false;
   }
@@ -84,7 +79,7 @@ bool Channel::add_reservation(const FlowKey& flow, double rate_bps, std::int64_t
   r.rate_bps = rate_bps;
   r.burst_bytes = burst_bytes;
   r.tokens = static_cast<double>(burst_bytes);  // start full
-  r.last_refill = sim_->now();
+  r.last_refill = sim_.now();
   reservations_[flow] = r;
   return true;
 }
@@ -109,8 +104,8 @@ bool Channel::enqueue(Packet pkt) {
   if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
     Reservation& r = it->second;
     r.tokens = std::min(static_cast<double>(r.burst_bytes),
-                        r.tokens + r.rate_bps / 8.0 * to_seconds(sim_->now() - r.last_refill));
-    r.last_refill = sim_->now();
+                        r.tokens + r.rate_bps / 8.0 * to_seconds(sim_.now() - r.last_refill));
+    r.last_refill = sim_.now();
     if (r.tokens >= static_cast<double>(size)) {
       r.tokens -= static_cast<double>(size);
       priority = true;
@@ -134,8 +129,8 @@ void Channel::start_service() {
   std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
   if (queue.empty()) return;
   serving_ = true;
-  const SimTime done = sim_->now() + transmission_time(queue.front().size_bytes(), bits_per_sec_);
-  service_event_ = sim_->schedule_at(done, [this] { finish_service(); });
+  const SimTime done = sim_.now() + transmission_time(queue.front().size_bytes(), bits_per_sec_);
+  service_event_ = sim_.schedule_at(done, [this] { finish_service(); });
 }
 
 void Channel::finish_service() {
@@ -154,15 +149,11 @@ void Channel::finish_service() {
   // can recursively enqueue onto this very channel, and must not start a
   // second concurrent service. The serialized hook sees the packet mutable
   // so the network can stamp wire_time before the outgoing tap fires.
-  if (on_serialized_) on_serialized_(pkt, sim_->now());
-  if (on_handoff_) {
-    // Sharded propagation: the network decides which shard runs the arrival
-    // and posts it there; this channel's engine schedules nothing further.
-    on_handoff_(std::move(pkt), sim_->now() + prop_delay_);
-  } else if (prop_delay_ == 0) {
+  if (on_serialized_) on_serialized_(pkt, sim_.now());
+  if (prop_delay_ == 0) {
     if (on_delivered_) on_delivered_(std::move(pkt));
   } else {
-    sim_->schedule_in(prop_delay_, [this, pkt = std::move(pkt)]() mutable {
+    sim_.schedule_in(prop_delay_, [this, pkt = std::move(pkt)]() mutable {
       if (on_delivered_) on_delivered_(std::move(pkt));
     });
   }

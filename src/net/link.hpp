@@ -42,12 +42,6 @@ class Channel {
   /// it. `on_delivered` fires when it arrives at the receiving end.
   using SerializedFn = SmallFn<void(Packet&, SimTime)>;
   using DeliveredFn = SmallFn<void(Packet&&)>;
-  /// Cross-shard propagation: when set, a serialized packet is handed to
-  /// this hook with its absolute arrival time instead of being scheduled on
-  /// the local engine (the sharded network routes it into the destination
-  /// shard's mailbox). Unset — the default — propagation stays a local
-  /// schedule_in and the channel behaves exactly as before sharding.
-  using HandoffFn = SmallFn<void(Packet&&, SimTime)>;
 
   Channel(sim::Simulator& sim, ChannelId id, NodeId from, NodeId to, double bits_per_sec,
           SimTime prop_delay, std::int64_t queue_limit_bytes);
@@ -97,12 +91,6 @@ class Channel {
 
   void set_on_serialized(SerializedFn fn) { on_serialized_ = std::move(fn); }
   void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
-  void set_on_handoff(HandoffFn fn) { on_handoff_ = std::move(fn); }
-
-  /// Rebind the engine that runs this channel's service and propagation
-  /// events (shard binding). Only legal while the channel is idle — an
-  /// in-flight serialization holds an event on the old engine.
-  void set_simulator(sim::Simulator& sim);
 
  private:
   struct Reservation {
@@ -115,7 +103,7 @@ class Channel {
   void start_service();
   void finish_service();
 
-  sim::Simulator* sim_;  ///< owning shard's engine; rebindable via set_simulator
+  sim::Simulator& sim_;
   ChannelId id_;
   NodeId from_;
   NodeId to_;
@@ -136,7 +124,6 @@ class Channel {
   ChannelStats stats_;
   SerializedFn on_serialized_;
   DeliveredFn on_delivered_;
-  HandoffFn on_handoff_;
 };
 
 }  // namespace vw::net

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 
-#include "sim/sharded.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -167,20 +165,13 @@ bool Network::path_up(NodeId a, NodeId b) const {
 void Network::send(Packet pkt) {
   VW_REQUIRE(pkt.flow.src < nodes_.size() && pkt.flow.dst < nodes_.size(),
              "Network::send: bad endpoint (src=", pkt.flow.src, " dst=", pkt.flow.dst, ")");
-  sim::Simulator& src_sim = sim_for(pkt.flow.src);
-  if (ssim_ == nullptr) {
-    pkt.id = next_packet_id_++;
-  } else {
-    const std::uint32_t shard = node_shard_[pkt.flow.src];
-    pkt.id = (static_cast<std::uint64_t>(shard + 1) << 48) |
-             ++shard_local_[shard].next_packet_seq;
-  }
-  pkt.send_time = src_sim.now();
+  pkt.id = next_packet_id_++;
+  pkt.send_time = sim_.now();
   if (pkt.flow.src == pkt.flow.dst) {
     // Loopback: deliver asynchronously to preserve event ordering semantics.
-    src_sim.schedule_in(0, [this, &src_sim, pkt = std::move(pkt)]() mutable {
-      pkt.wire_time = src_sim.now();
-      fire_taps(pkt.flow.src, TapDirection::kOutgoing, src_sim.now(), pkt);
+    sim_.schedule_in(0, [this, pkt = std::move(pkt)]() mutable {
+      pkt.wire_time = sim_.now();
+      fire_taps(pkt.flow.src, TapDirection::kOutgoing, sim_.now(), pkt);
       deliver_to_host(std::move(pkt));
     });
     return;
@@ -203,7 +194,7 @@ void Network::handle_arrival(Packet&& pkt, NodeId at) {
     if (!endpoint_delays_.empty()) {
       const auto it = endpoint_delays_.find({pkt.flow.src, pkt.flow.dst});
       if (it != endpoint_delays_.end() && it->second > 0) {
-        sim_for(at).schedule_in(it->second, [this, pkt = std::move(pkt)]() mutable {
+        sim_.schedule_in(it->second, [this, pkt = std::move(pkt)]() mutable {
           deliver_to_host(std::move(pkt));
         });
         return;
@@ -216,12 +207,8 @@ void Network::handle_arrival(Packet&& pkt, NodeId at) {
 }
 
 void Network::deliver_to_host(Packet&& pkt) {
-  if (ssim_ == nullptr) {
-    ++packets_delivered_;
-  } else {
-    ++shard_local_[node_shard_[pkt.flow.dst]].delivered;
-  }
-  fire_taps(pkt.flow.dst, TapDirection::kIncoming, sim_for(pkt.flow.dst).now(), pkt);
+  ++packets_delivered_;
+  fire_taps(pkt.flow.dst, TapDirection::kIncoming, sim_.now(), pkt);
   auto& stack = host_stacks_[pkt.flow.dst];
   if (stack) stack(std::move(pkt));
 }
@@ -266,205 +253,10 @@ void Network::set_link_loss(NodeId a, NodeId b, double p, const RngService& rngs
   channel(b, a).set_loss(p, rngs.stream(logcat("loss.", b, ".", a)));
 }
 
-std::uint64_t Network::packets_delivered() const {
-  std::uint64_t total = packets_delivered_;
-  for (const ShardLocal& sl : shard_local_) total += sl.delivered;
-  return total;
-}
-
 std::uint64_t Network::packets_dropped() const {
   std::uint64_t total = 0;
   for (const auto& ch : channels_) total += ch->stats().packets_dropped;
   return total;
-}
-
-// --- sharded execution ---------------------------------------------------
-
-sim::Simulator& Network::sim_for(NodeId node) {
-  return ssim_ == nullptr ? sim_ : ssim_->shard(node_shard_[node]);
-}
-
-std::uint32_t Network::node_shard(NodeId node) const {
-  VW_REQUIRE(node < node_shard_.size(), "node_shard: unbound node ", node);
-  return node_shard_[node];
-}
-
-std::uint32_t Network::shard_owner(const std::vector<std::uint32_t>& ns, NodeId from,
-                                   NodeId to) const {
-  // A host's access channel runs on the host's shard (its transport enqueues
-  // there); a router channel runs on the downstream owner — the upstream
-  // shard posts into it at serialization completion (cut-through).
-  return nodes_[from].is_host ? ns[from] : ns[to];
-}
-
-bool Network::channel_is_cut(const std::vector<std::uint32_t>& ns, NodeId from,
-                             NodeId to) const {
-  const std::uint32_t owner = shard_owner(ns, from, to);
-  // Delivery at a host — or at the packet's destination — runs on shard(to).
-  if (ns[to] != owner) return true;
-  if (nodes_[to].is_host) return false;
-  // Router arrival forwards onto one of `to`'s outgoing channels; the
-  // handoff targets that channel's owner. Conservative: any neighbor counts.
-  for (auto it = channel_by_pair_.lower_bound({to, 0});
-       it != channel_by_pair_.end() && it->first.first == to; ++it) {
-    if (shard_owner(ns, to, it->first.second) != owner) return true;
-  }
-  return false;
-}
-
-Network::ShardPlan Network::partition(const PartitionOptions& options) const {
-  const std::size_t n = nodes_.size();
-  VW_REQUIRE(options.shards >= 1, "partition: need at least one shard");
-  ShardPlan plan;
-  plan.shards = options.shards;
-  plan.node_shard.assign(n, 0);
-  if (n == 0) return plan;
-
-  // Union-find with the minimum node id as representative, so component
-  // identity — and everything downstream — is independent of merge order.
-  std::vector<NodeId> parent(n);
-  std::iota(parent.begin(), parent.end(), NodeId{0});
-  auto find = [&parent](NodeId x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-
-  // Balance weight: hosts carry the event load (stacks, taps, access
-  // links), routers are near-free under cut-through forwarding. Pure router
-  // topologies fall back to node counting so the cap stays meaningful.
-  std::size_t total_hosts = 0;
-  for (const NodeInfo& node : nodes_) total_hosts += node.is_host ? 1 : 0;
-  const bool weigh_hosts = total_hosts > 0;
-  std::vector<std::size_t> weight(n);
-  for (NodeId i = 0; i < n; ++i) {
-    weight[i] = weigh_hosts ? (nodes_[i].is_host ? 1 : 0) : 1;
-  }
-  const std::size_t total_weight = weigh_hosts ? total_hosts : n;
-  const std::size_t cap = (total_weight + options.shards - 1) / options.shards;
-
-  auto unite = [&](NodeId a, NodeId b) {
-    NodeId ra = find(a), rb = find(b);
-    if (ra == rb) return;
-    if (ra > rb) std::swap(ra, rb);
-    parent[rb] = ra;
-    weight[ra] += weight[rb];
-  };
-
-  // Pin groups merge unconditionally: shared upper-layer state outranks
-  // balance.
-  for (const std::vector<NodeId>& group : options.pin_groups) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      VW_REQUIRE(group[i] < n, "partition: pinned node out of range: ", group[i]);
-      if (i > 0) unite(group[0], group[i]);
-    }
-  }
-
-  // Greedy delay-ascending clustering under the cap: the links that remain
-  // uncut are the low-delay ones, pushing the cut — and therefore the
-  // lookahead — onto the highest-delay links the balance constraint allows.
-  struct Edge {
-    SimTime delay;
-    NodeId a, b;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(channel_by_pair_.size() / 2);
-  for (const auto& [pair, ch] : channel_by_pair_) {
-    if (pair.first < pair.second) edges.push_back({ch->prop_delay(), pair.first, pair.second});
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
-    if (x.delay != y.delay) return x.delay < y.delay;
-    if (x.a != y.a) return x.a < y.a;
-    return x.b < y.b;
-  });
-  for (const Edge& e : edges) {
-    const NodeId ra = find(e.a), rb = find(e.b);
-    if (ra == rb) continue;
-    if (weight[ra] + weight[rb] <= cap) unite(ra, rb);
-  }
-
-  // LPT bin packing: heaviest component to the least-loaded shard; ties by
-  // minimum node id and lowest shard index keep the packing deterministic.
-  struct Component {
-    std::size_t weight;
-    NodeId root;
-  };
-  std::vector<Component> components;
-  for (NodeId i = 0; i < n; ++i) {
-    if (find(i) == i) components.push_back({weight[i], i});
-  }
-  std::sort(components.begin(), components.end(), [](const Component& x, const Component& y) {
-    if (x.weight != y.weight) return x.weight > y.weight;
-    return x.root < y.root;
-  });
-  std::vector<std::size_t> load(options.shards, 0);
-  std::vector<std::uint32_t> shard_of_root(n, 0);
-  for (const Component& c : components) {
-    std::uint32_t best = 0;
-    for (std::uint32_t s = 1; s < options.shards; ++s) {
-      if (load[s] < load[best]) best = s;
-    }
-    shard_of_root[c.root] = best;
-    load[best] += c.weight;
-  }
-  for (NodeId i = 0; i < n; ++i) plan.node_shard[i] = shard_of_root[find(i)];
-
-  // Lookahead: the minimum propagation delay over channels whose delivery
-  // can land on a different shard than the one serializing them.
-  SimTime lookahead = 0;
-  for (const auto& [pair, ch] : channel_by_pair_) {
-    if (!channel_is_cut(plan.node_shard, pair.first, pair.second)) continue;
-    const SimTime d = ch->prop_delay();
-    lookahead = lookahead == 0 ? d : std::min(lookahead, d);
-  }
-  plan.lookahead = lookahead;
-  return plan;
-}
-
-void Network::bind_shards(sim::ShardedSimulator& ssim, const ShardPlan& plan) {
-  VW_REQUIRE(routes_valid_, "bind_shards: compute_routes() first");
-  VW_REQUIRE(ssim_ == nullptr, "bind_shards: already bound");
-  VW_REQUIRE(plan.node_shard.size() == nodes_.size(),
-             "bind_shards: plan is for a different topology");
-  VW_REQUIRE(plan.shards <= ssim.shard_count(), "bind_shards: plan needs ", plan.shards,
-             " shards, engine has ", ssim.shard_count());
-  ssim_ = &ssim;
-  node_shard_ = plan.node_shard;
-  shard_local_.assign(ssim.shard_count(), ShardLocal{});
-  if (plan.lookahead > 0) ssim.set_lookahead(plan.lookahead);
-  for (const auto& chptr : channels_) {
-    Channel& ch = *chptr;
-    const std::uint32_t owner = shard_owner(node_shard_, ch.from(), ch.to());
-    ch.set_simulator(ssim.shard(owner));
-    if (channel_is_cut(node_shard_, ch.from(), ch.to())) {
-      // A zero-delay cut would make the conservative window empty: the
-      // partitioner avoids it whenever the balance cap allows; otherwise
-      // the topology cannot be sharded along this edge.
-      VW_REQUIRE(ch.prop_delay() >= 1, "bind_shards: cut channel ", ch.from(), " -> ",
-                 ch.to(), " has zero propagation delay");
-      ch.set_on_handoff([this, owner, to = ch.to()](Packet&& pkt, SimTime t) {
-        route_handoff(std::move(pkt), to, t, owner);
-      });
-    }
-  }
-}
-
-void Network::route_handoff(Packet&& pkt, NodeId at, SimTime t, std::uint32_t from_shard) {
-  std::uint32_t target;
-  if (at == pkt.flow.dst || nodes_[at].is_host) {
-    target = node_shard_[at];
-  } else {
-    // Cut-through: resolve the router's forwarding decision here (static
-    // routes make it pure) and post straight to the downstream owner, so
-    // the transit router's own shard never executes a per-packet event.
-    const NodeId nh = next_hop(at, pkt.flow.dst);
-    if (nh == kInvalidNode) return;  // unreachable: silently dropped, as in forward()
-    target = shard_owner(node_shard_, at, nh);
-  }
-  ssim_->post(from_shard, target, t,
-              [this, at, pkt = std::move(pkt)]() mutable { handle_arrival(std::move(pkt), at); });
 }
 
 }  // namespace vw::net

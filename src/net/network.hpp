@@ -14,22 +14,6 @@
 // full-duplex links, with static shortest-latency routing, host protocol
 // stacks, host-level packet taps (Wren's observation point) and NistNet-style
 // endpoint delay emulation.
-//
-// Sharded execution (DESIGN.md §5g): partition() computes a deterministic
-// delay-aware assignment of nodes to shards, and bind_shards() rebinds every
-// channel to its owning shard's engine, routing cross-shard propagation
-// through the ShardedSimulator's mailboxes. Channel ownership follows the
-// datapath: a host's access channels belong to the host's shard (its
-// transport stack enqueues there), while a router channel X->Y belongs to
-// shard(Y) — the forwarding decision at a router is pure (static routes), so
-// the upstream shard computes the next hop at serialization completion and
-// posts the packet directly to the downstream owner. A pure-transit router
-// therefore executes no per-packet events at all ("cut-through"), which is
-// what makes hub-and-spoke topologies parallelize.
-
-namespace vw::sim {
-class ShardedSimulator;
-}
 
 namespace vw::net {
 
@@ -86,42 +70,6 @@ class Network {
   void set_link_down(NodeId a, NodeId b, bool down);
   void set_link_loss(NodeId a, NodeId b, double p, const RngService& rngs);
 
-  // --- sharded execution ---------------------------------------------------
-  struct PartitionOptions {
-    std::size_t shards = 1;
-    /// Node groups that must land on one shard (hosts whose upper layers
-    /// share state — a VirtuosoSystem's daemons, a TransportStack's hosts).
-    std::vector<std::vector<NodeId>> pin_groups;
-  };
-  struct ShardPlan {
-    std::size_t shards = 1;
-    std::vector<std::uint32_t> node_shard;  ///< [node] -> shard
-    /// Minimum propagation delay over channels whose delivery can cross
-    /// shards — the conservative lookahead. 0 means nothing crosses.
-    SimTime lookahead = 0;
-  };
-
-  /// Deterministic delay-aware partition (greedy edge-cut): pin groups are
-  /// pre-merged, then link endpoints are clustered in ascending
-  /// propagation-delay order under a balance cap, so low-delay LANs stay
-  /// shard-internal and the cut — which bounds the lookahead — falls on the
-  /// highest-delay links. Components are then LPT-packed onto shards. The
-  /// result is a pure function of the topology and `options`.
-  ShardPlan partition(const PartitionOptions& options) const;
-
-  /// Bind every channel to its owning shard per `plan` and route cross-shard
-  /// propagation through `ssim`'s mailboxes. Requires compute_routes() and a
-  /// strictly positive propagation delay on every cut channel. Call once,
-  /// before any traffic.
-  void bind_shards(sim::ShardedSimulator& ssim, const ShardPlan& plan);
-
-  bool sharded() const { return ssim_ != nullptr; }
-  std::uint32_t node_shard(NodeId node) const;
-
-  /// The engine that runs `node`'s events: its shard when sharded, the
-  /// construction-time simulator otherwise.
-  sim::Simulator& sim_for(NodeId node);
-
   // --- introspection -------------------------------------------------------
   std::size_t node_count() const { return nodes_.size(); }
   const NodeInfo& node(NodeId id) const { return nodes_.at(id); }
@@ -145,7 +93,7 @@ class Network {
   /// exists). Routing is static, so a down link means the path is dead.
   bool path_up(NodeId a, NodeId b) const;
 
-  std::uint64_t packets_delivered() const;
+  std::uint64_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t packets_dropped() const;
 
  private:
@@ -154,9 +102,6 @@ class Network {
   void forward(Packet&& pkt, NodeId at);
   void fire_taps(NodeId host, TapDirection dir, SimTime t, const Packet& pkt);
   void rebuild_channel_index();
-  void route_handoff(Packet&& pkt, NodeId at, SimTime t, std::uint32_t from_shard);
-  std::uint32_t shard_owner(const std::vector<std::uint32_t>& ns, NodeId from, NodeId to) const;
-  bool channel_is_cut(const std::vector<std::uint32_t>& ns, NodeId from, NodeId to) const;
 
   /// Hot-path channel resolution: a single indexed load once the dense
   /// index has been built (compute_routes); falls back to the ordered map
@@ -190,19 +135,6 @@ class Network {
   TapId next_tap_id_ = 1;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_delivered_ = 0;
-
-  // Sharded mode. Hot per-shard counters get a cache line each: delivered
-  // counts and packet-id sequences are bumped concurrently by different
-  // workers, and sharing a line would serialize the very path the sharding
-  // parallelizes. Packet ids become (shard + 1) << 48 | seq so the spaces
-  // stay disjoint without coordination (ids feed tracing only).
-  struct alignas(64) ShardLocal {
-    std::uint64_t delivered = 0;
-    std::uint64_t next_packet_seq = 0;
-  };
-  sim::ShardedSimulator* ssim_ = nullptr;
-  std::vector<std::uint32_t> node_shard_;
-  std::vector<ShardLocal> shard_local_;
 };
 
 }  // namespace vw::net

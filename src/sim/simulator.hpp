@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <queue>
 #include <vector>
 
@@ -76,17 +75,6 @@ class Simulator {
 
   /// True if a live (uncancelled) event is pending.
   bool has_pending() const { return live_events_ > 0; }
-
-  /// Sentinel returned by next_event_time() when no live event is pending.
-  static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
-
-  /// Timestamp of the earliest live event, or kNoEventTime when the queue is
-  /// empty. Non-const because stale (cancelled) heap heads are discarded on
-  /// the way — the shard scheduler calls this at every conservative-window
-  /// barrier, so the lazy deletion must not report a cancelled head.
-  SimTime next_event_time() {
-    return drop_stale_heads() ? queue_.top().at : kNoEventTime;
-  }
 
   /// Total events executed (diagnostics).
   std::uint64_t events_executed() const { return executed_; }

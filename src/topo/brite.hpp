@@ -73,9 +73,8 @@ class BriteTopology {
 /// A packet-level net::Network instantiated from a BRITE topology: one
 /// router per BRITE node (links carry the generated bandwidth and latency),
 /// plus `host_count` end hosts attached to distinct randomly chosen routers
-/// over access links. Built for the sharded-engine scale-up runs: the router
-/// mesh gives Network::partition a real edge-cut to optimize, and the BRITE
-/// latencies (tens of microseconds and up) give it usable lookahead.
+/// over access links. It is the physical substrate of fig_federation_scale
+/// and of loopbench's brite_fleet workload.
 struct BriteNetwork {
   std::unique_ptr<net::Network> network;
   std::vector<net::NodeId> routers;      ///< index-aligned with BRITE nodes
@@ -84,7 +83,7 @@ struct BriteNetwork {
 };
 
 /// Builds the network above on `sim` and computes routes. Propagation delays
-/// are clamped to >= 1 ns so any cut channel has positive lookahead. The
+/// are clamped to >= 1 ns, so every hop takes nonzero virtual time. The
 /// choice of host attachment points is a pure function of `rng`.
 BriteNetwork make_brite_network(sim::Simulator& sim, const BriteTopology& topo,
                                 std::size_t host_count, Rng& rng,

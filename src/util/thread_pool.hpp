@@ -61,10 +61,9 @@ class ThreadPool {
   }
 
   /// Run `fn(0) .. fn(count-1)` across the workers and block until every
-  /// one has finished. This is the batch-reuse entry point: callers keep one
-  /// persistent pool alive across batches (multi-start annealing rounds,
-  /// sharded-simulator epochs) instead of paying thread spawn/join per
-  /// batch. The barrier is whole-pool idleness, so a batch must not be
+  /// one has finished. This is the batch-reuse entry point: multi-start
+  /// annealing keeps one persistent pool alive across its rounds instead of
+  /// paying thread spawn/join per batch. The barrier is whole-pool idleness, so a batch must not be
   /// interleaved with unrelated submit() traffic whose completion the
   /// caller does not want to wait for. `fn` is shared by the workers and
   /// must be safe to invoke concurrently with distinct indices.

@@ -506,8 +506,7 @@ TEST(ChaosScenarioTest, DatapathOverhaulPreservesGoldenSignatures) {
   // liveness and expires stale view entries before building its capacity
   // graph (refresh_view_before_planning), so replans no longer act on
   // dead-host adjacency. The fresher view yields a different (and smaller)
-  // migration trajectory; both seeds still converge to the same placement
-  // and the value is identical on the serial and sharded engines.
+  // migration trajectory; both seeds still converge to the same placement.
   EXPECT_EQ(run_chaos_scenario(42).signature, "6,7,5,2,4,1,3,8,3,6,158,843,3");
   EXPECT_EQ(run_chaos_scenario(7).signature, "6,7,5,2,4,1,3,8,3,6,158,843,3");
 }

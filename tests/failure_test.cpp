@@ -1,9 +1,10 @@
 // Failure-injection and reservation tests: random loss, link down/up,
-// TCP resilience under loss, and token-bucket priority reservations
-// protecting a flow from best-effort congestion.
+// scripted FaultPlan outages, TCP resilience under loss, and token-bucket
+// priority reservations protecting a flow from best-effort congestion.
 
 #include <gtest/gtest.h>
 
+#include "net/fault.hpp"
 #include "net/network.hpp"
 #include "net/reservation.hpp"
 #include "sim/simulator.hpp"
@@ -114,6 +115,44 @@ TEST(LinkDownTest, TcpSurvivesTransientOutage) {
   ASSERT_NE(server, nullptr);
   EXPECT_EQ(server->bytes_received(), 1'000'000u);  // RTO recovery resumed it
   EXPECT_GT(client.retransmissions(), 0u);
+}
+
+TEST(FaultPlanTest, UdpDroppedInsideOutageDeliveredAfter) {
+  Env env;
+  FaultPlan faults(env.sim, env.net);
+  // Scheduled before the traffic, so at equal timestamps the fault fires
+  // first: a packet sent at `from` meets a down link, one sent at `until`
+  // an up one. The outage is on a's access link, where a send enqueues.
+  faults.link_outage(millis(10), millis(20), env.a, env.sw);
+  std::vector<SimTime> delivered;
+  env.net.set_host_stack(env.b, [&](Packet&& p) { delivered.push_back(p.send_time); });
+  for (SimTime t : {millis(5), millis(10), millis(15), millis(20), millis(25)}) {
+    env.sim.schedule_at(t, [&] { env.net.send(env.udp_packet(100)); });
+  }
+  env.sim.run();
+  EXPECT_EQ(delivered, (std::vector<SimTime>{millis(5), millis(20), millis(25)}));
+  EXPECT_EQ(env.net.channel(env.a, env.sw).stats().packets_down_dropped, 2u);
+  EXPECT_FALSE(env.net.channel(env.a, env.sw).is_down());
+  EXPECT_FALSE(env.net.channel(env.sw, env.a).is_down());
+}
+
+TEST(FaultPlanTest, SchedulingInThePastThrows) {
+  Env env;
+  FaultPlan faults(env.sim, env.net);
+  env.sim.run_until(millis(10));
+  EXPECT_THROW(faults.link_outage(millis(5), millis(20), env.a, env.sw), std::invalid_argument);
+  EXPECT_THROW(faults.link_up(millis(9), env.a, env.sw), std::invalid_argument);
+  EXPECT_NO_THROW(faults.link_down(millis(10), env.a, env.sw));
+}
+
+TEST(FaultPlanTest, OutageMustEndAfterItStarts) {
+  Env env;
+  FaultPlan faults(env.sim, env.net);
+  EXPECT_THROW(faults.link_outage(millis(10), millis(10), env.a, env.sw),
+               std::invalid_argument);
+  EXPECT_THROW(faults.link_outage(millis(10), millis(5), env.a, env.sw), std::invalid_argument);
+  env.sim.run();
+  EXPECT_FALSE(env.net.channel(env.a, env.sw).is_down());
 }
 
 // Property sweep: TCP completes a transfer under any moderate random loss.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run a micro-benchmark suite and emit its BENCH_*.json summary.
 
-Two suites:
+Three suites:
 
   * ``vadapt`` (default) — wraps ``micro_vadapt_incremental`` into
     BENCH_vadapt.json: SA-iteration throughput (items_per_second) for the
@@ -19,16 +19,6 @@ Two suites:
     exit nonzero when the scheduler speedup falls below the acceptance
     criterion, which is how CI enforces the perf gate.
 
-  * ``parallel_sim`` — wraps ``micro_parallel_sim`` into
-    BENCH_parallel_sim.json: sharded-engine event throughput on the 32-host
-    star ping-pong workload at 1/2/4/8 conservative shards, and the
-    4-shard / 1-shard speedup. The 1-shard row is the serial oracle, and
-    tests/sharded_sim_test.cpp proves the shard counts produce bit-identical
-    results, so the ratio is a pure parallelism speedup. The gate (default
-    2.5 at 4 shards) is enforced only when the benchmark ran with >= 4 CPUs
-    — on smaller machines the JSON records ``gate_skipped_reason`` instead,
-    because conservative windows cannot beat serial without real cores.
-
   * ``vadapt_warm`` — wraps ``micro_vadapt_warm`` into
     BENCH_vadapt_warm.json: warm-start single-link re-adaptation time vs
     the from-scratch multi-start solve (the system's default cold
@@ -39,7 +29,7 @@ Two suites:
     O(delta)-not-O(problem) scaling check.
 
 Usage:
-    tools/bench_to_json.py [--suite vadapt|datapath|parallel_sim|vadapt_warm]
+    tools/bench_to_json.py [--suite vadapt|datapath|vadapt_warm]
                            [--build-dir build] [--output FILE] [--quick]
                            [--gate X]
 
@@ -125,23 +115,6 @@ def datapath_summary(benchmarks: list) -> dict:
     }
 
 
-def parallel_sim_summary(benchmarks: list) -> dict:
-    ips = {
-        n: items_per_second(benchmarks, f"BM_ShardedStar/{n}/real_time")
-        for n in (1, 2, 4, 8)
-    }
-    return {
-        "workload": {
-            "sharded_star": "32-host star, 1 Gb/s links, 50 us propagation "
-            "(= lookahead), 1000 B ping-pong datagrams, 32 in flight per "
-            "pair; items = simulator events executed",
-        },
-        "sharded_star_events_per_sec": {f"shards_{n}": v for n, v in ips.items()},
-        "speedup_4_shards": ips[4] / ips[1] if ips[1] > 0 else None,
-        "speedup_8_shards": ips[8] / ips[1] if ips[1] > 0 else None,
-    }
-
-
 def real_time_seconds(benchmarks: list, name: str) -> float:
     for b in benchmarks:
         if b.get("name") == name and b.get("run_type", "iteration") == "iteration":
@@ -190,12 +163,6 @@ SUITES = {
         "output": "BENCH_datapath.json",
         "summarize": datapath_summary,
         "default_gate": 3.0,
-    },
-    "parallel_sim": {
-        "binary": "micro_parallel_sim",
-        "output": "BENCH_parallel_sim.json",
-        "summarize": parallel_sim_summary,
-        "default_gate": 2.5,
     },
     "vadapt_warm": {
         "binary": "micro_vadapt_warm",
@@ -247,25 +214,7 @@ def main() -> int:
 
     gate = args.gate if args.gate is not None else suite["default_gate"]
     gate_failures = []
-    if args.suite == "parallel_sim":
-        ips = result["sharded_star_events_per_sec"]
-        speedup = result["speedup_4_shards"]
-        print(
-            f"sharded_star: 1 shard={ips['shards_1']:.3g} ev/s, "
-            f"2={ips['shards_2']:.3g}, 4={ips['shards_4']:.3g}, "
-            f"8={ips['shards_8']:.3g}; 4-shard speedup={speedup:.2f}x"
-        )
-        num_cpus = int(result["context"].get("num_cpus", 0))
-        if gate is not None and num_cpus < 4:
-            result["gate_skipped_reason"] = (
-                f"machine has {num_cpus} CPUs; the {gate:g}x @ 4 shards gate "
-                "needs >= 4 (conservative windows cannot beat serial without "
-                "real cores)"
-            )
-            print(f"gate skipped: {result['gate_skipped_reason']}")
-        elif gate is not None and (speedup is None or speedup < gate):
-            gate_failures.append(f"sharded_star: {speedup:.2f}x < {gate:g}x at 4 shards")
-    elif args.suite == "vadapt_warm":
+    if args.suite == "vadapt_warm":
         times = result["adapt_time_seconds"]
         speedup = result["speedup_single_link_1024"]
         warm_ratio = result["scaling_ratio_warm_1024_over_256"]

@@ -3,8 +3,7 @@
 
 Subsumes the old regex lint.py (one entry point, same exit-code contract:
 0 clean, 1 findings) and adds the semantic rule set that guards the
-reproduction's core claim — bit-identical runs per seed — before the sharded
-multi-core engine multiplies the concurrency surface:
+reproduction's core claim, bit-identical runs per seed:
 
   R1 virtual-clock purity    no wall-clock sources (std::chrono::*_clock::now,
                              time(), clock(), gettimeofday, clock_gettime) in
@@ -20,9 +19,9 @@ multi-core engine multiplies the concurrency surface:
                              hash order must never feed event order, float
                              accumulation, or trace/signature output.
   R4 hot-path allocation     no std::function in src/sim+src/net headers
-                             (net/fault.hpp exempt) and no by-value
-                             std::shared_ptr parameters there: per-packet
-                             signatures must not churn refcounts.
+                             and no by-value std::shared_ptr parameters
+                             there: per-packet signatures must not churn
+                             refcounts.
   R5 contract coverage       VW_REQUIRE/VW_ENSURE count per public header must
                              not regress vs tools/vwlint_baseline.json.
 
@@ -86,7 +85,6 @@ RNG_HOME = {"util/rng.hpp", "util/rng.cpp"}
 
 # R4 scope: the event-engine / datapath hot path.
 HOT_PATH_DIRS = ("sim", "net")
-HOT_PATH_EXEMPT = {"net/fault.hpp"}  # cold construction-time scripting API
 # Headers outside the hot-path dirs whose code still runs per packet: the
 # capture datapath (tap callback -> lock-free ring -> writer thread).
 HOT_PATH_EXTRA = {
@@ -289,8 +287,7 @@ def make_context(path: Path, *, fixture_mode: bool = False) -> FileContext:
         ctx.module = path.relative_to(SRC).parts[0]
         ctx.order_sensitive = ctx.module in ORDER_SENSITIVE_MODULES
         ctx.hot_path_header = ctx.is_header and (
-            (ctx.module in HOT_PATH_DIRS and ctx.rel_src not in HOT_PATH_EXEMPT)
-            or ctx.rel_src in HOT_PATH_EXTRA
+            ctx.module in HOT_PATH_DIRS or ctx.rel_src in HOT_PATH_EXTRA
         )
     for m in WAIVER_RE.finditer(raw):
         ctx.waivers.append(
