@@ -3,23 +3,22 @@
 // Wren's original deployment mode (the paper's online analysis extends it):
 // the kernel trace is filtered for useful observations and shipped to a
 // repository; analysis replays it offline. This example records a
-// monitored transfer into a portable trace archive, writes it to disk,
+// monitored transfer, writes the filtered records to a vw.trace.v1 archive,
 // reads it back, and reproduces the online estimate from the file alone.
 //
-// It also runs the binary-capture differential: the same run is captured a
-// second time through the vw.trace.v1 datapath (tap -> lock-free ring ->
-// writer thread -> shard file, lossless kBlock mode), the shard is read
-// back, and the replayed SIC estimates must be bit-identical to the text
-// archive's. Exit status is nonzero when any estimate differs, so CI can
-// use this as the capture/replay correctness gate.
+// It also runs the capture differential: the same run is captured a second
+// time through the TraceWriter datapath (tap -> lock-free ring -> writer
+// thread -> shard file, lossless kBlock mode). The archive of the in-memory
+// TraceFacility records and the writer's shard must replay to
+// bit-identical SIC estimates. Exit status is nonzero when any estimate
+// differs, so CI can use this as the capture/replay correctness gate.
 //
-//   $ ./examples/offline_analysis [archive-path [binary-shard-path]]
+//   $ ./examples/offline_analysis [archive-path [shard-path]]
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -27,13 +26,14 @@
 #include "transport/stack.hpp"
 #include "wren/analyzer.hpp"
 #include "wren/offline.hpp"
+#include "wren/trace_binary.hpp"
 #include "wren/trace_writer.hpp"
 
 using namespace vw;
 
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : "/tmp/wren-trace.txt";
-  const std::string binary_path = argc > 2 ? argv[2] : "/tmp/wren-trace.vwtrace";
+  const std::string path = argc > 1 ? argv[1] : "/tmp/wren-archive.vwtrace";
+  const std::string shard_path = argc > 2 ? argv[2] : "/tmp/wren-shard.vwtrace";
 
   // --- capture phase -----------------------------------------------------
   sim::Simulator sim;
@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
   wren::TraceFacility trace(net, sender, 1 << 20);
   wren::OnlineAnalyzer online(net, sender);  // for comparison
 
-  // Second capture path, same tap source: the binary datapath in lossless
+  // Second capture path, same tap source: the TraceWriter datapath in lossless
   // mode (the differential below demands a complete shard).
   wren::TraceWriterParams wp;
   wp.overflow = wren::TraceWriterParams::Overflow::kBlock;
-  wren::TraceWriter writer(net, sender, binary_path, wp);
+  wren::TraceWriter writer(net, sender, shard_path, wp);
 
   transport::CbrUdpSource cbr(stack, cross, receiver, 7000, 35e6, 1000);
   cbr.start();
@@ -70,14 +70,15 @@ int main(int argc, char** argv) {
 
   const auto records = wren::filter_useful(trace.collect());
   {
-    std::ofstream out(path);
-    wren::write_trace(out, records);
+    std::ofstream out(path, std::ios::binary);
+    wren::TraceFileHeader header;
+    header.host = sender;
+    wren::write_trace_binary(out, header, records);
   }
   std::cout << "captured " << records.size() << " useful records -> " << path << "\n";
 
   // --- offline phase (could run anywhere, any time later) ----------------
-  std::ifstream in(path);
-  const auto replayed = wren::read_trace(in);
+  const auto replayed = wren::read_trace_binary_file(path).records;
   const wren::OfflineResult result = wren::analyze_offline(replayed);
 
   std::cout << "offline analysis: " << result.flows_analyzed << " flow(s), "
@@ -90,15 +91,15 @@ int main(int argc, char** argv) {
     std::cout << "online analyzer said:   " << *live / 1e6 << " Mb/s\n";
   }
 
-  // --- binary differential ------------------------------------------------
-  // The vw.trace.v1 shard captured by the writer thread must replay to the
-  // exact same estimates as the text archive: same records in, same SIC
-  // math, bit-identical doubles out.
+  // --- capture differential -----------------------------------------------
+  // The shard captured by the writer thread must replay to the exact same
+  // estimates as the archive of the in-memory records: same records in,
+  // same SIC math, bit-identical doubles out.
   writer.finish();
-  const wren::BinaryTrace shard = wren::read_trace_binary_file(binary_path);
-  std::cout << "binary shard: " << shard.records.size() << " records ("
-            << writer.records_dropped() << " dropped) -> " << binary_path << "\n";
-  const wren::OfflineResult from_binary =
+  const wren::BinaryTrace shard = wren::read_trace_binary_file(shard_path);
+  std::cout << "writer shard: " << shard.records.size() << " records ("
+            << writer.records_dropped() << " dropped) -> " << shard_path << "\n";
+  const wren::OfflineResult from_shard =
       wren::analyze_offline(wren::filter_useful(shard.records));
 
   int failures = 0;
@@ -106,23 +107,23 @@ int main(int argc, char** argv) {
     std::cerr << "DIFFERENTIAL FAIL: lossless capture dropped records\n";
     ++failures;
   }
-  if (from_binary.observations.size() != result.observations.size()) {
-    std::cerr << "DIFFERENTIAL FAIL: " << from_binary.observations.size()
-              << " observations from binary vs " << result.observations.size()
-              << " from text\n";
+  if (from_shard.observations.size() != result.observations.size()) {
+    std::cerr << "DIFFERENTIAL FAIL: " << from_shard.observations.size()
+              << " observations from the shard vs " << result.observations.size()
+              << " from the archive\n";
     ++failures;
   }
-  if (from_binary.estimates_bps.size() != result.estimates_bps.size()) {
+  if (from_shard.estimates_bps.size() != result.estimates_bps.size()) {
     std::cerr << "DIFFERENTIAL FAIL: flow count mismatch\n";
     ++failures;
   }
   for (const auto& [flow, bps] : result.estimates_bps) {
     const auto it =
-        std::find_if(from_binary.estimates_bps.begin(), from_binary.estimates_bps.end(),
+        std::find_if(from_shard.estimates_bps.begin(), from_shard.estimates_bps.end(),
                      [&flow](const auto& e) { return e.first == flow; });
-    if (it == from_binary.estimates_bps.end()) {
+    if (it == from_shard.estimates_bps.end()) {
       std::cerr << "DIFFERENTIAL FAIL: flow to host " << flow.dst
-                << " missing from binary replay\n";
+                << " missing from the shard replay\n";
       ++failures;
     } else if (it->second != bps) {  // bit-identical, not approximately equal
       std::fprintf(stderr, "DIFFERENTIAL FAIL: flow to host %u: %.17g vs %.17g\n",
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
     }
   }
   if (failures == 0) {
-    std::cout << "binary replay differential: estimates bit-identical\n";
+    std::cout << "shard replay differential: estimates bit-identical\n";
   }
   return failures == 0 ? 0 : 1;
 }

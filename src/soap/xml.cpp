@@ -1,6 +1,8 @@
 #include "soap/xml.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <stdexcept>
 
 namespace vw::soap {
@@ -253,5 +255,32 @@ XmlNode make_fault(std::string_view code, std::string_view message) {
 }
 
 bool is_fault(const XmlNode& body) { return body.name == "soap:Fault"; }
+
+template <typename T>
+T attr(const XmlNode& node, const std::string& name) {
+  const auto it = node.attributes.find(name);
+  if (it == node.attributes.end()) {
+    throw std::runtime_error("<" + node.name + "> lacks attribute '" + name + "'");
+  }
+  const std::string& text = it->second;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::runtime_error("<" + node.name + "> attribute " + name + "=\"" + text +
+                             "\" is not a valid number");
+  }
+  return value;
+}
+
+std::string format_double(double v) {
+  char buf[64];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, ptr);
+}
+
+template std::uint32_t attr<std::uint32_t>(const XmlNode&, const std::string&);
+template std::uint64_t attr<std::uint64_t>(const XmlNode&, const std::string&);
+template double attr<double>(const XmlNode&, const std::string&);
 
 }  // namespace vw::soap

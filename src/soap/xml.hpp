@@ -40,6 +40,18 @@ std::string xml_escape(std::string_view s);
 /// Parse an XML document; throws std::runtime_error on malformed input.
 XmlNode parse_xml(std::string_view doc);
 
+/// Strict decoding of attribute `name` as a T: std::uint32_t (host ids),
+/// std::uint64_t or double (NaN and infinities included: range rules are
+/// the caller's). Control-message handlers decode every field this way
+/// before touching state. A missing attribute, an empty value, a sign on an
+/// unsigned type, trailing characters ("12abc") or an out-of-range value
+/// throws std::runtime_error, the type parse_xml throws.
+template <typename T>
+T attr(const XmlNode& node, const std::string& name);
+
+/// Shortest text that reads back as exactly `v` (std::to_chars).
+std::string format_double(double v);
+
 // --- SOAP envelope helpers ---------------------------------------------------
 
 inline constexpr std::string_view kSoapEnvNs = "http://schemas.xmlsoap.org/soap/envelope/";

@@ -1,7 +1,7 @@
 #include "virtuoso/system.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -10,15 +10,11 @@ namespace vw::virtuoso {
 
 namespace {
 
+constexpr std::uint16_t kRootPort = 9001;      ///< the root control plane
+constexpr std::uint16_t kRegionalPort = 9002;  ///< each region's proxy host
+constexpr std::size_t kTraceCapacity = 16384;  ///< EventTracer ring, in events
+
 // --- control-plane report encodings -----------------------------------------
-
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, ptr);
-}
-
-std::uint64_t parse_u64(const std::string& s) { return std::stoull(s); }
 
 soap::XmlNode encode_vttif_update(net::NodeId reporter, const vttif::TrafficMatrix& matrix) {
   soap::XmlNode msg;
@@ -28,9 +24,25 @@ soap::XmlNode encode_vttif_update(net::NodeId reporter, const vttif::TrafficMatr
     soap::XmlNode& e = msg.add_child("entry");
     e.attributes["src"] = std::to_string(key.first);
     e.attributes["dst"] = std::to_string(key.second);
-    e.attributes["bits"] = fmt_double(bits);
+    e.attributes["bits"] = soap::format_double(bits);
   }
   return msg;
+}
+
+/// Decodes a VttifUpdate's entries without touching state; `bits` must be
+/// finite and >= 0, what TrafficMatrix::add accepts.
+vttif::TrafficMatrix decode_vttif_entries(const soap::XmlNode& msg) {
+  vttif::TrafficMatrix matrix;
+  for (const soap::XmlNode& e : msg.children) {
+    if (e.name != "entry") continue;
+    const auto bits = soap::attr<double>(e, "bits");
+    if (!std::isfinite(bits) || bits < 0) {
+      throw std::runtime_error("VttifUpdate: bad traffic value " + e.attributes.at("bits"));
+    }
+    matrix.add(soap::attr<vnet::MacAddress>(e, "src"), soap::attr<vnet::MacAddress>(e, "dst"),
+               bits);
+  }
+  return matrix;
 }
 
 soap::XmlNode encode_heartbeat(net::NodeId reporter) {
@@ -65,7 +77,7 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
                    ? std::make_unique<obs::MetricsRegistry>([&sim] { return sim.now(); })
                    : nullptr),
       tracer_(config.telemetry
-                  ? std::make_unique<obs::EventTracer>(config.trace_capacity,
+                  ? std::make_unique<obs::EventTracer>(kTraceCapacity,
                                                        [&sim] { return sim.now(); })
                   : nullptr),
       stack_(network),
@@ -155,22 +167,20 @@ void VirtuosoSystem::bootstrap(vnet::LinkProtocol proto) {
 
   // Control plane: daemons ship reports to the Proxy over real TCP
   // connections; the Proxy folds them into its global views.
-  control_ = std::make_unique<vnet::ControlPlane>(stack_, overlay_.proxy().host(), 9001,
+  control_ = std::make_unique<vnet::ControlPlane>(stack_, overlay_.proxy().host(), kRootPort,
                                                   config_.control);
   if (config_.telemetry) control_->set_obs(scope());
+  // Every handler decodes its whole message before it touches state; a
+  // field that does not decode throws std::runtime_error, which the control
+  // plane counts as a parse failure and drops.
   control_->register_handler("Heartbeat", [this](const soap::XmlNode& msg) {
-    note_report(static_cast<net::NodeId>(parse_u64(msg.attributes.at("reporter"))));
+    note_report(soap::attr<net::NodeId>(msg, "reporter"));
   });
   control_->register_handler("VttifUpdate", [this](const soap::XmlNode& msg) {
-    const auto reporter = static_cast<net::NodeId>(parse_u64(msg.attributes.at("reporter")));
+    const auto reporter = soap::attr<net::NodeId>(msg, "reporter");
+    const vttif::TrafficMatrix matrix = decode_vttif_entries(msg);
     note_report(reporter);
-    vttif::TrafficMatrix m;
-    for (const soap::XmlNode& e : msg.children) {
-      if (e.name != "entry") continue;
-      m.add(parse_u64(e.attributes.at("src")), parse_u64(e.attributes.at("dst")),
-            std::stod(e.attributes.at("bits")));
-    }
-    global_vttif_->update_from(reporter, m);
+    global_vttif_->update_from(reporter, matrix);
   });
   control_->register_handler("WrenReport", [this](const soap::XmlNode& msg) {
     std::vector<wren::PathReading> readings;
@@ -355,29 +365,20 @@ void VirtuosoSystem::bootstrap_federation() {
       [this](net::NodeId host, SimTime at) { note_report_at(host, at); });
   if (config_.telemetry) fed->root->set_obs(scope());
 
-  fed->scheduler = std::make_unique<wren::MeasurementScheduler>(fc.scheduler);
+  fed->scheduler = std::make_unique<wren::MeasurementScheduler>();
   fed->scheduler->set_request_fn(
       [this](net::NodeId from, net::NodeId to) { start_probe(from, to); });
   if (config_.telemetry) fed->scheduler->set_obs(scope());
-
-  // The SOAP control surface for the plane.
-  fed->service = std::make_unique<soap::FederationService>(registry_, kFederationEndpoint);
-  fed->service->set_export_fn([this](std::uint32_t, const std::string& hex) {
-    federation_->root->apply_summary(wren::summary_from_hex(hex), sim_.now());
-  });
-  fed->service->set_request_fn([this](std::uint32_t from, std::uint32_t to) {
-    if (!config_.federation.on_demand) return false;
-    return federation_->scheduler->request_cold_pairs(view_, {{from, to}}, sim_.now()) > 0;
-  });
 
   // Summaries arrive at the root over the regular control plane, so their
   // traffic crosses the simulated network and is measurable against the
   // per-daemon reports they replace.
   control_->register_handler("FederationSummary", [this](const soap::XmlNode& msg) {
     if (!federation_) return;
-    note_report(static_cast<net::NodeId>(parse_u64(msg.attributes.at("reporter"))));
-    federation_->root->apply_summary(wren::summary_from_hex(msg.child_text("summary")),
-                                     sim_.now());
+    const auto reporter = soap::attr<net::NodeId>(msg, "reporter");
+    const wren::FederationSummary summary = wren::summary_from_hex(msg.child_text("summary"));
+    note_report(reporter);
+    federation_->root->apply_summary(summary, sim_.now());
   });
 
   for (wren::RegionId r = 0; r < static_cast<wren::RegionId>(fc.regions); ++r) {
@@ -387,7 +388,7 @@ void VirtuosoSystem::bootstrap_federation() {
     reg.id = r;
     reg.proxy_host = region_hosts.front();
     reg.control = std::make_unique<vnet::ControlPlane>(stack_, reg.proxy_host,
-                                                       fc.regional_port, config_.control);
+                                                       kRegionalPort, config_.control);
     if (config_.telemetry) reg.control->set_obs(scope());
     wren::RegionalProxyParams params;
     params.summary_max_pairs = fc.summary_max_pairs;
@@ -398,8 +399,7 @@ void VirtuosoSystem::bootstrap_federation() {
 
     wren::RegionalProxy* proxy = reg.proxy.get();
     reg.control->register_handler("Heartbeat", [this, proxy](const soap::XmlNode& msg) {
-      proxy->note_host(static_cast<net::NodeId>(parse_u64(msg.attributes.at("reporter"))),
-                       sim_.now());
+      proxy->note_host(soap::attr<net::NodeId>(msg, "reporter"), sim_.now());
     });
     reg.control->register_handler("WrenReport", [this, proxy](const soap::XmlNode& msg) {
       std::vector<wren::PathReading> readings;
@@ -417,13 +417,6 @@ void VirtuosoSystem::bootstrap_federation() {
   }
 
   federation_ = std::move(fed);
-
-  // Each regional proxy announces itself through the SOAP surface.
-  const soap::FederationClient client(registry_, kFederationEndpoint);
-  for (const FederationRegion& reg : federation_->regions) {
-    client.subscribe(reg.id, "vnet://" + std::to_string(reg.proxy_host) + ":" +
-                                 std::to_string(fc.regional_port));
-  }
 }
 
 void VirtuosoSystem::export_summary(std::size_t region_index, bool force_full) {
@@ -479,17 +472,14 @@ void VirtuosoSystem::prepare_federation_for_plan(const std::vector<vadapt::Deman
   }
   // SONoMA-style on-demand sessions for the hot pairs the root holds no
   // fresh measurement for.
-  if (config_.federation.on_demand) {
-    federation_->scheduler->request_cold_pairs(view_, hot, sim_.now());
-  }
+  federation_->scheduler->request_cold_pairs(view_, hot, sim_.now());
 }
 
 void VirtuosoSystem::start_probe(net::NodeId from, net::NodeId to) {
   const std::uint64_t id = next_probe_id_++;
   if (next_probe_port_ < 30000) next_probe_port_ = 30000;  // wrapped
   const std::uint16_t port = next_probe_port_++;
-  auto prober =
-      std::make_unique<wren::ActiveProber>(stack_, from, to, port, config_.probe);
+  auto prober = std::make_unique<wren::ActiveProber>(stack_, from, to, port);
   wren::ActiveProber* p = prober.get();
   probes_.emplace(id, std::move(prober));
   p->start([this, id, from, to](double estimate_bps) {

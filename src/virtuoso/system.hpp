@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
-#include "soap/federation.hpp"
 #include "soap/rpc.hpp"
 #include "soap/telemetry.hpp"
 #include "transport/stack.hpp"
@@ -101,8 +100,6 @@ struct SystemConfig {
   /// vnet, vttif, vadapt, vm, virtuoso), and exposes QueryMetrics /
   /// StreamEvents at "telemetry://proxy" after bootstrap.
   bool telemetry = true;
-  /// Trace ring capacity (events); oldest events are dropped when full.
-  std::size_t trace_capacity = 16384;
   /// When non-empty, every daemon host gets a wren::TraceWriter that
   /// persists its packet-header trace as a vw.trace.v1 shard under this
   /// directory (one file per host, shard tag = add order). Shards finalize
@@ -117,8 +114,6 @@ struct SystemConfig {
   /// control plane), and feeds the root view from summarized exports
   /// instead of raw per-daemon reports.
   wren::FederationConfig federation;
-  /// Active-probe tuning for on-demand measurement sessions.
-  wren::ActiveProbeParams probe;
 };
 
 struct AdaptationOutcome {
@@ -216,9 +211,6 @@ class VirtuosoSystem {
   vnet::ControlPlane* regional_control(wren::RegionId region);
   /// The on-demand measurement scheduler; null when federation is off.
   wren::MeasurementScheduler* measurement_scheduler();
-  /// The federation SOAP endpoint (Subscribe / ExportSummary /
-  /// RequestMeasurement), registered during a federated bootstrap().
-  static constexpr const char* kFederationEndpoint = "federation://proxy";
 
   /// Run the liveness sweep and drop expired view entries NOW, so the next
   /// capacity_graph() snapshot cannot be built over adjacency that predates
@@ -296,7 +288,6 @@ class VirtuosoSystem {
   struct FederationRuntime {
     wren::RegionMap region_map;
     std::unique_ptr<wren::FederationRoot> root;
-    std::unique_ptr<soap::FederationService> service;
     std::unique_ptr<wren::MeasurementScheduler> scheduler;
     std::vector<FederationRegion> regions;
   };

@@ -74,10 +74,18 @@ void ControlPlane::dispatch(const std::string& doc) {
     obs::add(c_unhandled_);
     return;
   }
+  try {
+    it->second(message);
+  } catch (const std::runtime_error&) {
+    // Fields that do not decode (thrown before the handler touches state).
+    // Anything else, a vw::contracts::ContractError above all, propagates.
+    ++parse_failures_;
+    obs::add(c_parse_failures_);
+    return;
+  }
   ++delivered_;
   obs::add(c_delivered_);
   delivered_bytes_by_type_[message.name] += doc.size();
-  it->second(message);
 }
 
 bool ControlPlane::connection_healthy(net::NodeId host) const {

@@ -65,7 +65,9 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  /// Proxy side: handle messages whose root element is `root_name`.
+  /// Proxy side: handle messages whose root element is `root_name`. A
+  /// handler signals a message whose fields do not decode by throwing
+  /// std::runtime_error; the message then counts as a parse failure.
   void register_handler(const std::string& root_name, HandlerFn handler);
 
   /// Daemon side: send `message` from `host` to the Proxy. Establishes the
@@ -78,7 +80,7 @@ class ControlPlane {
   /// Proxy side: observe delivery holes (full re-report scheduling).
   void set_on_window_gap(WindowGapFn fn) { window_gap_fn_ = std::move(fn); }
 
-  /// Messages dispatched to a registered handler.
+  /// Messages a registered handler accepted.
   std::uint64_t messages_delivered() const { return delivered_; }
   /// Serialized bytes of delivered messages whose root element was
   /// `root_name` (per-stream traffic accounting, e.g. the federation
@@ -86,6 +88,8 @@ class ControlPlane {
   std::uint64_t delivered_bytes(const std::string& root_name) const;
   /// Messages that parsed but matched no handler (silently ignored types).
   std::uint64_t messages_unhandled() const { return unhandled_; }
+  /// Messages dropped because their XML did not parse or a handler could
+  /// not decode them.
   std::uint64_t parse_failures() const { return parse_failures_; }
   /// Wire bytes of serialized reports sent over the network (control-plane
   /// overhead, §3.4), including resends.

@@ -51,12 +51,11 @@ void OnlineAnalyzer::analyze_now() {
   const std::vector<PacketRecord> records = trace_.collect();
   obs::add(c_collect_records_, records.size());
   for (const PacketRecord& rec : records) {
-    if (rec.direction == net::TapDirection::kOutgoing && !rec.is_ack && rec.payload_bytes > 0) {
+    if (is_outgoing_data(rec)) {
       FlowState& fs = flow_state(rec.flow);
       fs.extractor->add(rec);
       fs.last_outgoing = rec.timestamp;
-    } else if (rec.direction == net::TapDirection::kIncoming && rec.is_ack &&
-               rec.payload_bytes == 0) {
+    } else if (is_incoming_ack(rec)) {
       // ACKs for one of our outgoing flows.
       auto it = flows_.find(rec.flow.reversed());
       if (it != flows_.end()) it->second.estimator->add_ack(rec.timestamp, rec.ack);

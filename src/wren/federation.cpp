@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -36,17 +35,6 @@ RegionMap RegionMap::round_robin(const std::vector<net::NodeId>& hosts, std::siz
   RegionMap map;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     map.assign(hosts[i], static_cast<RegionId>(i % regions));
-  }
-  return map;
-}
-
-RegionMap RegionMap::chunked(const std::vector<net::NodeId>& hosts, std::size_t regions) {
-  VW_REQUIRE(regions >= 1, "RegionMap: need at least one region");
-  RegionMap map;
-  if (hosts.empty()) return map;
-  const std::size_t chunk = (hosts.size() + regions - 1) / regions;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    map.assign(hosts[i], static_cast<RegionId>(i / chunk));
   }
   return map;
 }
@@ -219,16 +207,6 @@ FederationSummary summary_from_hex(std::string_view hex) {
 
 // --- daemon report codec -----------------------------------------------------
 
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, ptr);
-}
-
-}  // namespace
-
 soap::XmlNode encode_wren_report_xml(net::NodeId reporter,
                                      const std::vector<PathReading>& readings) {
   soap::XmlNode msg;
@@ -237,37 +215,36 @@ soap::XmlNode encode_wren_report_xml(net::NodeId reporter,
   for (const PathReading& r : readings) {
     soap::XmlNode& p = msg.add_child("peer");
     p.attributes["id"] = std::to_string(r.peer);
-    if (r.bandwidth_bps) p.attributes["bw"] = fmt_double(*r.bandwidth_bps);
-    if (r.latency_s) p.attributes["lat"] = fmt_double(*r.latency_s);
+    if (r.bandwidth_bps) p.attributes["bw"] = soap::format_double(*r.bandwidth_bps);
+    if (r.latency_s) p.attributes["lat"] = soap::format_double(*r.latency_s);
   }
   return msg;
 }
 
 net::NodeId parse_wren_report_xml(const soap::XmlNode& msg, std::vector<PathReading>& readings,
                                   std::uint64_t* rejected) {
-  const auto reporter = static_cast<net::NodeId>(std::stoull(msg.attributes.at("reporter")));
+  // Decode the whole document before handing anything back: a bad field
+  // anywhere throws and leaves `readings` and `rejected` untouched.
+  const auto reporter = soap::attr<net::NodeId>(msg, "reporter");
+  std::vector<PathReading> decoded;
+  std::uint64_t invalid = 0;
+  const auto reading = [&](const soap::XmlNode& p, const char* attr) -> std::optional<double> {
+    if (!p.attributes.contains(attr)) return std::nullopt;
+    const double v = soap::attr<double>(p, attr);
+    if (GlobalNetworkView::valid_measurement(v)) return v;
+    ++invalid;
+    return std::nullopt;
+  };
   for (const soap::XmlNode& p : msg.children) {
     if (p.name != "peer") continue;
     PathReading r;
-    r.peer = static_cast<net::NodeId>(std::stoull(p.attributes.at("id")));
-    if (auto it = p.attributes.find("bw"); it != p.attributes.end()) {
-      const double bw = std::stod(it->second);
-      if (GlobalNetworkView::valid_measurement(bw)) {
-        r.bandwidth_bps = bw;
-      } else if (rejected != nullptr) {
-        ++*rejected;
-      }
-    }
-    if (auto it = p.attributes.find("lat"); it != p.attributes.end()) {
-      const double lat = std::stod(it->second);
-      if (GlobalNetworkView::valid_measurement(lat)) {
-        r.latency_s = lat;
-      } else if (rejected != nullptr) {
-        ++*rejected;
-      }
-    }
-    if (r.bandwidth_bps || r.latency_s) readings.push_back(r);
+    r.peer = soap::attr<net::NodeId>(p, "id");
+    r.bandwidth_bps = reading(p, "bw");
+    r.latency_s = reading(p, "lat");
+    if (r.bandwidth_bps || r.latency_s) decoded.push_back(r);
   }
+  readings.insert(readings.end(), decoded.begin(), decoded.end());
+  if (rejected != nullptr) *rejected += invalid;
   return reporter;
 }
 
@@ -396,7 +373,6 @@ FederationSummary RegionalProxy::build_summary(SimTime now, bool force_full) {
   s.hosts.reserve(hosts_seen_.size());
   for (const auto& [host, at] : hosts_seen_) s.hosts.push_back(HostSeen{host, at});
 
-  ++summaries_built_;
   entries_exported_ += s.entries.size();
   entries_suppressed_ += s.total_pairs - s.entries.size();
   obs::add(c_summaries_);
@@ -438,7 +414,6 @@ void FederationRoot::apply_summary(const FederationSummary& summary, SimTime now
     if (e.has_bandwidth) view_.update_bandwidth(e.from, e.to, e.bandwidth_bps, e.updated_at);
     if (e.has_latency) view_.update_latency(e.from, e.to, e.latency_s, e.updated_at);
   }
-  entries_applied_ += summary.entries.size();
   for (const RegionAggregate& a : summary.aggregates) {
     aggregates_[{a.src_region, a.dst_region}] = a;
   }

@@ -60,13 +60,9 @@ class RegionMap {
   /// Number of distinct regions assigned so far.
   std::size_t region_count() const { return regions_.size(); }
   std::vector<net::NodeId> hosts_in(RegionId region) const;
-  const std::map<net::NodeId, RegionId>& assignments() const { return assignments_; }
 
   /// hosts[i] -> region i % regions (balanced, locality-blind).
   static RegionMap round_robin(const std::vector<net::NodeId>& hosts, std::size_t regions);
-  /// Contiguous chunks of `hosts` (locality-preserving when the caller
-  /// orders hosts by proximity, e.g. by BRITE attachment router).
-  static RegionMap chunked(const std::vector<net::NodeId>& hosts, std::size_t regions);
 
  private:
   std::map<net::NodeId, RegionId> assignments_;
@@ -180,9 +176,10 @@ struct PathReading {
 /// format).
 soap::XmlNode encode_wren_report_xml(net::NodeId reporter,
                                      const std::vector<PathReading>& readings);
-/// Returns the reporter and appends the readings; throws on missing
-/// attributes, and drops (counts into `rejected`, when non-null) readings
-/// whose values fail GlobalNetworkView validation (non-finite / negative).
+/// Returns the reporter and appends the readings. A field that does not
+/// decode (soap::attr) throws std::runtime_error before anything is
+/// appended; readings whose values fail GlobalNetworkView validation
+/// (non-finite / negative) are dropped and counted into `rejected`.
 net::NodeId parse_wren_report_xml(const soap::XmlNode& msg, std::vector<PathReading>& readings,
                                   std::uint64_t* rejected = nullptr);
 
@@ -224,14 +221,12 @@ class RegionalProxy {
   /// that must survive top-k selection.
   void set_demand_weight(net::NodeId from, net::NodeId to, double weight);
   void clear_demand_weights();
-  std::size_t demand_weight_count() const { return demand_weights_.size(); }
 
   /// Build the next upward export (advances the summary sequence number).
   /// With `force_full`, sampling is bypassed once (full re-report after a
   /// detected control-plane window gap).
   FederationSummary build_summary(SimTime now, bool force_full = false);
 
-  std::uint64_t summaries_built() const { return summaries_built_; }
   std::uint64_t entries_exported() const { return entries_exported_; }
   std::uint64_t entries_suppressed() const { return entries_suppressed_; }
 
@@ -246,7 +241,6 @@ class RegionalProxy {
   std::map<std::pair<net::NodeId, net::NodeId>, double> demand_weights_;
   std::map<net::NodeId, SimTime> hosts_seen_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t summaries_built_ = 0;
   std::uint64_t entries_exported_ = 0;
   std::uint64_t entries_suppressed_ = 0;
   obs::Counter* c_summaries_ = nullptr;
@@ -290,7 +284,6 @@ class FederationRoot {
   double coverage() const;
 
   std::uint64_t summaries_applied() const { return summaries_applied_; }
-  std::uint64_t entries_applied() const { return entries_applied_; }
   /// Summaries the per-region sequence numbers prove were lost in transit.
   std::uint64_t seq_gaps() const { return seq_gaps_; }
 
@@ -311,7 +304,6 @@ class FederationRoot {
   std::map<RegionId, RegionState> region_state_;
   HostSeenFn host_seen_;
   std::uint64_t summaries_applied_ = 0;
-  std::uint64_t entries_applied_ = 0;
   std::uint64_t seq_gaps_ = 0;
   obs::Counter* c_summaries_ = nullptr;
   obs::Counter* c_entries_ = nullptr;
@@ -391,12 +383,6 @@ struct FederationConfig {
   SimTime export_period = seconds(2.0);
   /// Top-k pairs per summary; 0 = export everything (sampling off).
   std::size_t summary_max_pairs = 64;
-  /// Regional control planes listen on this port (root keeps 9001).
-  std::uint16_t regional_port = 9002;
-  /// On-demand measurement sessions for cold pairs the planner needs; when
-  /// disabled, cold pairs fall back to aggregates/default capacity only.
-  bool on_demand = true;
-  MeasurementSchedulerParams scheduler;
 };
 
 }  // namespace vw::wren

@@ -2,79 +2,16 @@
 
 #include <algorithm>
 #include <deque>
-#include <istream>
 #include <map>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
+#include <memory>
 
 namespace vw::wren {
-
-namespace {
-constexpr char kHeader[] = "# wren-trace v1";
-}
-
-void write_trace(std::ostream& out, const std::vector<PacketRecord>& records) {
-  out << kHeader << '\n';
-  for (const PacketRecord& r : records) {
-    out << r.timestamp << ' ' << (r.direction == net::TapDirection::kOutgoing ? 'O' : 'I') << ' '
-        << r.flow.src << ' ' << r.flow.dst << ' ' << r.flow.src_port << ' ' << r.flow.dst_port
-        << ' ' << r.payload_bytes << ' ' << r.wire_bytes << ' ' << r.seq << ' ' << r.ack << ' '
-        << (r.is_ack ? 1 : 0) << ' ' << (r.syn ? 1 : 0) << '\n';
-  }
-}
-
-std::vector<PacketRecord> read_trace(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-  auto fail = [&](const std::string& what) -> void {
-    throw std::runtime_error("wren trace parse error at line " + std::to_string(line_no) + ": " +
-                             what);
-  };
-
-  if (!std::getline(in, line)) fail("empty stream");
-  ++line_no;
-  if (line != kHeader) fail("bad header: " + line);
-
-  std::vector<PacketRecord> records;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    PacketRecord r;
-    char dir = 0;
-    int is_ack = 0;
-    int syn = 0;
-    std::uint32_t src = 0, dst = 0;
-    if (!(ls >> r.timestamp >> dir >> src >> dst >> r.flow.src_port >> r.flow.dst_port >>
-          r.payload_bytes >> r.wire_bytes >> r.seq >> r.ack >> is_ack >> syn)) {
-      fail("malformed record");
-    }
-    if (dir != 'O' && dir != 'I') fail("bad direction flag");
-    // A record is exactly 12 fields; anything after them (including on the
-    // final line of the file) is a malformed record, not ignorable noise.
-    std::string rest;
-    if (ls >> rest) fail("trailing garbage after record: " + rest);
-    r.direction = dir == 'O' ? net::TapDirection::kOutgoing : net::TapDirection::kIncoming;
-    r.flow.src = src;
-    r.flow.dst = dst;
-    r.flow.proto = net::Protocol::kTcp;
-    r.is_ack = is_ack != 0;
-    r.syn = syn != 0;
-    records.push_back(r);
-  }
-  return records;
-}
 
 std::vector<PacketRecord> filter_useful(const std::vector<PacketRecord>& records) {
   std::vector<PacketRecord> out;
   out.reserve(records.size());
   for (const PacketRecord& r : records) {
-    const bool outgoing_data =
-        r.direction == net::TapDirection::kOutgoing && !r.is_ack && r.payload_bytes > 0;
-    const bool incoming_ack =
-        r.direction == net::TapDirection::kIncoming && r.is_ack && r.payload_bytes == 0;
-    if (outgoing_data || incoming_ack) out.push_back(r);
+    if (is_useful(r)) out.push_back(r);
   }
   return out;
 }
@@ -115,14 +52,7 @@ bool TraceFilter::matches(const PacketRecord& r) const {
   if (src_port && r.flow.src_port != *src_port) return false;
   if (dst_port && r.flow.dst_port != *dst_port) return false;
   if (r.timestamp < from || r.timestamp > to) return false;
-  if (useful_only) {
-    const bool outgoing_data =
-        r.direction == net::TapDirection::kOutgoing && !r.is_ack && r.payload_bytes > 0;
-    const bool incoming_ack =
-        r.direction == net::TapDirection::kIncoming && r.is_ack && r.payload_bytes == 0;
-    if (!outgoing_data && !incoming_ack) return false;
-  }
-  return true;
+  return !useful_only || is_useful(r);
 }
 
 std::vector<PacketRecord> apply_filter(const std::vector<PacketRecord>& records,
@@ -239,11 +169,10 @@ OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
   SimTime last_time = 0;
   for (const PacketRecord& r : records) {
     last_time = std::max(last_time, r.timestamp);
-    if (r.direction == net::TapDirection::kOutgoing && !r.is_ack && r.payload_bytes > 0) {
+    if (is_outgoing_data(r)) {
       flow_state(r.flow).extractor->add(r);
       ++result.records_consumed;
-    } else if (r.direction == net::TapDirection::kIncoming && r.is_ack &&
-               r.payload_bytes == 0) {
+    } else if (is_incoming_ack(r)) {
       auto it = flows.find(r.flow.reversed());
       if (it != flows.end()) {
         it->second.estimator->add_ack(r.timestamp, r.ack);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <optional>
 #include <string>
@@ -15,26 +14,17 @@
 // paper's online extension: "the packet traces can be filtered for useful
 // observations and transmitted to a remote repository for analysis".
 //
-// A TraceArchive serializes filtered packet-header records to a portable
-// text format (the vw.trace.v1 binary codec in wren/trace_binary.hpp is the
-// high-rate equivalent); OfflineAnalyzer replays an archive (or an
-// in-memory record vector) through the same train-extraction + SIC
-// machinery the online analyzer uses and emits the available-bandwidth
-// observation series. merge_traces / apply_filter / match_traces are the
-// corpus operations behind the vwcap-extract and vwcap-match tools.
+// Filtered records travel in the one trace format, vw.trace.v1
+// (wren/trace_binary.hpp). analyze_offline replays a record vector through
+// the same train-extraction + SIC machinery the online analyzer uses and
+// emits the available-bandwidth observation series. merge_traces /
+// apply_filter / match_traces are the corpus operations behind the
+// vwcap-extract and vwcap-match tools.
 
 namespace vw::wren {
 
-/// Serialize records to the archive text format (one record per line).
-void write_trace(std::ostream& out, const std::vector<PacketRecord>& records);
-
-/// Parse an archive produced by write_trace; throws std::runtime_error on
-/// malformed input (with the offending line number). Trailing garbage after
-/// a record's last field is malformed too.
-std::vector<PacketRecord> read_trace(std::istream& in);
-
-/// Keep only the records Wren's analysis consumes: outgoing data packets
-/// and incoming pure ACKs ("filtered for useful observations").
+/// Keep only the records Wren's analysis consumes (is_useful): outgoing
+/// data packets and incoming pure ACKs.
 std::vector<PacketRecord> filter_useful(const std::vector<PacketRecord>& records);
 
 /// Merge per-host capture shards into one time-ordered trace. Ties are
@@ -50,7 +40,7 @@ struct TraceFilter {
   std::optional<std::uint16_t> dst_port;
   SimTime from = std::numeric_limits<SimTime>::min();  ///< inclusive
   SimTime to = std::numeric_limits<SimTime>::max();    ///< inclusive
-  bool useful_only = false;  ///< apply filter_useful's predicate too
+  bool useful_only = false;  ///< apply is_useful too
 
   bool matches(const PacketRecord& r) const;
 };

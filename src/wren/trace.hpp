@@ -31,6 +31,17 @@ struct PacketRecord {
   bool syn = false;
 };
 
+/// What Wren's analysis consumes ("filtered for useful observations"):
+/// outgoing data segments feed train extraction, incoming pure ACKs feed
+/// SIC. Every other record is noise to it.
+inline bool is_outgoing_data(const PacketRecord& r) {
+  return r.direction == net::TapDirection::kOutgoing && !r.is_ack && r.payload_bytes > 0;
+}
+inline bool is_incoming_ack(const PacketRecord& r) {
+  return r.direction == net::TapDirection::kIncoming && r.is_ack && r.payload_bytes == 0;
+}
+inline bool is_useful(const PacketRecord& r) { return is_outgoing_data(r) || is_incoming_ack(r); }
+
 /// Per-host header trace with a bounded ring buffer, drained by the
 /// user-level analyzer via collect() — mirroring Wren's kernel/user split.
 class TraceFacility {

@@ -8,13 +8,11 @@
 
 #include "wren/trace.hpp"
 
-// The vw.trace.v1 compact binary trace format.
-//
-// The text archive (wren/offline.hpp) is portable and greppable but costs
-// ~80 bytes and a formatted parse per record; high-rate capture wants a
-// fixed-size binary layout the writer thread can emit with one memcpy per
-// record and tools can mmap-scan. Layout (everything little-endian,
-// regardless of host byte order):
+// The vw.trace.v1 compact binary trace format, the repository's one trace
+// format: capture shards, vwcap tool outputs and offline archives all use
+// it. High-rate capture wants a fixed-size layout the writer thread can
+// emit with one memcpy per record and tools can mmap-scan. Layout
+// (everything little-endian, regardless of host byte order):
 //
 //   file header, 64 bytes:
 //     [ 0] u64 magic          "VWTRACE1" (0x3145434152545756 LE)

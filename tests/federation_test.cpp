@@ -3,18 +3,17 @@
 // rejection in the style of trace_binary_test.cpp), the WrenReport XML
 // codec, the RegionalProxy top-k/aggregate export policy, the root-tier
 // fold-in (timestamps, seq gaps, coverage, liveness), the on-demand
-// measurement scheduler, the federation SOAP endpoints — and the serial
-// oracle: with one region and sampling off, the federated plane reproduces
-// the flat GlobalNetworkView bit-identically.
+// measurement scheduler — and the serial oracle: with one region and
+// sampling off, the federated plane reproduces the flat GlobalNetworkView
+// bit-identically.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "soap/federation.hpp"
-#include "soap/rpc.hpp"
 #include "wren/federation.hpp"
 #include "wren/view.hpp"
 
@@ -23,7 +22,7 @@ namespace {
 
 // --- RegionMap ---------------------------------------------------------------
 
-TEST(RegionMapTest, RoundRobinBalancesAndChunkedPreservesLocality) {
+TEST(RegionMapTest, RoundRobinBalances) {
   const std::vector<net::NodeId> hosts = {10, 11, 12, 13, 14, 15, 16};
   const RegionMap rr = RegionMap::round_robin(hosts, 3);
   EXPECT_EQ(rr.region_count(), 3u);
@@ -33,13 +32,6 @@ TEST(RegionMapTest, RoundRobinBalancesAndChunkedPreservesLocality) {
   EXPECT_EQ(rr.region_of(13), 0u);
   EXPECT_EQ(rr.hosts_in(0).size(), 3u);
   EXPECT_EQ(rr.hosts_in(2).size(), 2u);
-
-  const RegionMap ch = RegionMap::chunked(hosts, 3);
-  EXPECT_EQ(ch.region_count(), 3u);
-  // Contiguous prefixes stay together.
-  EXPECT_EQ(ch.region_of(10), ch.region_of(11));
-  EXPECT_NE(ch.region_of(10), ch.region_of(16));
-
   EXPECT_EQ(rr.region_of(999), kInvalidRegion);
 }
 
@@ -165,6 +157,24 @@ TEST(WrenReportCodecTest, DropsAndCountsPoisonedValues) {
   EXPECT_EQ(out[0].peer, 6u);
   EXPECT_FALSE(out[0].bandwidth_bps.has_value());
   EXPECT_DOUBLE_EQ(*out[0].latency_s, 0.01);
+}
+
+TEST(WrenReportCodecTest, UndecodableFieldThrowsWithoutPartialOutput) {
+  const soap::XmlNode good = encode_wren_report_xml(3, {{7, 55e6, 0.003}, {9, 1e6, 0.5}});
+  // (child index, attribute, value); -1 is the root. Peer 9 comes second,
+  // so nothing decoded from peer 7 may leak out.
+  const std::vector<std::tuple<int, std::string, std::string>> cases = {
+      {-1, "reporter", "3x"}, {-1, "reporter", ""}, {1, "id", "-9"},
+      {1, "id", "9 "},        {1, "bw", "fast"},    {1, "lat", "0.5s"}};
+  for (const auto& [child, attr, value] : cases) {
+    soap::XmlNode bad = good;
+    (child < 0 ? bad : bad.children[child]).attributes[attr] = value;
+    std::vector<PathReading> out;
+    std::uint64_t rejected = 0;
+    EXPECT_THROW(parse_wren_report_xml(bad, out, &rejected), std::runtime_error) << value;
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(rejected, 0u);
+  }
 }
 
 // --- RegionalProxy export policy ---------------------------------------------
@@ -352,57 +362,6 @@ TEST(MeasurementSchedulerTest, RequestsColdPairsOnlyHonoringCooldownAndBudget) {
   // Past the cooldown the still-cold pair is re-requested.
   EXPECT_EQ(sched.request_cold_pairs(view, {{3, 4}}, seconds(13.0)), 1u);
   EXPECT_EQ(sched.requested(), 3u);
-}
-
-// --- SOAP federation endpoints -----------------------------------------------
-
-TEST(FederationSoapTest, SubscribeExportRequestRoundTrip) {
-  soap::RpcRegistry registry;
-  soap::FederationService service(registry, "federation://proxy");
-  soap::FederationClient client(registry, "federation://proxy");
-
-  std::vector<std::pair<std::uint32_t, std::string>> subs;
-  service.set_subscribe_fn([&](std::uint32_t region, const std::string& who) {
-    subs.push_back({region, who});
-    return region < 8;
-  });
-  std::string last_payload;
-  service.set_export_fn([&](std::uint32_t region, const std::string& hex) {
-    last_payload = std::to_string(region) + ":" + hex;
-  });
-  service.set_request_fn([&](std::uint32_t from, std::uint32_t to) { return from != to; });
-
-  EXPECT_TRUE(client.subscribe(3, "vnet://h3:9002"));
-  EXPECT_FALSE(client.subscribe(9, "vnet://h9:9002"));
-  ASSERT_EQ(subs.size(), 2u);
-  EXPECT_EQ(service.subscribers().at(3), "vnet://h3:9002");
-  EXPECT_FALSE(service.subscribers().contains(9));
-
-  const std::string hex = summary_to_hex(sample_summary());
-  client.export_summary(2, hex);
-  EXPECT_EQ(service.exports_received(), 1u);
-  EXPECT_EQ(last_payload, "2:" + hex);
-
-  EXPECT_TRUE(client.request_measurement(1, 2));
-  EXPECT_FALSE(client.request_measurement(4, 4));
-  EXPECT_EQ(service.requests_received(), 2u);
-}
-
-TEST(FederationSoapTest, MalformedRequestsFault) {
-  soap::RpcRegistry registry;
-  soap::FederationService service(registry, "federation://proxy");
-
-  soap::XmlNode no_region;
-  no_region.name = "ExportSummary";
-  no_region.add_text_child("summary", "00");
-  EXPECT_THROW(registry.call("federation://proxy", "ExportSummary", no_region),
-               soap::SoapFault);
-
-  soap::XmlNode no_payload;
-  no_payload.name = "ExportSummary";
-  no_payload.attributes["region"] = "1";
-  EXPECT_THROW(registry.call("federation://proxy", "ExportSummary", no_payload),
-               soap::SoapFault);
 }
 
 }  // namespace

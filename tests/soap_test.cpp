@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "soap/rpc.hpp"
 #include "soap/xml.hpp"
 
@@ -62,6 +64,20 @@ TEST(XmlTest, MalformedInputsThrow) {
   EXPECT_THROW(parse_xml("<a>&unknown;</a>"), std::runtime_error);
   EXPECT_THROW(parse_xml("<a></a><b></b>"), std::runtime_error);  // two roots
   EXPECT_THROW(parse_xml("plain text"), std::runtime_error);
+}
+
+TEST(XmlTest, StrictAttributeDecoding) {
+  const XmlNode n = parse_xml(R"(<m id="42" big="4294967296" bw="1.5e6" nan="nan"
+                                  neg="-1" tail="12abc" empty="" sp=" 7"/>)");
+  EXPECT_EQ(attr<std::uint32_t>(n, "id"), 42u);
+  EXPECT_EQ(attr<std::uint64_t>(n, "big"), 4294967296ull);
+  EXPECT_EQ(attr<double>(n, "bw"), 1.5e6);
+  EXPECT_TRUE(std::isnan(attr<double>(n, "nan")));  // range rules are the caller's
+  EXPECT_THROW(attr<std::uint32_t>(n, "big"), std::runtime_error);
+  EXPECT_THROW(attr<double>(n, "tail"), std::runtime_error);
+  for (const char* bad : {"neg", "tail", "empty", "sp", "missing"}) {
+    EXPECT_THROW(attr<std::uint64_t>(n, bad), std::runtime_error) << bad;
+  }
 }
 
 TEST(XmlTest, WhitespaceOnlyTextPreserved) {

@@ -475,5 +475,68 @@ TEST(VirtuosoFederationTest, TieredPlaneFeedsRootViewThroughSummaries) {
   for (const auto& vm : sys.vms()) EXPECT_TRUE(vm->attached());
 }
 
+// A control message that parses as XML but whose fields do not decode is
+// counted as a parse failure and dropped: it must neither escape the event
+// loop nor act on part of its content. Each one is sent from a non-proxy
+// daemon, so it crosses the simulated network and arrives via dispatch().
+TEST(VirtuosoTest, MalformedControlMessagesAreCountedAndDropped) {
+  SystemConfig config;
+  config.federation.enabled = true;  // the root plane also takes summaries
+  config.daemon_timeout = seconds(2.0);
+  ChallengeEnv env(config);
+  VirtuosoSystem& sys = *env.system;
+  // Neither the Proxy nor the region's proxy host (whose summaries keep it
+  // alive): with no VM traffic and no heartbeats, this daemon goes silent.
+  const net::NodeId host = env.tb.hosts().back();
+  ASSERT_NE(host, env.tb.hosts().front());
+  ASSERT_NE(host, sys.region_map()->hosts_in(0).front());
+  env.sim.run_until(seconds(3.0));
+  ASSERT_FALSE(sys.daemon_alive(host));
+
+  const std::string id = std::to_string(host);
+  auto msg = [&](std::string name, std::map<std::string, std::string> attrs,
+                 std::string child = "", std::map<std::string, std::string> child_attrs = {}) {
+    soap::XmlNode m{.name = std::move(name), .attributes = std::move(attrs), .text = {},
+                    .children = {}};
+    if (!child.empty()) m.add_child(child).attributes = std::move(child_attrs);
+    return m;
+  };
+  soap::XmlNode odd_hex = msg("FederationSummary", {{"reporter", id}, {"region", "0"}});
+  odd_hex.add_text_child("summary", "abc");
+  vnet::ControlPlane& root = sys.control_plane();
+  vnet::ControlPlane& regional = *sys.regional_control(0);
+  const std::vector<std::pair<vnet::ControlPlane*, soap::XmlNode>> cases = {
+      {&root, msg("Heartbeat", {})},
+      {&root, msg("Heartbeat", {{"reporter", id + "abc"}})},
+      {&root, msg("Heartbeat", {{"reporter", "4294967296"}})},
+      {&root, msg("Heartbeat", {{"reporter", "-" + id}})},
+      {&root, msg("VttifUpdate", {{"reporter", id}}, "entry",
+                  {{"src", "1"}, {"dst", "2"}, {"bits", "nan"}})},
+      {&root, msg("VttifUpdate", {{"reporter", id}}, "entry",
+                  {{"src", "1"}, {"dst", "2"}, {"bits", "-5"}})},
+      {&root, msg("VttifUpdate", {{"reporter", id}}, "entry", {{"dst", "2"}, {"bits", "5"}})},
+      {&root, odd_hex},
+      {&root, msg("WrenReport", {{"reporter", id}}, "peer", {{"id", "7x"}, {"bw", "1e6"}})},
+      {&regional, msg("Heartbeat", {{"reporter", ""}})},
+  };
+  SimTime t = env.sim.now();
+  for (const auto& [plane, m] : cases) {
+    SCOPED_TRACE(soap::to_xml(m));
+    const std::uint64_t failures = plane->parse_failures();
+    plane->send(host, m);
+    t += millis(200);
+    EXPECT_NO_THROW(env.sim.run_until(t));
+    EXPECT_EQ(plane->parse_failures(), failures + 1);
+  }
+  // None of them counted as liveness evidence or traffic.
+  EXPECT_FALSE(sys.daemon_alive(host));
+  EXPECT_EQ(sys.global_vttif().updates_received(), 0u);
+
+  // The plane still works: a well-formed heartbeat resurrects the daemon.
+  root.send(host, msg("Heartbeat", {{"reporter", id}}));
+  env.sim.run_until(t + millis(1500));
+  EXPECT_TRUE(sys.daemon_alive(host));
+}
+
 }  // namespace
 }  // namespace vw::virtuoso

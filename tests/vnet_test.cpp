@@ -7,6 +7,7 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/stack.hpp"
+#include "util/check.hpp"
 #include "vnet/control.hpp"
 #include "vnet/daemon.hpp"
 #include "vnet/links.hpp"
@@ -369,6 +370,21 @@ TEST(ControlPlaneTest, UnknownRootCountedAsUnhandled) {
   EXPECT_EQ(control.messages_delivered(), 0u);  // no handler matched
   EXPECT_EQ(control.messages_unhandled(), 1u);
   EXPECT_EQ(control.parse_failures(), 0u);
+}
+
+TEST(ControlPlaneTest, DecodeErrorsAreDroppedContractErrorsPropagate) {
+  OverlayEnv env(2);
+  ControlPlane control(*env.stack, env.hosts[0]);
+  control.register_handler("Bad", [](const soap::XmlNode& m) { soap::attr<double>(m, "x"); });
+  control.register_handler("Bug", [](const soap::XmlNode&) { VW_REQUIRE(false, "bug"); });
+  soap::XmlNode msg;
+  msg.name = "Bad";
+  control.send(env.hosts[0], msg);
+  EXPECT_EQ(control.parse_failures(), 1u);
+  EXPECT_EQ(control.messages_delivered(), 0u);
+  msg.name = "Bug";
+  EXPECT_THROW(control.send(env.hosts[0], msg), vw::contracts::ContractError);
+  EXPECT_EQ(control.parse_failures(), 1u);
 }
 
 TEST(ControlPlaneTest, ReusesOneConnectionPerHost) {

@@ -1,5 +1,5 @@
-// Tests for offline Wren (trace archive + replay analysis) and the active
-// SIC prober baseline.
+// Tests for offline Wren (useful-record filtering, vw.trace.v1 archive
+// replay analysis) and the active SIC prober baseline.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "wren/analyzer.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace.hpp"
+#include "wren/trace_binary.hpp"
 
 namespace vw::wren {
 namespace {
@@ -51,49 +52,9 @@ PacketRecord sample_record() {
   return r;
 }
 
-// --- archive format -----------------------------------------------------------
+// --- useful-record filter -----------------------------------------------------
 
-TEST(TraceArchiveTest, RoundTrip) {
-  std::vector<PacketRecord> records;
-  records.push_back(sample_record());
-  PacketRecord ack = sample_record();
-  ack.direction = net::TapDirection::kIncoming;
-  ack.is_ack = true;
-  ack.payload_bytes = 0;
-  ack.ack = 16060;
-  ack.flow = ack.flow.reversed();
-  records.push_back(ack);
-
-  std::stringstream ss;
-  write_trace(ss, records);
-  const auto parsed = read_trace(ss);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].timestamp, records[0].timestamp);
-  EXPECT_EQ(parsed[0].flow, records[0].flow);
-  EXPECT_EQ(parsed[0].seq, records[0].seq);
-  EXPECT_EQ(parsed[1].is_ack, true);
-  EXPECT_EQ(parsed[1].ack, 16060u);
-  EXPECT_EQ(parsed[1].direction, net::TapDirection::kIncoming);
-}
-
-TEST(TraceArchiveTest, RejectsBadHeader) {
-  std::stringstream ss("not a wren trace\n");
-  EXPECT_THROW(read_trace(ss), std::runtime_error);
-}
-
-TEST(TraceArchiveTest, RejectsMalformedRecord) {
-  std::stringstream ss("# wren-trace v1\n123 O 1 2 garbage\n");
-  EXPECT_THROW(read_trace(ss), std::runtime_error);
-}
-
-TEST(TraceArchiveTest, SkipsCommentsAndBlankLines) {
-  std::stringstream out;
-  write_trace(out, {sample_record()});
-  std::stringstream in("# wren-trace v1\n\n# comment\n" + out.str().substr(out.str().find('\n') + 1));
-  EXPECT_EQ(read_trace(in).size(), 1u);
-}
-
-TEST(TraceArchiveTest, FilterUsefulDropsNoise) {
+TEST(UsefulRecordTest, FilterUsefulDropsNoise) {
   std::vector<PacketRecord> records;
   records.push_back(sample_record());  // outgoing data: keep
   PacketRecord syn = sample_record();
@@ -109,6 +70,10 @@ TEST(TraceArchiveTest, FilterUsefulDropsNoise) {
   in_ack.payload_bytes = 0;
   records.push_back(in_ack);  // keep
   EXPECT_EQ(filter_useful(records).size(), 2u);
+  // vwcap-extract --useful applies the same predicate.
+  TraceFilter useful;
+  useful.useful_only = true;
+  EXPECT_EQ(apply_filter(records, useful).size(), 2u);
 }
 
 // --- offline analysis -----------------------------------------------------------
@@ -151,15 +116,18 @@ TEST(OfflineAnalysisTest, ArchiveRoundTripPreservesAnalysis) {
 
   const auto records = filter_useful(trace.collect());
   std::stringstream ss;
-  write_trace(ss, records);
-  const auto reread = read_trace(ss);
+  write_trace_binary(ss, TraceFileHeader{}, records);
+  const auto reread = read_trace_binary(ss).records;
   ASSERT_EQ(reread.size(), records.size());
 
   const OfflineResult direct = analyze_offline(records);
   const OfflineResult via_archive = analyze_offline(reread);
+  ASSERT_FALSE(direct.estimates_bps.empty());
   ASSERT_EQ(direct.estimates_bps.size(), via_archive.estimates_bps.size());
+  EXPECT_EQ(direct.observations.size(), via_archive.observations.size());
   for (std::size_t i = 0; i < direct.estimates_bps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(direct.estimates_bps[i].second, via_archive.estimates_bps[i].second);
+    EXPECT_EQ(direct.estimates_bps[i].first, via_archive.estimates_bps[i].first);
+    EXPECT_EQ(direct.estimates_bps[i].second, via_archive.estimates_bps[i].second);
   }
 }
 

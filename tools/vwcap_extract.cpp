@@ -1,10 +1,9 @@
 // vwcap-extract: merge vw.trace.v1 capture shards into one time-ordered
-// trace, optionally filtering by flow endpoints / ports / time window, in
-// binary or text output format (the exact-pcap-extract equivalent).
+// vw.trace.v1 file, optionally filtering by flow endpoints / ports / time
+// window (the exact-pcap-extract equivalent).
 //
 //   $ vwcap-extract [options] shard.vwtrace [shard2.vwtrace ...]
 //     -o FILE          output path (default: merged.vwtrace)
-//     --text           write the text archive format instead of binary
 //     --src N          keep records with FlowKey.src == N
 //     --dst N          keep records with FlowKey.dst == N
 //     --src-port N     keep records with FlowKey.src_port == N
@@ -12,7 +11,7 @@
 //     --from SEC       keep records with timestamp >= SEC (seconds)
 //     --to SEC         keep records with timestamp <= SEC (seconds)
 //     --useful         keep only analysis-relevant records (outgoing data +
-//                      incoming pure ACKs), like wren::filter_useful
+//                      incoming pure ACKs), wren::is_useful
 //
 // The merged header carries host = 0xffffffff (multi-host corpus), shard 0,
 // and the summed capture drop counts of the inputs. Exit status: 0 on
@@ -32,7 +31,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [-o FILE] [--text] [--src N] [--dst N] [--src-port N] [--dst-port N]\n"
+            << " [-o FILE] [--src N] [--dst N] [--src-port N] [--dst-port N]\n"
                "       [--from SEC] [--to SEC] [--useful] shard.vwtrace [...]\n";
   std::exit(2);
 }
@@ -41,7 +40,6 @@ namespace {
 
 int main(int argc, char** argv) {
   std::string out_path = "merged.vwtrace";
-  bool text = false;
   wren::TraceFilter filter;
   std::vector<std::string> inputs;
 
@@ -55,8 +53,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0) {
       out_path = need_value(i++);
-    } else if (std::strcmp(argv[i], "--text") == 0) {
-      text = true;
     } else if (std::strcmp(argv[i], "--src") == 0) {
       filter.src = static_cast<net::NodeId>(std::stoul(need_value(i++)));
     } else if (std::strcmp(argv[i], "--dst") == 0) {
@@ -97,22 +93,17 @@ int main(int argc, char** argv) {
     std::vector<wren::PacketRecord> merged =
         wren::apply_filter(wren::merge_traces(shards), filter);
 
-    std::ofstream out(out_path, text ? std::ios::out : std::ios::out | std::ios::binary);
+    std::ofstream out(out_path, std::ios::out | std::ios::binary);
     if (!out) {
       std::cerr << "cannot open " << out_path << " for writing\n";
       return 1;
     }
-    if (text) {
-      wren::write_trace(out, merged);
-    } else {
-      wren::TraceFileHeader header;
-      header.host = net::kInvalidNode;  // multi-host corpus
-      header.dropped = dropped;
-      wren::write_trace_binary(out, header, merged);
-    }
+    wren::TraceFileHeader header;
+    header.host = net::kInvalidNode;  // multi-host corpus
+    header.dropped = dropped;
+    wren::write_trace_binary(out, header, merged);
     std::cerr << "merged " << total_in << " records from " << inputs.size() << " shard(s) -> "
-              << merged.size() << " after filtering -> " << out_path
-              << (text ? " (text)" : " (vw.trace.v1)") << "\n";
+              << merged.size() << " after filtering -> " << out_path << "\n";
   } catch (const std::exception& e) {
     std::cerr << "vwcap-extract: " << e.what() << "\n";
     return 1;
