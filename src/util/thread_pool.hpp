@@ -17,8 +17,7 @@
 // the process, as with any detached std::thread).
 //
 // Lock discipline (checked by -Wthread-safety on Clang): queue_, active_ and
-// stop_ are only touched under mu_; tasks themselves run with no lock held,
-// so a task may safely submit() more work.
+// stop_ are only touched under mu_; tasks themselves run with no lock held.
 
 namespace vw {
 
@@ -45,28 +44,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task; runs on some worker in FIFO dequeue order.
-  void submit(std::function<void()> task) VW_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_task_.notify_one();
-  }
-
-  /// Block until the queue is drained and every running task has finished.
-  void wait_idle() VW_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (!(queue_.empty() && active_ == 0)) cv_idle_.wait(mu_);
-  }
-
   /// Run `fn(0) .. fn(count-1)` across the workers and block until every
-  /// one has finished. This is the batch-reuse entry point: multi-start
-  /// annealing keeps one persistent pool alive across its rounds instead of
-  /// paying thread spawn/join per batch. The barrier is whole-pool idleness, so a batch must not be
-  /// interleaved with unrelated submit() traffic whose completion the
-  /// caller does not want to wait for. `fn` is shared by the workers and
-  /// must be safe to invoke concurrently with distinct indices.
+  /// one has finished. A caller that runs batches repeatedly (multi-start
+  /// annealing in the control loop) keeps one pool alive instead of paying
+  /// thread spawn/join per batch. The barrier is whole-pool idleness, so
+  /// concurrent batches on one pool also wait for each other. `fn` is
+  /// shared by the workers and must be safe to invoke concurrently with
+  /// distinct indices.
   void run_batch(std::size_t count, const std::function<void(std::size_t)>& fn)
       VW_EXCLUDES(mu_) {
     {
@@ -76,7 +60,8 @@ class ThreadPool {
       }
     }
     cv_task_.notify_all();
-    wait_idle();
+    MutexLock lock(mu_);
+    while (!(queue_.empty() && active_ == 0)) cv_idle_.wait(mu_);
   }
 
   std::size_t thread_count() const { return workers_.size(); }

@@ -74,10 +74,7 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
   result.best = ev.configuration();
   result.best_evaluation = current_eval;
 
-  double temperature = params.initial_temperature;
-  if (temperature <= 0) {
-    temperature = std::max(std::abs(current_eval.cost) * 0.1, 1.0);
-  }
+  double temperature = std::max(std::abs(current_eval.cost) * 0.1, 1.0);
 
   PerturbScratch scratch;
   Path old_path;                  // revert buffer for single-path moves
@@ -158,7 +155,6 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
   }
 
   result.final_state = ev.configuration();
-  result.final_evaluation = current_eval;
 
   if (params.obs.metrics != nullptr) {
     obs::add(params.obs.counter("vadapt.sa.runs"));

@@ -32,8 +32,9 @@ namespace vw::vadapt {
 
 struct AnnealingParams {
   std::size_t iterations = 5000;
-  double initial_temperature = 0;    ///< <=0: auto-scale from the initial cost
-  double cooling = 0.999;            ///< geometric temperature decay per iteration
+  /// Geometric temperature decay per iteration. The start temperature
+  /// auto-scales to max(0.1 * |initial cost|, 1).
+  double cooling = 0.999;
   double mapping_perturb_prob = 0.05;
   std::size_t trace_stride = 1;      ///< record every k-th iteration; must be >= 1
   /// Reference mode: full evaluate() every iteration instead of incremental
@@ -56,7 +57,6 @@ struct AnnealingResult {
   Configuration best;
   Evaluation best_evaluation;
   Configuration final_state;
-  Evaluation final_evaluation;
   std::vector<AnnealingTracePoint> trace;
 };
 

@@ -20,6 +20,12 @@ struct ChainSlot {
 
 }  // namespace
 
+std::size_t multi_start_threads(const MultiStartParams& params) {
+  const std::size_t threads =
+      params.threads == 0 ? ThreadPool::default_thread_count() : params.threads;
+  return std::min(threads, params.chains);
+}
+
 MultiStartResult multi_start_annealing(const CapacityGraph& graph,
                                        const std::vector<Demand>& demands, std::size_t n_vms,
                                        const Objective& objective,
@@ -38,7 +44,7 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
   auto run_chain = [&](std::size_t k) {
     try {
       std::optional<Configuration> chain_initial;
-      if (initial && (k == 0 || !params.diversify_initial)) chain_initial = *initial;
+      if (initial && k == 0) chain_initial = *initial;
       slots[k].result = simulated_annealing(graph, demands, n_vms, objective, params.annealing,
                                             Rng(chain_seeds[k]), std::move(chain_initial));
     } catch (...) {
@@ -46,21 +52,13 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
     }
   };
 
-  if (params.pool != nullptr && params.chains > 1) {
+  const std::size_t threads = multi_start_threads(params);
+  if (threads <= 1) {
+    for (std::size_t k = 0; k < params.chains; ++k) run_chain(k);
+  } else if (params.pool != nullptr) {
     params.pool->run_batch(params.chains, run_chain);
   } else {
-    std::size_t threads =
-        params.threads == 0 ? ThreadPool::default_thread_count() : params.threads;
-    threads = std::min(threads, params.chains);
-    if (threads <= 1 || params.chains == 1) {
-      for (std::size_t k = 0; k < params.chains; ++k) run_chain(k);
-    } else {
-      ThreadPool pool(threads);
-      for (std::size_t k = 0; k < params.chains; ++k) {
-        pool.submit([&run_chain, k] { run_chain(k); });
-      }
-      pool.wait_idle();
-    }
+    ThreadPool(threads).run_batch(params.chains, run_chain);
   }
 
   // Propagate the first (lowest-index) chain failure deterministically.

@@ -15,26 +15,30 @@
 // (problem, params) — the same best configuration is produced whether the
 // chains run on one thread or sixteen. Results land in per-chain slots and
 // the merge picks the highest CEF, breaking ties toward the lowest chain
-// index, which keeps the reduction deterministic too.
+// index, which keeps the reduction deterministic too. Given an initial
+// configuration (e.g. the greedy solution), chain 0 starts from it and the
+// other chains from independent random configurations.
 
 namespace vw::vadapt {
 
 struct MultiStartParams {
   std::size_t chains = 4;    ///< number of independent SA chains (>= 1)
-  std::size_t threads = 0;   ///< worker threads; 0 = one per hardware thread
+  /// Worker threads, capped at `chains`; 0 = one per hardware thread. At
+  /// one thread the chains run serially on the caller.
+  std::size_t threads = 0;
   std::uint64_t seed = 1;    ///< split into per-chain streams
   AnnealingParams annealing; ///< shared by every chain
-  /// Persistent worker pool (borrowed). When set, chains run as one batch
-  /// on it — callers that adapt repeatedly (VirtuosoSystem's control loop)
-  /// stop paying thread spawn/join per adaptation — and `threads` is
-  /// ignored. When null, a pool is constructed per call as before. The
-  /// outcome is identical either way: chains write index-aligned slots.
+  /// Persistent worker pool (borrowed). When set and more than one thread
+  /// is asked for, chains run as one batch on it — callers that adapt
+  /// repeatedly (VirtuosoSystem's control loop) stop paying thread
+  /// spawn/join per adaptation. When null, a pool is constructed per call.
+  /// The outcome is identical either way: chains write index-aligned slots.
   ThreadPool* pool = nullptr;
-  /// When an initial configuration is supplied (e.g. the greedy solution),
-  /// chain 0 starts from it and the remaining chains start from independent
-  /// random configurations; false makes every chain start from the initial.
-  bool diversify_initial = true;
 };
+
+/// The worker count multi_start_annealing uses for `params`:
+/// min(threads, chains), with threads = 0 meaning one per hardware thread.
+std::size_t multi_start_threads(const MultiStartParams& params);
 
 struct ChainOutcome {
   std::uint64_t seed = 0;      ///< the chain's derived RNG seed

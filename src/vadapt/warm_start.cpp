@@ -5,10 +5,25 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "vadapt/cluster.hpp"
 #include "vadapt/perturb.hpp"
 
 namespace vw::vadapt {
+
+namespace {
+
+/// Go cold when the delta touches more than this fraction of the host pair
+/// space: the incumbent is no longer "mostly right".
+constexpr double kMaxDeltaFraction = 0.25;
+/// Cap on the burst's demand neighborhood.
+constexpr std::size_t kMaxNeighborhood = 64;
+/// Burst length before the min/max clamp.
+constexpr std::size_t kBurstIterationsPerTarget = 200;
+/// Bursts refine a near-optimal incumbent, so they start much cooler than a
+/// from-scratch anneal (which starts at 0.1 of the initial cost).
+constexpr double kTemperatureScale = 0.01;
+constexpr double kCooling = 0.995;
+
+}  // namespace
 
 WarmStartOptimizer::WarmStartOptimizer(WarmStartParams params) : params_(params) {}
 
@@ -21,12 +36,6 @@ void WarmStartOptimizer::adopt(const CapacityGraph& graph, std::vector<Demand> d
   eval_ = std::make_unique<IncrementalEvaluator>(*graph_, std::move(demands), objective);
   eval_->reset(std::move(conf));
   n_vms_ = n_vms;
-}
-
-void WarmStartOptimizer::invalidate() {
-  eval_.reset();
-  graph_.reset();
-  n_vms_ = 0;
 }
 
 bool WarmStartOptimizer::compatible(const std::vector<net::NodeId>& hosts,
@@ -48,7 +57,7 @@ bool WarmStartOptimizer::delta_acceptable(const wren::ViewDelta& delta) const {
   const std::size_t n = graph_->size();
   const std::size_t pair_space = n > 1 ? n * (n - 1) : 1;
   return static_cast<double>(delta.pair_count()) <=
-         params_.max_delta_fraction * static_cast<double>(pair_space);
+         kMaxDeltaFraction * static_cast<double>(pair_space);
 }
 
 void WarmStartOptimizer::apply_delta(const wren::ViewDelta& delta,
@@ -90,8 +99,8 @@ std::vector<std::uint32_t> WarmStartOptimizer::select_targets(
   std::vector<std::uint32_t> targets = must_include;
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  if (targets.size() >= params_.max_neighborhood) {
-    targets.resize(params_.max_neighborhood);
+  if (targets.size() >= kMaxNeighborhood) {
+    targets.resize(kMaxNeighborhood);
     return targets;
   }
 
@@ -121,7 +130,7 @@ std::vector<std::uint32_t> WarmStartOptimizer::select_targets(
     });
     for (const auto& [gain, d] : candidates) {
       (void)gain;
-      if (targets.size() >= params_.max_neighborhood) break;
+      if (targets.size() >= kMaxNeighborhood) break;
       targets.push_back(d);
     }
     std::sort(targets.begin(), targets.end());
@@ -134,10 +143,7 @@ std::size_t WarmStartOptimizer::run_burst(const std::vector<std::uint32_t>& targ
   if (targets.empty() || iterations == 0) return 0;
   const std::size_t n_hosts = graph_->size();
 
-  double temperature = params_.initial_temperature;
-  if (temperature <= 0) {
-    temperature = std::max(std::abs(eval_->evaluation().cost) * params_.temperature_scale, 1.0);
-  }
+  double temperature = std::max(std::abs(eval_->evaluation().cost) * kTemperatureScale, 1.0);
 
   // Sparse state tracking: `original` snapshots a path on first touch;
   // `best_diff` snapshots every touched path at the best point seen. The
@@ -186,7 +192,7 @@ std::size_t WarmStartOptimizer::run_burst(const std::vector<std::uint32_t>& targ
     } else {
       eval_->set_path(t, old_path);  // O(path length) revert
     }
-    temperature *= params_.cooling;
+    temperature *= kCooling;
   }
 
   // Commit the best configuration seen: demands touched after the best
@@ -268,49 +274,17 @@ WarmAdaptStats WarmStartOptimizer::adapt(const wren::ViewDelta& delta,
   eval_->exact_refresh();
   stats.cost_before = eval_->evaluation().cost;
 
-  // 2. Select the neighborhood; 3./4. burst it (decomposed when large).
+  // 2. Select the neighborhood; 3. burst it.
   const std::vector<std::uint32_t> targets = select_targets(patches, must_include);
   stats.target_demands = targets.size();
-  const auto burst_length = [this](std::size_t n_targets) {
-    return std::clamp(n_targets * params_.burst_iterations_per_target,
-                      params_.min_burst_iterations, params_.max_burst_iterations);
-  };
-  if (!targets.empty()) {
-    if (n_vms_ >= params_.decomposition_min_vms &&
-        targets.size() >= params_.decomposition_min_targets) {
-      const ClusterAssignment communities = cluster_vms_by_traffic(
-          eval_->demands(), n_vms_, ClusterParams{params_.max_cluster_size});
-      // Intra-cluster groups (keyed ascending for determinism), then the
-      // inter-cluster remainder as one final burst.
-      std::map<std::uint32_t, std::vector<std::uint32_t>> groups;
-      std::vector<std::uint32_t> inter;
-      for (std::uint32_t t : targets) {
-        const Demand& d = eval_->demands()[t];
-        const std::uint32_t a = communities.cluster_of[d.src];
-        const std::uint32_t b = communities.cluster_of[d.dst];
-        if (a == b) {
-          groups[a].push_back(t);
-        } else {
-          inter.push_back(t);
-        }
-      }
-      for (const auto& [c, group] : groups) {
-        (void)c;
-        stats.burst_iterations += run_burst(group, burst_length(group.size()), rng);
-        ++stats.burst_groups;
-      }
-      if (!inter.empty()) {
-        stats.burst_iterations += run_burst(inter, burst_length(inter.size()), rng);
-        ++stats.burst_groups;
-      }
-    } else {
-      stats.burst_iterations += run_burst(targets, burst_length(targets.size()), rng);
-      stats.burst_groups = 1;
-    }
-  }
+  stats.burst_iterations = run_burst(
+      targets,
+      std::clamp(targets.size() * kBurstIterationsPerTarget, params_.min_burst_iterations,
+                 params_.max_burst_iterations),
+      rng);
   eval_->set_deferred_cost(false);
   stats.cost_after = eval_->evaluation().cost;
-  // Each burst commits its best-seen, which starts at the patched
+  // The burst commits its best-seen, which starts at the patched
   // incumbent: a warm adapt never makes the patched configuration worse.
   VW_ENSURE(stats.cost_after >= stats.cost_before,
             "warm adapt: committed cost ", stats.cost_after, " below patched incumbent ",

@@ -27,15 +27,11 @@
 //   2. select — collect the demand neighborhood the delta touched: demands
 //      routed over a patched edge, demands whose rate changed, and (for
 //      capacity increases) the best-gain demands whose bottleneck the wider
-//      edge could lift, capped at max_neighborhood.
+//      edge could lift, capped at 64 demands.
 //   3. burst  — a short path-only SA burst restricted to those demands
 //      (same perturbation moves as the full annealer, no mapping moves, so
 //      no VM migrations are proposed by a warm pass). Reverts are sparse:
 //      only paths the burst actually changed are tracked and restored.
-//   4. For large touched sets on large problems, decompose hierarchically:
-//      cluster VMs by VTTIF traffic communities, burst each cluster's
-//      intra-cluster demands independently, then burst the inter-cluster
-//      remainder.
 //
 // Contracts:
 //   - Empty delta + unchanged rates => adapt() returns without consuming
@@ -56,25 +52,9 @@ struct WarmStartParams {
   /// full multi-start is already cheap there, and it keeps small golden
   /// scenarios (chaos suite) on the exact cold decision sequence.
   std::size_t min_vms = 16;
-  /// Go cold when the delta touches more than this fraction of the host
-  /// pair space — the incumbent is no longer "mostly right".
-  double max_delta_fraction = 0.25;
-  /// Cap on the burst's demand neighborhood.
-  std::size_t max_neighborhood = 64;
-  /// Burst length: clamp(targets * per_target, min, max) iterations.
-  std::size_t burst_iterations_per_target = 200;
+  /// Burst length: 200 iterations per target demand, clamped to this range.
   std::size_t min_burst_iterations = 500;
   std::size_t max_burst_iterations = 20000;
-  /// <= 0: auto-scale to max(|incumbent cost| * temperature_scale, 1.0).
-  /// Bursts refine a near-optimal incumbent, so they start much cooler than
-  /// a from-scratch anneal (which uses 0.1 of the initial cost).
-  double initial_temperature = 0;
-  double temperature_scale = 0.01;
-  double cooling = 0.995;
-  /// Hierarchical decomposition kicks in at this problem/neighborhood size.
-  std::size_t decomposition_min_vms = 256;
-  std::size_t decomposition_min_targets = 96;
-  std::size_t max_cluster_size = 64;
   /// Capacity/latency assumed for a pair the delta invalidated (the view
   /// lost its measurement): mirrors SystemConfig::default_bandwidth_bps and
   /// the default latency the system's capacity_graph() uses.
@@ -89,9 +69,8 @@ struct WarmAdaptStats {
   std::size_t delta_pairs = 0;      ///< directed pairs in the consumed delta
   std::size_t patched_edges = 0;    ///< graph edges patched + refreshed
   std::size_t rate_changes = 0;     ///< demands whose VTTIF rate drifted
-  std::size_t target_demands = 0;   ///< neighborhood size the bursts covered
-  std::size_t burst_iterations = 0; ///< total SA iterations across bursts
-  std::size_t burst_groups = 0;     ///< 1 = flat burst; >1 = decomposed
+  std::size_t target_demands = 0;   ///< neighborhood size the burst covered
+  std::size_t burst_iterations = 0; ///< SA iterations the burst ran
   double cost_before = 0;           ///< incumbent cost after patch, before burst
   double cost_after = 0;            ///< committed cost
 };
@@ -106,9 +85,6 @@ class WarmStartOptimizer {
   void adopt(const CapacityGraph& graph, std::vector<Demand> demands, std::size_t n_vms,
              Configuration conf, const Objective& objective = {});
 
-  /// Drop the incumbent (next adaptation must go cold).
-  void invalidate();
-
   bool has_incumbent() const { return eval_ != nullptr; }
 
   /// Whether the incumbent still describes this problem: identical host
@@ -117,8 +93,8 @@ class WarmStartOptimizer {
   bool compatible(const std::vector<net::NodeId>& hosts, const std::vector<Demand>& demands,
                   std::size_t n_vms) const;
 
-  /// Whether the delta is small enough to warm-start over
-  /// (max_delta_fraction of the directed host-pair space).
+  /// Whether the delta is small enough to warm-start over (at most a
+  /// quarter of the directed host-pair space).
   bool delta_acceptable(const wren::ViewDelta& delta) const;
 
   /// Consume a view delta + the current demand list (same endpoints as the
@@ -132,10 +108,8 @@ class WarmStartOptimizer {
   const Configuration& incumbent() const { return eval_->configuration(); }
   const Evaluation& evaluation() const { return eval_->evaluation(); }
   const std::vector<Demand>& demands() const { return eval_->demands(); }
-  std::size_t n_vms() const { return n_vms_; }
 
   WarmStartParams& params() { return params_; }
-  const WarmStartParams& params() const { return params_; }
 
  private:
   struct EdgePatch {

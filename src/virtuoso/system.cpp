@@ -143,7 +143,6 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
   if (capture_) capture_->add_host(host);
   rt.service = std::make_unique<wren::WrenService>(registry_, *rt.analyzer,
                                                    "wren://" + daemon.name());
-  rt.client = std::make_unique<wren::WrenClient>(registry_, "wren://" + daemon.name());
   rt.local_vttif = std::make_unique<vttif::LocalVttif>(
       sim_, daemon, config_.vttif_local_period,
       [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
@@ -241,9 +240,9 @@ void VirtuosoSystem::start_reporting(net::NodeId host) {
 void VirtuosoSystem::send_wren_report(net::NodeId host) {
   auto it = runtimes_.find(host);
   if (it == runtimes_.end() || !it->second.reporter) return;  // daemon gone
-  // The nonblocking SOAP calls against the local Wren service...
-  if (it->second.client->peers().empty()) return;
-  // ...and the report shipped upstream over the control plane.
+  // A host whose analyzer has no peers (what GetPeers would serve) has
+  // nothing to report; otherwise the report ships over the control plane.
+  if (it->second.analyzer->peers().empty()) return;
   obs::add(c_wren_reports_);
   report_plane(host).send(host, encode_wren_report(host, *it->second.analyzer));
 }
@@ -588,8 +587,6 @@ namespace {
 const char* algorithm_name(AdaptationAlgorithm a) {
   switch (a) {
     case AdaptationAlgorithm::kGreedy: return "GH";
-    case AdaptationAlgorithm::kAnnealing: return "SA";
-    case AdaptationAlgorithm::kAnnealingGreedy: return "SA+GH";
     case AdaptationAlgorithm::kMultiStartAnnealing: return "MS-SA";
   }
   return "?";
@@ -638,7 +635,7 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
         config_.logger->info(
             "vadapt", logcat("warm adaptation: cost=", outcome.evaluation.cost / 1e6,
                              " Mb/s delta_pairs=", stats.delta_pairs, " targets=",
-                             stats.target_demands, " bursts=", stats.burst_groups));
+                             stats.target_demands));
       }
       return outcome;
     }
@@ -661,35 +658,14 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
       eval = gh.evaluation;
       break;
     }
-    case AdaptationAlgorithm::kAnnealing: {
-      Rng rng = rng_service_.stream("vadapt.sa");
-      auto sa = vadapt::simulated_annealing(graph, demands, n_vms, config_.objective,
-                                            config_.annealing, rng);
-      conf = std::move(sa.best);
-      eval = sa.best_evaluation;
-      break;
-    }
-    case AdaptationAlgorithm::kAnnealingGreedy: {
-      auto gh = vadapt::greedy_heuristic(graph, demands, n_vms, config_.objective, scope());
-      Rng rng = rng_service_.stream("vadapt.sa+gh");
-      auto sa = vadapt::simulated_annealing(graph, demands, n_vms, config_.objective,
-                                            config_.annealing, rng,
-                                            std::move(gh.configuration));
-      conf = std::move(sa.best);
-      eval = sa.best_evaluation;
-      break;
-    }
     case AdaptationAlgorithm::kMultiStartAnnealing: {
       auto gh = vadapt::greedy_heuristic(graph, demands, n_vms, config_.objective, scope());
       vadapt::MultiStartParams ms = config_.multistart;
       ms.annealing = config_.annealing;
       ms.seed = rng_service_.seed_for("vadapt.multistart");
-      if (ms.pool == nullptr && ms.chains > 1) {
-        if (annealing_pool_ == nullptr) {
-          std::size_t threads =
-              ms.threads == 0 ? ThreadPool::default_thread_count() : ms.threads;
-          annealing_pool_ = std::make_unique<ThreadPool>(std::min(threads, ms.chains));
-        }
+      const std::size_t threads = vadapt::multi_start_threads(ms);
+      if (ms.pool == nullptr && threads > 1) {
+        if (annealing_pool_ == nullptr) annealing_pool_ = std::make_unique<ThreadPool>(threads);
         ms.pool = annealing_pool_.get();
       }
       auto result = vadapt::multi_start_annealing(graph, demands, n_vms, config_.objective, ms,

@@ -52,9 +52,9 @@ namespace vw::virtuoso {
 
 enum class AdaptationAlgorithm {
   kGreedy,              ///< GH
-  kAnnealing,           ///< SA from a random start
-  kAnnealingGreedy,     ///< SA+GH (+B best-so-far is always tracked)
-  kMultiStartAnnealing, ///< K parallel SA chains, chain 0 seeded with GH
+  /// K SA chains, chain 0 seeded with GH (+B best-so-far is always
+  /// tracked); multistart.chains = 1 is SA+GH.
+  kMultiStartAnnealing,
 };
 
 struct SystemConfig {
@@ -71,8 +71,11 @@ struct SystemConfig {
   /// view tracks deltas and adapt_now() patches + burst-anneals the live
   /// incumbent instead of re-solving from scratch, falling back to the cold
   /// algorithm when the incumbent is missing/stale, the problem is small
-  /// (warm_start.min_vms floor), or the delta is too large. The fallback
-  /// capacities are overwritten from default_bandwidth_bps at construction.
+  /// (warm_start.min_vms floor), or the delta touches more than a quarter
+  /// of the host-pair space. Construction overwrites the fallback values
+  /// for invalidated pairs with default_bandwidth_bps and 1 ms; unlike
+  /// capacity_graph(), the warm patch does not consult the federation's
+  /// region aggregates.
   vadapt::WarmStartParams warm_start;
   vm::MigrationParams migration;
   /// Control-plane delivery robustness (health checks, reconnect backoff,
@@ -247,8 +250,6 @@ class VirtuosoSystem {
   /// counter moves.
   std::uint64_t warm_starts() const { return warm_starts_; }
   std::uint64_t cold_starts() const { return cold_starts_; }
-  /// The live warm-start optimizer; null when warm_start.enabled is false.
-  vadapt::WarmStartOptimizer* warm_optimizer() { return warm_.get(); }
 
   /// Apply an externally computed configuration.
   std::size_t apply_configuration(const vadapt::CapacityGraph& graph,
@@ -269,7 +270,6 @@ class VirtuosoSystem {
   struct DaemonRuntime {
     std::unique_ptr<wren::OnlineAnalyzer> analyzer;
     std::unique_ptr<wren::WrenService> service;
-    std::unique_ptr<wren::WrenClient> client;
     std::unique_ptr<vttif::LocalVttif> local_vttif;
     std::unique_ptr<sim::PeriodicTask> reporter;
     std::unique_ptr<sim::PeriodicTask> heartbeat;
@@ -355,10 +355,8 @@ class VirtuosoSystem {
   std::uint64_t next_probe_id_ = 0;
   std::uint16_t next_probe_port_ = 30000;
   std::set<net::NodeId> rereport_pending_;
-  /// Lazily created on the first multi-start adaptation, then reused by
-  /// every subsequent one — the control loop adapts repeatedly, and thread
-  /// spawn/join per adaptation was pure overhead. Workers are parked
-  /// between batches, so an idle pool costs nothing in virtual time.
+  /// Created on the first multi-start adaptation that resolves to more
+  /// than one thread, then reused: the control loop adapts repeatedly.
   std::unique_ptr<ThreadPool> annealing_pool_;
   /// Live across adaptations when warm_start.enabled; holds the incumbent
   /// configuration + evaluator residual state between adapt_now() calls.

@@ -19,7 +19,6 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "vadapt/annealing.hpp"
-#include "vadapt/cluster.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/incremental.hpp"
 #include "vadapt/multistart.hpp"
@@ -329,23 +328,24 @@ TEST(MultiStartTest, RequiresAtLeastOneChain) {
 TEST(ThreadPoolTest, RunsEveryTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4u);
+  std::vector<int> hits(200, 0);  // index-aligned slots: each written once
   std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  pool.run_batch(hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(count.load(), 200);
+  EXPECT_EQ(hits, std::vector<int>(200, 1));
 }
 
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
+TEST(ThreadPoolTest, RunBatchIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
+  pool.run_batch(1, [&count](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
+  pool.run_batch(2, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 3);
+  pool.run_batch(0, [&count](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 3);
 }
 
@@ -647,75 +647,17 @@ TEST(WarmStartOptimizerTest, CompatibilityGuards) {
     }
   }
   EXPECT_FALSE(warm.delta_acceptable(big));
-
-  warm.invalidate();
-  EXPECT_FALSE(warm.has_incumbent());
 }
 
-// --- warm start: hierarchical decomposition -------------------------------------
-
-/// A demand set with clear communities: dense rings inside each block of
-/// `block` VMs, plus a weak chain between consecutive blocks.
-std::vector<Demand> community_demands(std::size_t n_vms, std::size_t block, Rng& rng) {
-  std::vector<Demand> demands;
-  for (std::size_t b = 0; b * block < n_vms; ++b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n_vms);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t j = i + 1 < hi ? i + 1 : lo;
-      if (j != i) demands.push_back({i, j, rng.uniform(40e6, 80e6)});
-    }
-    if (lo > 0) demands.push_back({lo - 1, lo, rng.uniform(1e6, 2e6)});  // weak bridge
-  }
-  return demands;
-}
-
-TEST(WarmStartClusterTest, FindsTrafficCommunitiesDeterministically) {
-  Rng rng(71);
-  const std::vector<Demand> demands = community_demands(24, 8, rng);
-  const ClusterAssignment a = cluster_vms_by_traffic(demands, 24);
-  const ClusterAssignment b = cluster_vms_by_traffic(demands, 24);
-  EXPECT_EQ(a.cluster_of, b.cluster_of) << "clustering must be deterministic";
-
-  // Each dense ring must land in one community; the weak bridges must not
-  // glue everything into a single blob.
-  EXPECT_GT(a.size(), 1u);
-  for (std::size_t b_idx = 0; b_idx < 3; ++b_idx) {
-    const std::uint32_t c = a.cluster_of[b_idx * 8];
-    for (std::size_t i = 1; i < 8; ++i) {
-      EXPECT_EQ(a.cluster_of[b_idx * 8 + i], c) << "vm " << (b_idx * 8 + i);
-    }
-  }
-  std::size_t total = 0;
-  for (const auto& members : a.clusters) total += members.size();
-  EXPECT_EQ(total, 24u);
-}
-
-TEST(WarmStartClusterTest, RespectsSizeCapAndHandlesIdleVms) {
-  Rng rng(73);
-  const std::vector<Demand> demands = community_demands(16, 8, rng);
-  ClusterParams params;
-  params.max_cluster_size = 4;
-  const ClusterAssignment a = cluster_vms_by_traffic(demands, 20, params);  // 4 idle VMs
-  for (const auto& members : a.clusters) EXPECT_LE(members.size(), 4u);
-  ASSERT_EQ(a.cluster_of.size(), 20u);
-  for (std::size_t v = 16; v < 20; ++v) {
-    EXPECT_EQ(a.clusters[a.cluster_of[v]].size(), 1u) << "idle vm " << v << " not a singleton";
-  }
-}
-
-TEST(WarmStartOptimizerTest, DecompositionBurstsAreDeterministicAndMonotone) {
-  const std::size_t n_hosts = 48;
-  const std::size_t n_vms = 32;
+TEST(WarmStartOptimizerTest, WideDeltaIsCappedAtNeighborhood) {
+  const std::size_t n_hosts = 96;
+  const std::size_t n_vms = 80;
   const CapacityGraph graph = random_graph(n_hosts, 83);
   Rng demand_rng(84);
-  const std::vector<Demand> demands = community_demands(n_vms, 8, demand_rng);
+  const std::vector<Demand> demands = mixed_demands(n_vms, demand_rng);
+  ASSERT_GT(demands.size(), 64u);
 
   WarmStartParams params;
-  params.decomposition_min_vms = 16;   // force the hierarchical path
-  params.decomposition_min_targets = 8;
-  params.max_neighborhood = 64;
-  params.max_cluster_size = 8;
   params.min_burst_iterations = 200;
   params.max_burst_iterations = 1000;
 
@@ -725,21 +667,18 @@ TEST(WarmStartOptimizerTest, DecompositionBurstsAreDeterministicAndMonotone) {
   a.adopt(graph, demands, n_vms, gh.configuration);
   b.adopt(graph, demands, n_vms, gh.configuration);
 
-  // A delta wide enough to touch many demands across communities.
+  // Move the first hop of every demand's path: the delta touches all of
+  // them, more than the 64-demand neighborhood cap.
   wren::ViewDelta delta;
   Rng rng(85);
-  for (std::size_t k = 0; k < 40; ++k) {
-    const auto u = static_cast<HostIndex>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_hosts) - 1));
-    auto v = static_cast<HostIndex>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_hosts) - 1));
-    if (u == v) v = (v + 1) % n_hosts;
-    delta.note_bandwidth(graph.host(u), graph.host(v), rng.uniform(5e6, 500e6));
+  for (const Path& p : gh.configuration.paths) {
+    ASSERT_GE(p.size(), 2u);
+    delta.note_bandwidth(graph.host(p[0]), graph.host(p[1]), rng.uniform(5e6, 500e6));
   }
 
   const WarmAdaptStats sa = a.adapt(delta, demands, Rng(86));
   const WarmAdaptStats sb = b.adapt(delta, demands, Rng(86));
-  EXPECT_GT(sa.burst_groups, 1u) << "expected a decomposed (multi-burst) adapt";
+  EXPECT_EQ(sa.target_demands, 64u);
   EXPECT_GE(sa.cost_after, sa.cost_before);
   EXPECT_EQ(sa.cost_after, sb.cost_after);
   EXPECT_EQ(a.incumbent().mapping, b.incumbent().mapping);

@@ -126,6 +126,7 @@ TEST(VirtuosoTest, AdaptationMigratesHeavyVmsToFastCluster) {
   // exercise VADAPT + migration + overlay reconfiguration).
   SystemConfig config;
   config.annealing.iterations = 2000;
+  config.multistart.chains = 1;  // SA+GH: one chain seeded with GH
   ChallengeEnv env(config);
 
   // Place all four VMs suboptimally: heavy trio split across the domains.
@@ -163,7 +164,7 @@ TEST(VirtuosoTest, AdaptationMigratesHeavyVmsToFastCluster) {
     }
   }
 
-  const AdaptationOutcome outcome = env.system->adapt_now(AdaptationAlgorithm::kAnnealingGreedy);
+  const AdaptationOutcome outcome = env.system->adapt_now(AdaptationAlgorithm::kMultiStartAnnealing);
   EXPECT_GT(outcome.migrations, 0u);
   app.stop();
   env.sim.run_until(seconds(60.0));  // let migrations complete
