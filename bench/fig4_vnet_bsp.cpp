@@ -94,8 +94,7 @@ int main(int argc, char** argv) {
   system.finish_capture();
   if (wren::CaptureSession* capture = system.capture()) {
     std::cerr << "fig4 capture: " << capture->writers().size() << " shard(s) in "
-              << capture->dir() << ", " << capture->records_captured() << " records, "
-              << capture->records_dropped() << " dropped\n";
+              << capture->dir() << ", " << capture->records_captured() << " records\n";
   }
   return 0;
 }

@@ -24,8 +24,8 @@
 //     [--no-telemetry] [--capture DIR]
 //
 // --capture DIR persists every daemon host's packet-header trace as a
-// vw.trace.v1 binary shard under DIR (one file per host, written by a
-// dedicated writer thread behind a lock-free ring), turning each chaos run
+// vw.trace.v1 binary shard under DIR (one file per host, encoded and
+// written on the simulation thread), turning each chaos run
 // into a reusable measurement corpus for the vwcap-* tools and offline
 // replay. Capture only observes — the run signature is bit-identical with
 // and without it.
@@ -177,8 +177,7 @@ int main(int argc, char** argv) {
   system.finish_capture();
   if (wren::CaptureSession* capture = system.capture()) {
     std::cout << "capture: " << capture->writers().size() << " shard(s) in " << capture->dir()
-              << ", " << capture->records_captured() << " records, "
-              << capture->records_dropped() << " dropped\n";
+              << ", " << capture->records_captured() << " records\n";
   }
 
   // --- report ---------------------------------------------------------------

@@ -7,11 +7,11 @@
 // reads it back, and reproduces the online estimate from the file alone.
 //
 // It also runs the capture differential: the same run is captured a second
-// time through the TraceWriter datapath (tap -> lock-free ring -> writer
-// thread -> shard file, lossless kBlock mode). The archive of the in-memory
-// TraceFacility records and the writer's shard must replay to
-// bit-identical SIC estimates. Exit status is nonzero when any estimate
-// differs, so CI can use this as the capture/replay correctness gate.
+// time through the TraceWriter datapath (tap -> encode buffer -> shard
+// file). The useful records of the writer's shard must equal the archived
+// TraceFacility records one for one, and both must replay to bit-identical
+// SIC estimates. Exit status is nonzero on any difference, so CI can use
+// this as the capture/replay correctness gate.
 //
 //   $ ./examples/offline_analysis [archive-path [shard-path]]
 
@@ -54,11 +54,8 @@ int main(int argc, char** argv) {
   wren::TraceFacility trace(net, sender, 1 << 20);
   wren::OnlineAnalyzer online(net, sender);  // for comparison
 
-  // Second capture path, same tap source: the TraceWriter datapath in lossless
-  // mode (the differential below demands a complete shard).
-  wren::TraceWriterParams wp;
-  wp.overflow = wren::TraceWriterParams::Overflow::kBlock;
-  wren::TraceWriter writer(net, sender, shard_path, wp);
+  // Second capture path, same tap source: the TraceWriter datapath.
+  wren::TraceWriter writer(net, sender, shard_path);
 
   transport::CbrUdpSource cbr(stack, cross, receiver, 7000, 35e6, 1000);
   cbr.start();
@@ -92,19 +89,20 @@ int main(int argc, char** argv) {
   }
 
   // --- capture differential -----------------------------------------------
-  // The shard captured by the writer thread must replay to the exact same
-  // estimates as the archive of the in-memory records: same records in,
-  // same SIC math, bit-identical doubles out.
+  // The shard captured by the writer must hold exactly the archived useful
+  // records and replay to the exact same estimates: same records in, same
+  // SIC math, bit-identical doubles out.
   writer.finish();
   const wren::BinaryTrace shard = wren::read_trace_binary_file(shard_path);
-  std::cout << "writer shard: " << shard.records.size() << " records ("
-            << writer.records_dropped() << " dropped) -> " << shard_path << "\n";
-  const wren::OfflineResult from_shard =
-      wren::analyze_offline(wren::filter_useful(shard.records));
+  std::cout << "writer shard: " << shard.records.size() << " records -> " << shard_path << "\n";
+  const auto shard_useful = wren::filter_useful(shard.records);
+  const wren::OfflineResult from_shard = wren::analyze_offline(shard_useful);
 
   int failures = 0;
-  if (writer.records_dropped() != 0) {
-    std::cerr << "DIFFERENTIAL FAIL: lossless capture dropped records\n";
+  if (shard_useful != records) {
+    std::cerr << "DIFFERENTIAL FAIL: shard holds " << shard_useful.size()
+              << " useful records, the archive " << records.size()
+              << " (or they differ record for record)\n";
     ++failures;
   }
   if (from_shard.observations.size() != result.observations.size()) {

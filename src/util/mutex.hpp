@@ -1,8 +1,6 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
@@ -63,16 +61,6 @@ class CondVar {
   /// the analysis sees the predicate reads happen under the lock (a lambda
   /// predicate would be analyzed as a lock-free function and rejected).
   void wait(Mutex& mu) VW_REQUIRES(mu) { cv_.wait(mu); }
-
-  /// Timed single wakeup (bounded idle sleep for real I/O threads such as
-  /// the trace writer). Returns after a notification or once `micros`
-  /// microseconds of wall time elapsed — callers re-check their guarded
-  /// predicate either way. This is a wall-clock *duration*, not a clock
-  /// read: virtual-time determinism is unaffected because no simulated
-  /// decision may depend on it (vwlint R1 still bans clock reads).
-  void wait_for_us(Mutex& mu, std::int64_t micros) VW_REQUIRES(mu) {
-    cv_.wait_for(mu, std::chrono::microseconds(micros));
-  }
 
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }

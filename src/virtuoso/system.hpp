@@ -109,8 +109,6 @@ struct SystemConfig {
   /// on finish_capture() or destruction and feed the vwcap-* tool suite +
   /// offline replay.
   std::string capture_dir;
-  /// Capture datapath tuning (ring size, batch, overflow policy).
-  wren::TraceWriterParams capture;
   /// The federated measurement plane (DESIGN.md §5i). When enabled,
   /// bootstrap() splits the daemons into regions, stands up a RegionalProxy
   /// tier (daemon Wren reports + heartbeats are redirected to the region's
@@ -196,8 +194,8 @@ class VirtuosoSystem {
   /// The binary capture session (one vw.trace.v1 shard per daemon host);
   /// null unless SystemConfig::capture_dir is set.
   wren::CaptureSession* capture() { return capture_.get(); }
-  /// Finalize all capture shards (drain rings, join writer threads, patch
-  /// headers). Idempotent; also runs at destruction. No-op without capture.
+  /// Finalize all capture shards (write buffered tails, patch headers).
+  /// Idempotent; also runs at destruction. No-op without capture.
   void finish_capture();
 
   // --- federation ---------------------------------------------------------------

@@ -5,20 +5,19 @@
 
 namespace vw::wren {
 
-CaptureSession::CaptureSession(net::Network& network, std::string dir, TraceWriterParams params)
-    : network_(network), dir_(std::move(dir)), params_(params) {
+CaptureSession::CaptureSession(net::Network& network, std::string dir)
+    : network_(network), dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
 }
 
 CaptureSession::~CaptureSession() { finish(); }
 
 TraceWriter& CaptureSession::add_host(net::NodeId host) {
-  TraceWriterParams params = params_;
-  params.shard = static_cast<std::uint32_t>(writers_.size());
+  const auto shard = static_cast<std::uint32_t>(writers_.size());
   const std::string path =
       (std::filesystem::path(dir_) / ("trace_host" + std::to_string(host) + ".vwtrace"))
           .string();
-  writers_.push_back(std::make_unique<TraceWriter>(network_, host, path, params));
+  writers_.push_back(std::make_unique<TraceWriter>(network_, host, path, shard));
   if (scope_.enabled()) writers_.back()->set_obs(scope_);
   return *writers_.back();
 }
@@ -35,12 +34,6 @@ void CaptureSession::finish() {
 std::uint64_t CaptureSession::records_captured() const {
   std::uint64_t n = 0;
   for (const auto& w : writers_) n += w->records_captured();
-  return n;
-}
-
-std::uint64_t CaptureSession::records_dropped() const {
-  std::uint64_t n = 0;
-  for (const auto& w : writers_) n += w->records_dropped();
   return n;
 }
 

@@ -9,7 +9,7 @@
 #include "wren/trace_writer.hpp"
 
 // One capture session = one directory of vw.trace.v1 shards, one TraceWriter
-// (tap + SPSC ring + writer thread) per captured host. This is the unit the
+// (tap + buffered file sink) per captured host. This is the unit the
 // --capture <dir> flags on examples/benches create: every tapped host gets
 // shard file <dir>/trace_host<id>.vwtrace whose shard tag is the add order,
 // and the whole corpus merges back into one time-ordered trace with
@@ -20,7 +20,7 @@ namespace vw::wren {
 class CaptureSession {
  public:
   /// Creates `dir` (and parents) if needed; shards are written inside it.
-  CaptureSession(net::Network& network, std::string dir, TraceWriterParams params = {});
+  CaptureSession(net::Network& network, std::string dir);
   ~CaptureSession();
 
   CaptureSession(const CaptureSession&) = delete;
@@ -33,21 +33,19 @@ class CaptureSession {
   /// Forwarded to every current and future writer.
   void set_obs(const obs::Scope& scope);
 
-  /// Finalize every shard (drain rings, join writer threads, patch
-  /// headers). Idempotent; also run by the destructor.
+  /// Finalize every shard (write buffered tails, patch headers).
+  /// Idempotent; also run by the destructor.
   void finish();
 
   const std::string& dir() const { return dir_; }
   const std::vector<std::unique_ptr<TraceWriter>>& writers() const { return writers_; }
 
-  /// Aggregates across all shards (valid any time; exact after finish()).
+  /// Records captured across all shards.
   std::uint64_t records_captured() const;
-  std::uint64_t records_dropped() const;
 
  private:
   net::Network& network_;
   std::string dir_;
-  TraceWriterParams params_;
   obs::Scope scope_;
   std::vector<std::unique_ptr<TraceWriter>> writers_;
 };

@@ -29,6 +29,8 @@ struct PacketRecord {
   std::uint64_t ack = 0;
   bool is_ack = false;
   bool syn = false;
+
+  friend bool operator==(const PacketRecord&, const PacketRecord&) = default;
 };
 
 /// What Wren's analysis consumes ("filtered for useful observations"):

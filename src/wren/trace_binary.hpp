@@ -10,8 +10,8 @@
 
 // The vw.trace.v1 compact binary trace format, the repository's one trace
 // format: capture shards, vwcap tool outputs and offline archives all use
-// it. High-rate capture wants a fixed-size layout the writer thread can
-// emit with one memcpy per record and tools can mmap-scan. Layout
+// it. High-rate capture wants a fixed-size layout the writer can encode
+// straight into its buffer and tools can mmap-scan. Layout
 // (everything little-endian, regardless of host byte order):
 //
 //   file header, 64 bytes:
@@ -21,7 +21,9 @@
 //     [16] u32 host           capturing NodeId
 //     [20] u32 shard          capture shard / NIC tag
 //     [24] u64 record_count   records in the file (patched at finalize)
-//     [32] u64 dropped        capture-time drops (ring overflow)
+//     [32] u64 dropped        capture-time drops: 0 from this writer; kept
+//                             for format stability (older shards may carry
+//                             a count, and readers still accept it)
 //     [40] u8[24] reserved    zero
 //
 //   record, 48 bytes:
@@ -54,7 +56,7 @@ struct TraceFileHeader {
   net::NodeId host = net::kInvalidNode;  ///< capturing host (kInvalidNode for merged files)
   std::uint32_t shard = 0;               ///< capture shard / NIC tag
   std::uint64_t record_count = 0;
-  std::uint64_t dropped = 0;  ///< records lost to ring overflow at capture time
+  std::uint64_t dropped = 0;  ///< 0 from this writer; kept for format stability
 };
 
 /// Encode one record / header into its fixed-size wire image.

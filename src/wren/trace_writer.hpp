@@ -1,115 +1,81 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "net/network.hpp"
 #include "obs/scope.hpp"
-#include "util/mutex.hpp"
-#include "util/spsc_ring.hpp"
 #include "wren/trace_binary.hpp"
 
 // The capture datapath: a host tap that persists every TCP header record to
-// a vw.trace.v1 shard file, without ever blocking the simulation thread on
-// file I/O (the exact-capture listener/writer split).
+// a vw.trace.v1 shard file. Everything runs on the simulation thread, inside
+// the tap callback:
 //
-//   sim thread (producer)            writer thread (consumer)
-//   ─────────────────────            ────────────────────────
-//   tap callback → PacketRecord      batch-drain the ring
-//        │ try_push                       │ encode + buffered fwrite
-//        ▼                                ▼
-//   ┌──────────── SpscRing ────────────────┐ → <dir>/trace_host<id>.vwtrace
+//   tap callback → PacketRecord → encode into buffer_ ──(full)──▶ ofstream
+//                                                                 │
+//                                            <dir>/trace_host<id>.vwtrace
 //
-// Overflow policy: kDropOldest (default) pops-and-discards the oldest
-// buffered record so capture never stalls the simulation — drops are
-// counted into the shard header and wren.trace.writer.dropped. kBlock
-// spins the producer until the writer frees a slot: wall-clock slower, but
-// the shard is guaranteed complete (what the replay differential asserts).
+// The buffer is reserved once at construction and written out whenever it
+// fills, so the per-packet cost is one 48-byte encode and the file sees one
+// large write per ~5,400 records. Capture is lossless by construction: there
+// is no queue to overflow, so the shard header's `dropped` field is always 0.
 //
-// finish() (or the destructor) removes the tap, joins the writer thread,
-// drains whatever is still buffered, and patches the header's record/drop
-// counts — a shard is a valid vw.trace.v1 file only after finish().
+// finish() (or the destructor) removes the tap, writes the buffered tail,
+// and patches the header's record count — a shard is a valid vw.trace.v1
+// file only after finish().
 
 namespace vw::wren {
 
-struct TraceWriterParams {
-  std::size_t ring_capacity = 1 << 16;  ///< records buffered between threads
-  std::size_t batch = 1024;             ///< max records drained per writer wakeup
-  enum class Overflow : std::uint8_t {
-    kDropOldest,  ///< never stall the sim; account drops in header + metrics
-    kBlock,       ///< lossless capture; producer waits for the writer
-  };
-  Overflow overflow = Overflow::kDropOldest;
-  std::uint32_t shard = 0;  ///< shard / NIC tag recorded in the file header
-};
-
 class TraceWriter {
  public:
-  /// Taps `host` and streams its TCP header records to `path`. The file is
-  /// created immediately; throws std::runtime_error when it cannot be.
+  /// Encode buffer size: ~256 KiB, a whole number of records so a write
+  /// never splits one.
+  static constexpr std::size_t kBufferBytes = 256 * 1024 / kTraceRecordSize * kTraceRecordSize;
+
+  /// Taps `host` and streams its TCP header records to `path`, tagging the
+  /// file header with `shard`. The file is created immediately; throws
+  /// std::runtime_error when it cannot be.
   TraceWriter(net::Network& network, net::NodeId host, std::string path,
-              TraceWriterParams params = {});
+              std::uint32_t shard = 0);
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Attach telemetry (wren.trace.writer.captured/dropped/written/bytes
-  /// counters + wren.trace.writer.ring occupancy gauge). Instruments are
-  /// shared across writers — per-shard numbers live in the shard headers.
+  /// Attach telemetry (wren.trace.writer.captured/bytes counters).
+  /// Instruments are shared across writers — per-shard numbers live in the
+  /// shard headers.
   void set_obs(const obs::Scope& scope);
 
-  /// Stop capturing, drain the ring, join the writer thread, and patch the
-  /// shard header with final record/drop counts. Idempotent.
+  /// Stop capturing, write the buffered tail, and patch the shard header
+  /// with the final record count. Idempotent.
   void finish();
 
   net::NodeId host() const { return host_; }
   const std::string& path() const { return path_; }
-  std::uint64_t records_captured() const { return captured_.load(std::memory_order_relaxed); }
-  std::uint64_t records_dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::uint64_t records_written() const { return written_.load(std::memory_order_relaxed); }
-  std::uint64_t bytes_written() const { return bytes_.load(std::memory_order_relaxed); }
+  std::uint64_t records_captured() const { return captured_; }
   bool finished() const { return finished_; }
 
  private:
   void on_tap(const net::TapEvent& ev);
-  void writer_loop();
-  std::size_t drain_batch();  ///< pops up to params_.batch records; returns count
-  void append_record(const PacketRecord& r);
+  void flush_buffer();
   void patch_header();
 
   net::Network& network_;
   net::NodeId host_;
   std::string path_;
-  TraceWriterParams params_;
-  SpscRing<PacketRecord> ring_;
+  std::uint32_t shard_;
+  std::vector<unsigned char> buffer_;  ///< encoded records not yet written
   std::ofstream out_;
   net::TapId tap_id_ = 0;
   bool tap_installed_ = false;
   bool finished_ = false;
+  std::uint64_t captured_ = 0;
 
-  // Cross-thread statistics (relaxed: monotone counters read for reporting).
-  std::atomic<std::uint64_t> captured_{0};  ///< producer
-  std::atomic<std::uint64_t> dropped_{0};   ///< producer
-  std::atomic<std::uint64_t> written_{0};   ///< consumer
-  std::atomic<std::uint64_t> bytes_{0};     ///< consumer
-
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ VW_GUARDED_BY(mu_) = false;
-  std::thread writer_;
-
-  // Atomic because set_obs() may run after the writer thread already
-  // started (wiring happens post-construction); instruments are internally
-  // thread-safe, only the pointer installation needs publication.
-  std::atomic<obs::Counter*> c_captured_{nullptr};
-  std::atomic<obs::Counter*> c_dropped_{nullptr};
-  std::atomic<obs::Counter*> c_written_{nullptr};
-  std::atomic<obs::Counter*> c_bytes_{nullptr};
-  std::atomic<obs::Gauge*> g_ring_{nullptr};
+  obs::Counter* c_captured_ = nullptr;
+  obs::Counter* c_bytes_ = nullptr;
 };
 
 }  // namespace vw::wren

@@ -1,15 +1,13 @@
-// Tests for the vw.trace.v1 binary capture datapath: the SPSC ring, the
-// binary codec (incl. corrupt-input handling), the TraceWriter thread, the
+// Tests for the vw.trace.v1 binary capture datapath: the binary codec
+// (incl. corrupt-input handling), the buffered TraceWriter sink, the
 // capture-session wiring, the corpus operations (merge/filter/match), and
 // the binary -> offline-replay differential.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "net/network.hpp"
@@ -18,7 +16,6 @@
 #include "sim/simulator.hpp"
 #include "transport/sources.hpp"
 #include "transport/stack.hpp"
-#include "util/spsc_ring.hpp"
 #include "wren/capture.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace.hpp"
@@ -42,101 +39,6 @@ PacketRecord sample_record() {
   return r;
 }
 
-bool records_equal(const PacketRecord& a, const PacketRecord& b) {
-  return a.timestamp == b.timestamp && a.direction == b.direction && a.flow == b.flow &&
-         a.payload_bytes == b.payload_bytes && a.wire_bytes == b.wire_bytes && a.seq == b.seq &&
-         a.ack == b.ack && a.is_ack == b.is_ack && a.syn == b.syn;
-}
-
-// --- SpscRing ----------------------------------------------------------------
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
-}
-
-TEST(SpscRingTest, FifoOrderSingleThread) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));  // empty
-}
-
-TEST(SpscRingTest, DropOldestKeepsNewestWindow) {
-  // The producer-side overflow policy: on full, pop-and-discard the oldest,
-  // then push. The ring must end up holding the newest `capacity` values.
-  SpscRing<int> ring(4);
-  int discarded = 0;
-  for (int i = 0; i < 100; ++i) {
-    while (!ring.try_push(int(i))) {
-      int victim;
-      if (ring.try_pop(victim)) ++discarded;
-    }
-  }
-  EXPECT_EQ(discarded, 96);
-  int v = -1;
-  for (int expect = 96; expect < 100; ++expect) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, expect);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRingTest, WrapsManyGenerations) {
-  SpscRing<std::uint64_t> ring(4);
-  std::uint64_t v = 0;
-  for (std::uint64_t i = 0; i < 10'000; ++i) {
-    ASSERT_TRUE(ring.try_push(std::uint64_t(i)));
-    ASSERT_TRUE(ring.try_pop(v));
-    ASSERT_EQ(v, i);
-  }
-}
-
-// Producer/consumer stress: covered by the TSan CI job. The producer uses
-// the real capture-path overflow loop (drop-oldest), so the pop path is
-// exercised concurrently from both threads — exactly the contention the
-// sequence stamps exist for.
-TEST(SpscRingTest, ConcurrentProducerConsumerStress) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kCount = 200'000;
-  std::atomic<std::uint64_t> dropped{0};
-
-  std::thread consumer([&] {
-    std::uint64_t last = 0;
-    std::uint64_t popped = 0;
-    std::uint64_t v;
-    while (popped + dropped.load(std::memory_order_acquire) < kCount) {
-      if (ring.try_pop(v)) {
-        // Values must come out in increasing order even with drops — the
-        // ring never reorders, it only loses a prefix of the backlog.
-        ASSERT_GE(v + 1, last + 1);
-        last = v + 1;
-        ++popped;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    while (!ring.try_push(std::uint64_t(i))) {
-      std::uint64_t victim;
-      if (ring.try_pop(victim)) dropped.fetch_add(1, std::memory_order_release);
-    }
-  }
-  consumer.join();
-  std::uint64_t v;
-  while (ring.try_pop(v)) {
-  }  // leftover accounting already settled by the join condition
-}
-
 // --- binary codec ------------------------------------------------------------
 
 TEST(TraceBinaryTest, RecordRoundTrip) {
@@ -147,7 +49,7 @@ TEST(TraceBinaryTest, RecordRoundTrip) {
   r.ack = 0x1122334455667788ull;
   const auto buf = encode_record(r);
   const PacketRecord back = decode_record(buf.data());
-  EXPECT_TRUE(records_equal(r, back));
+  EXPECT_TRUE(r == back);
   EXPECT_EQ(back.flow.proto, net::Protocol::kTcp);  // the format is TCP-only
 }
 
@@ -185,8 +87,8 @@ TEST(TraceBinaryTest, FileRoundTrip) {
   EXPECT_EQ(back.header.shard, 1u);
   EXPECT_EQ(back.header.dropped, 5u);
   ASSERT_EQ(back.records.size(), 2u);
-  EXPECT_TRUE(records_equal(back.records[0], records[0]));
-  EXPECT_TRUE(records_equal(back.records[1], records[1]));
+  EXPECT_TRUE(back.records[0] == records[0]);
+  EXPECT_TRUE(back.records[1] == records[1]);
 }
 
 void expect_parse_error(const std::string& bytes, const char* needle) {
@@ -314,10 +216,7 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   CaptureEnv env;
   const std::string path = temp_path("writer-e2e.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  params.shard = 7;
-  TraceWriter writer(env.net, env.sender, path, params);
+  TraceWriter writer(env.net, env.sender, path, /*shard=*/7);
 
   obs::MetricsRegistry reg;
   writer.set_obs(obs::Scope{&reg, nullptr});
@@ -325,8 +224,6 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   env.run_transfer();
   writer.finish();
   EXPECT_TRUE(writer.finished());
-  EXPECT_EQ(writer.records_dropped(), 0u);
-  EXPECT_EQ(writer.records_written(), writer.records_captured());
 
   const auto expected = facility.collect();
   const BinaryTrace shard = read_trace_binary_file(path);
@@ -334,36 +231,47 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   EXPECT_EQ(shard.header.shard, 7u);
   EXPECT_EQ(shard.header.dropped, 0u);
   EXPECT_EQ(shard.header.record_count, shard.records.size());
+  EXPECT_EQ(writer.records_captured(), expected.size());
   ASSERT_EQ(shard.records.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_TRUE(records_equal(shard.records[i], expected[i])) << "record " << i;
+    ASSERT_TRUE(shard.records[i] == expected[i]) << "record " << i;
   }
 
-  // Telemetry: the writer pipeline accounted every record and byte.
+  // Telemetry: the writer accounted every record and byte.
   const obs::MetricsSnapshot snap = reg.snapshot("wren.trace.writer");
-  ASSERT_EQ(snap.metrics.size(), 5u);
+  ASSERT_EQ(snap.metrics.size(), 2u);
   EXPECT_EQ(reg.counter("wren.trace.writer.captured").value(), expected.size());
-  EXPECT_EQ(reg.counter("wren.trace.writer.written").value(), expected.size());
-  EXPECT_EQ(reg.counter("wren.trace.writer.dropped").value(), 0u);
   EXPECT_EQ(reg.counter("wren.trace.writer.bytes").value(),
             expected.size() * kTraceRecordSize);
 }
 
-TEST(TraceWriterTest, BlockModeIsLosslessEvenWithTinyRing) {
+TEST(TraceWriterTest, ShardSpansManyBufferFlushes) {
+  // Enough traffic to fill the encode buffer several times over: every
+  // full-buffer write and the partial tail must land in order.
   CaptureEnv env;
-  const std::string path = temp_path("writer-tiny.vwtrace");
+  const std::string path = temp_path("writer-flushes.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.ring_capacity = 4;  // writer thread is forced to lag
-  params.batch = 2;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter writer(env.net, env.sender, path, params);
-  env.run_transfer();
+  TraceWriter writer(env.net, env.sender, path);
+  obs::MetricsRegistry reg;
+  writer.set_obs(obs::Scope{&reg, nullptr});
+
+  std::vector<transport::MessagePhase> phases{
+      {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
+  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
+  app.start();
+  env.sim.run_until(seconds(7.0));
   writer.finish();
 
-  EXPECT_EQ(writer.records_dropped(), 0u);
+  const auto expected = facility.collect();
+  const std::size_t n = expected.size();
+  ASSERT_GT(n * kTraceRecordSize, 2 * TraceWriter::kBufferBytes);
   const BinaryTrace shard = read_trace_binary_file(path);
-  EXPECT_EQ(shard.records.size(), facility.collect().size());
+  EXPECT_EQ(shard.header.record_count, n);
+  ASSERT_EQ(shard.records.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(shard.records[i] == expected[i]) << "record " << i;
+  }
+  EXPECT_EQ(reg.counter("wren.trace.writer.bytes").value(), n * kTraceRecordSize);
 }
 
 TEST(TraceWriterTest, FinishIsIdempotentAndDestructorSafe) {
@@ -387,9 +295,7 @@ TEST(TraceWriterTest, ThrowsWhenFileCannotBeCreated) {
 TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
   CaptureEnv env;
   const std::string dir = temp_path("capture-session");
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  CaptureSession session(env.net, dir, params);
+  CaptureSession session(env.net, dir);
   session.add_host(env.sender);
   session.add_host(env.receiver);
   env.run_transfer();
@@ -397,7 +303,6 @@ TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
 
   ASSERT_EQ(session.writers().size(), 2u);
   EXPECT_GT(session.records_captured(), 0u);
-  EXPECT_EQ(session.records_dropped(), 0u);
 
   std::vector<std::vector<PacketRecord>> shards;
   for (const auto& w : session.writers()) {
@@ -488,10 +393,8 @@ TEST(MatchTracesTest, SimulatedTwoPointLatencyRespectsPropagation) {
   CaptureEnv env;
   const std::string from_path = temp_path("match-from.vwtrace");
   const std::string to_path = temp_path("match-to.vwtrace");
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter at_sender(env.net, env.sender, from_path, params);
-  TraceWriter at_receiver(env.net, env.receiver, to_path, params);
+  TraceWriter at_sender(env.net, env.sender, from_path);
+  TraceWriter at_receiver(env.net, env.receiver, to_path);
   env.run_transfer();
   at_sender.finish();
   at_receiver.finish();
@@ -514,9 +417,7 @@ TEST(BinaryReplayDifferentialTest, EstimatesBitIdenticalToInProcessAnalysis) {
   CaptureEnv env;
   const std::string path = temp_path("differential.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter writer(env.net, env.sender, path, params);
+  TraceWriter writer(env.net, env.sender, path);
 
   std::vector<transport::MessagePhase> phases{
       {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};

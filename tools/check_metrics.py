@@ -9,15 +9,15 @@ smoke proof that instrumentation is actually wired through the stack, not
 merely registered.
 
 With --require-present, asserts that each exact metric name exists
-regardless of kind or value — used for gauges (e.g. wren.trace.writer.ring)
-and for counters that may legitimately be zero (wren.trace.writer.dropped).
+regardless of kind or value — used for gauges (e.g. wren.trace.buffered)
+and for counters that may legitimately be zero (vnet.control.resends).
 A name ending in ".*" is a prefix glob: at least one metric under that
 prefix must exist (e.g. wren.federation.* for the whole federation tier).
 
 Usage:
     tools/check_metrics.py metrics.json [--trace trace.json]
                            [--require-nonzero wren,transport,vnet]
-                           [--require-present wren.trace.writer.ring,...]
+                           [--require-present wren.trace.writer.bytes,...]
 
 Only the standard library is used. Exit code 0 = all checks passed.
 """

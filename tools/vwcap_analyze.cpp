@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "wren/offline.hpp"
 
 using namespace vw;
@@ -104,20 +105,13 @@ int main(int argc, char** argv) {
   std::string chrome_path;
   double interval_s = 0.1;
 
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << argv[i] << " requires an argument\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = need_value(i++);
+      csv_path = cli::need_value(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--chrome") == 0) {
-      chrome_path = need_value(i++);
+      chrome_path = cli::need_value(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--interval") == 0) {
-      interval_s = std::stod(need_value(i++));
+      interval_s = cli::double_value(argc, argv, i++);
     } else if (argv[i][0] == '-') {
       std::cerr << "usage: " << argv[0]
                 << " trace.vwtrace [--csv FILE] [--chrome FILE] [--interval SEC]\n";

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "wren/offline.hpp"
 
 using namespace vw;
@@ -43,28 +44,21 @@ int main(int argc, char** argv) {
   wren::TraceFilter filter;
   std::vector<std::string> inputs;
 
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << argv[i] << " requires an argument\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0) {
-      out_path = need_value(i++);
+      out_path = cli::need_value(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--src") == 0) {
-      filter.src = static_cast<net::NodeId>(std::stoul(need_value(i++)));
+      filter.src = cli::uint_value<net::NodeId>(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--dst") == 0) {
-      filter.dst = static_cast<net::NodeId>(std::stoul(need_value(i++)));
+      filter.dst = cli::uint_value<net::NodeId>(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--src-port") == 0) {
-      filter.src_port = static_cast<std::uint16_t>(std::stoul(need_value(i++)));
+      filter.src_port = cli::uint_value<std::uint16_t>(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--dst-port") == 0) {
-      filter.dst_port = static_cast<std::uint16_t>(std::stoul(need_value(i++)));
+      filter.dst_port = cli::uint_value<std::uint16_t>(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--from") == 0) {
-      filter.from = seconds(std::stod(need_value(i++)));
+      filter.from = seconds(cli::double_value(argc, argv, i++));
     } else if (std::strcmp(argv[i], "--to") == 0) {
-      filter.to = seconds(std::stod(need_value(i++)));
+      filter.to = seconds(cli::double_value(argc, argv, i++));
     } else if (std::strcmp(argv[i], "--useful") == 0) {
       filter.useful_only = true;
     } else if (argv[i][0] == '-') {

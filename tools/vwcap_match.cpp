@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "wren/offline.hpp"
 
 using namespace vw;
@@ -26,18 +27,11 @@ int main(int argc, char** argv) {
   std::string csv_path;
   double expect_min_us = -1;
 
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << argv[i] << " requires an argument\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = need_value(i++);
+      csv_path = cli::need_value(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--expect-min-us") == 0) {
-      expect_min_us = std::stod(need_value(i++));
+      expect_min_us = cli::double_value(argc, argv, i++);
     } else if (argv[i][0] == '-') {
       std::cerr << "usage: " << argv[0]
                 << " from.vwtrace to.vwtrace [--csv FILE] [--expect-min-us N]\n";

@@ -86,9 +86,8 @@ RNG_HOME = {"util/rng.hpp", "util/rng.cpp"}
 # R4 scope: the event-engine / datapath hot path.
 HOT_PATH_DIRS = ("sim", "net")
 # Headers outside the hot-path dirs whose code still runs per packet: the
-# capture datapath (tap callback -> lock-free ring -> writer thread).
+# capture datapath (tap callback -> encode buffer -> shard file).
 HOT_PATH_EXTRA = {
-    "util/spsc_ring.hpp",
     "wren/trace_writer.hpp",
     "wren/capture.hpp",
 }
