@@ -27,7 +27,6 @@
 #include <string>
 
 #include "obs/export.hpp"
-#include "soap/telemetry.hpp"
 #include "topo/testbed.hpp"
 #include "virtuoso/system.hpp"
 #include "vm/apps.hpp"
@@ -169,15 +168,12 @@ int main(int argc, char** argv) {
   }
   std::cout << "speedup: " << after_mbps / before_mbps << "x\n";
 
-  // Telemetry report: query the registry through the SOAP endpoint (the
-  // same path an external monitoring client would use) and print the
-  // adaptation-relevant counters, then export whatever was requested.
+  // Telemetry report: print the adaptation-relevant instruments, then
+  // export whatever was requested.
   if (opt.telemetry) {
-    const soap::TelemetryClient client(system.registry(),
-                                       virtuoso::VirtuosoSystem::kTelemetryEndpoint);
     std::cout << "\n";
-    obs::write_text_table(std::cout, client.query_metrics("vadapt"));
-    obs::write_text_table(std::cout, client.query_metrics("virtuoso"));
+    obs::write_text_table(std::cout, system.metrics()->snapshot("vadapt"));
+    obs::write_text_table(std::cout, system.metrics()->snapshot("virtuoso"));
 
     const obs::MetricsSnapshot full = system.metrics()->snapshot();
     if (!opt.metrics_json.empty()) write_file(opt.metrics_json, obs::metrics_json(full));

@@ -37,7 +37,6 @@
 
 #include "net/fault.hpp"
 #include "obs/export.hpp"
-#include "soap/telemetry.hpp"
 #include "topo/testbed.hpp"
 #include "virtuoso/system.hpp"
 #include "vm/apps.hpp"

@@ -32,8 +32,8 @@
 //   * instrument addresses are stable for the registry's lifetime, so
 //     subsystems resolve a pointer once (cold) and update through it (hot);
 //   * names are hierarchical lowercase dotted identifiers
-//     ("wren.trains.accepted", "vadapt.sa.moves.rejected") so exporters and
-//     the SOAP QueryMetrics endpoint can filter by subsystem prefix;
+//     ("wren.trains.accepted", "vadapt.sa.moves.rejected") so snapshots
+//     can be filtered by subsystem prefix;
 //   * snapshots carry virtual-clock timestamps supplied by the simulator.
 
 namespace vw::obs {

@@ -79,19 +79,6 @@ std::vector<TraceEvent> EventTracer::events() const {
   return {ring_.begin(), ring_.end()};
 }
 
-std::pair<std::vector<TraceEvent>, std::uint64_t> EventTracer::events_since(
-    std::uint64_t since, std::size_t max_events) const {
-  MutexLock lock(mu_);
-  std::pair<std::vector<TraceEvent>, std::uint64_t> out;
-  out.second = ring_.empty() ? next_id_ - 1 : ring_.back().id;
-  for (const TraceEvent& ev : ring_) {
-    if (ev.id <= since) continue;
-    if (out.first.size() >= max_events) break;
-    out.first.push_back(ev);
-  }
-  return out;
-}
-
 std::uint64_t EventTracer::recorded() const {
   MutexLock lock(mu_);
   return recorded_;

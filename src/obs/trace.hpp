@@ -17,10 +17,9 @@
 // and spans (a VADAPT optimize run, a VM migration) against the simulator's
 // virtual clock. The buffer is a fixed-capacity ring: when full, the oldest
 // events are overwritten and counted as dropped, so tracing can stay on in
-// long runs without unbounded memory. Events carry monotone ids so the SOAP
-// StreamEvents endpoint can page through the stream incrementally, and the
-// whole buffer exports to Chrome trace_event JSON (load in about:tracing /
-// Perfetto) or JSONL.
+// long runs without unbounded memory. Events carry monotone ids, exported
+// with each JSONL line, and the whole buffer exports to Chrome trace_event
+// JSON (load in about:tracing / Perfetto) or JSONL.
 
 namespace vw::obs {
 
@@ -92,11 +91,6 @@ class EventTracer {
 
   /// Events currently buffered, oldest first.
   std::vector<TraceEvent> events() const VW_EXCLUDES(mu_);
-
-  /// Events with id > `since`, capped at `max_events`; second element is the
-  /// largest id in the buffer (the cursor for the next call).
-  std::pair<std::vector<TraceEvent>, std::uint64_t> events_since(
-      std::uint64_t since, std::size_t max_events = 1024) const VW_EXCLUDES(mu_);
 
   std::size_t capacity() const { return capacity_; }
   std::uint64_t recorded() const VW_EXCLUDES(mu_);

@@ -79,13 +79,18 @@ void serialize(const XmlNode& node, std::string& out) {
   out += '>';
 }
 
+// The deepest document exchanged here is a SOAP-wrapped GetObservationsResponse
+// (5 levels); parse_element recurses once per level, so hostile nesting must
+// stop long before it exhausts the stack.
+constexpr std::size_t kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view doc) : doc_(doc) {}
 
   XmlNode parse() {
     skip_ws_and_prolog();
-    XmlNode root = parse_element();
+    XmlNode root = parse_element(1);
     skip_ws();
     if (pos_ != doc_.size()) fail("trailing content after root element");
     return root;
@@ -159,7 +164,8 @@ class Parser {
     return out;
   }
 
-  XmlNode parse_element() {
+  XmlNode parse_element(std::size_t depth) {
+    if (depth > kMaxDepth) fail("elements nested deeper than " + std::to_string(kMaxDepth));
     expect('<');
     XmlNode node;
     node.name = parse_name();
@@ -204,7 +210,7 @@ class Parser {
         continue;
       }
       if (peek() == '<') {
-        node.children.push_back(parse_element());
+        node.children.push_back(parse_element(depth + 1));
         continue;
       }
       const auto next = doc_.find('<', pos_);
@@ -257,20 +263,24 @@ XmlNode make_fault(std::string_view code, std::string_view message) {
 bool is_fault(const XmlNode& body) { return body.name == "soap:Fault"; }
 
 template <typename T>
+T decode_number(std::string_view text, std::string_view element, std::string_view field) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::runtime_error("<" + std::string(element) + "> " + std::string(field) + "=\"" +
+                             std::string(text) + "\" is not a valid number");
+  }
+  return value;
+}
+
+template <typename T>
 T attr(const XmlNode& node, const std::string& name) {
   const auto it = node.attributes.find(name);
   if (it == node.attributes.end()) {
     throw std::runtime_error("<" + node.name + "> lacks attribute '" + name + "'");
   }
-  const std::string& text = it->second;
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::runtime_error("<" + node.name + "> attribute " + name + "=\"" + text +
-                             "\" is not a valid number");
-  }
-  return value;
+  return decode_number<T>(it->second, node.name, name);
 }
 
 std::string format_double(double v) {
@@ -279,6 +289,11 @@ std::string format_double(double v) {
   return std::string(buf, ptr);
 }
 
+template std::uint32_t decode_number<std::uint32_t>(std::string_view, std::string_view,
+                                                    std::string_view);
+template std::uint64_t decode_number<std::uint64_t>(std::string_view, std::string_view,
+                                                    std::string_view);
+template double decode_number<double>(std::string_view, std::string_view, std::string_view);
 template std::uint32_t attr<std::uint32_t>(const XmlNode&, const std::string&);
 template std::uint64_t attr<std::uint64_t>(const XmlNode&, const std::string&);
 template double attr<double>(const XmlNode&, const std::string&);

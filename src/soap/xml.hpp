@@ -37,15 +37,23 @@ std::string to_xml(const XmlNode& node);
 /// Escape character data (& < > " ').
 std::string xml_escape(std::string_view s);
 
-/// Parse an XML document; throws std::runtime_error on malformed input.
+/// Parse an XML document; throws std::runtime_error on malformed input,
+/// including elements nested deeper than any document this tree exchanges
+/// (the parser recurses per level, so the cap bounds its stack use).
 XmlNode parse_xml(std::string_view doc);
 
-/// Strict decoding of attribute `name` as a T: std::uint32_t (host ids),
+/// Strict decoding of the whole of `text` as a T: std::uint32_t (host ids),
 /// std::uint64_t or double (NaN and infinities included: range rules are
-/// the caller's). Control-message handlers decode every field this way
-/// before touching state. A missing attribute, an empty value, a sign on an
-/// unsigned type, trailing characters ("12abc") or an out-of-range value
-/// throws std::runtime_error, the type parse_xml throws.
+/// the caller's). An empty value, leading whitespace, a sign on an unsigned
+/// type, trailing characters ("12abc") or an out-of-range value throws
+/// std::runtime_error, the type parse_xml throws, naming `field` of
+/// <`element`>.
+template <typename T>
+T decode_number(std::string_view text, std::string_view element, std::string_view field);
+
+/// decode_number() of attribute `name`; a missing attribute throws too.
+/// Control-message handlers decode every field this way before touching
+/// state.
 template <typename T>
 T attr(const XmlNode& node, const std::string& name);
 

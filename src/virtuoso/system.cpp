@@ -140,8 +140,6 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
   rt.analyzer = std::make_unique<wren::OnlineAnalyzer>(network_, host, config_.wren);
   if (config_.telemetry) rt.analyzer->set_obs(scope());
   if (capture_) capture_->add_host(host);
-  rt.service = std::make_unique<wren::WrenService>(registry_, *rt.analyzer,
-                                                   "wren://" + daemon.name());
   rt.local_vttif = std::make_unique<vttif::LocalVttif>(
       sim_, daemon, config_.vttif_local_period,
       [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
@@ -207,13 +205,6 @@ void VirtuosoSystem::bootstrap(vnet::LinkProtocol proto) {
     const SimTime sweep = std::max<SimTime>(millis(100), config_.daemon_timeout / 2);
     liveness_task_ = std::make_unique<sim::PeriodicTask>(sim_, sweep,
                                                          [this] { liveness_tick(); });
-  }
-
-  // The telemetry SOAP surface rides the same in-process RPC registry as
-  // the per-host Wren services.
-  if (config_.telemetry) {
-    telemetry_ = std::make_unique<soap::TelemetryService>(registry_, *metrics_, tracer_.get(),
-                                                          kTelemetryEndpoint);
   }
   bootstrapped_ = true;
 }

@@ -14,8 +14,6 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
-#include "soap/rpc.hpp"
-#include "soap/telemetry.hpp"
 #include "transport/stack.hpp"
 #include "vadapt/annealing.hpp"
 #include "vadapt/greedy.hpp"
@@ -33,20 +31,21 @@
 #include "wren/analyzer.hpp"
 #include "wren/capture.hpp"
 #include "wren/federation.hpp"
-#include "wren/service.hpp"
 #include "wren/view.hpp"
 
 // The integrated Virtuoso runtime (paper Figure 5): VNET daemons carry VM
 // traffic over the physical network; Wren passively measures that traffic on
-// every daemon host and serves results over SOAP; VTTIF infers the VM
-// application topology and aggregates both views at the Proxy; VADAPT turns
-// the two matrices into a new configuration (VM mapping + overlay paths)
-// that the system applies through migrations and forwarding-rule updates.
+// every daemon host; VTTIF infers the VM application topology and
+// aggregates both views at the Proxy; VADAPT turns the two matrices into a
+// new configuration (VM mapping + overlay paths) that the system applies
+// through migrations and forwarding-rule updates.
 //
 // Reporting is real: VTTIF matrix pushes and Wren measurement reports are
 // serialized to XML and shipped to the Proxy over TCP control connections
 // crossing the simulated network (vnet::ControlPlane); only adaptation
 // *commands* (migrate / install rules) are issued in-process at the Proxy.
+// The runtime serves no SOAP endpoint, since nothing outside the process
+// consumes one; Wren's SOAP interface is a library (wren/service.hpp).
 
 namespace vw::virtuoso {
 
@@ -99,9 +98,9 @@ struct SystemConfig {
   /// pointee must outlive the system; null disables logging.
   Logger* logger = nullptr;
   /// When true the system owns a MetricsRegistry + EventTracer stamped by
-  /// the virtual clock, wires them into every subsystem (wren, transport,
-  /// vnet, vttif, vadapt, vm, virtuoso), and exposes QueryMetrics /
-  /// StreamEvents at "telemetry://proxy" after bootstrap.
+  /// the virtual clock and wires them into every subsystem (wren,
+  /// transport, vnet, vttif, vadapt, vm, virtuoso); read them in-process
+  /// through metrics() / tracer().
   bool telemetry = true;
   /// When non-empty, every daemon host gets a wren::TraceWriter that
   /// persists its packet-header trace as a vw.trace.v1 shard under this
@@ -134,7 +133,7 @@ class VirtuosoSystem {
   VirtuosoSystem& operator=(const VirtuosoSystem&) = delete;
 
   // --- deployment -----------------------------------------------------------
-  /// Install a VNET daemon (plus Wren analyzer + SOAP service) on a host.
+  /// Install a VNET daemon (plus Wren analyzer and local VTTIF) on a host.
   vnet::VnetDaemon& add_daemon(net::NodeId host, std::string name, bool is_proxy = false);
 
   /// Build the star overlay and start VTTIF/Wren reporting. Call after all
@@ -171,7 +170,6 @@ class VirtuosoSystem {
   net::Network& network() { return network_; }
   transport::TransportStack& stack() { return stack_; }
   vnet::Overlay& overlay() { return overlay_; }
-  soap::RpcRegistry& registry() { return registry_; }
   wren::GlobalNetworkView& network_view() { return view_; }
   vttif::GlobalVttif& global_vttif() { return *global_vttif_; }
   wren::OnlineAnalyzer& wren_on(net::NodeId host);
@@ -187,8 +185,6 @@ class VirtuosoSystem {
   /// Metrics registry / event tracer; null when telemetry is disabled.
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
   obs::EventTracer* tracer() { return tracer_.get(); }
-  /// The SOAP telemetry endpoint name (registered during bootstrap()).
-  static constexpr const char* kTelemetryEndpoint = "telemetry://proxy";
 
   // --- packet-trace capture ----------------------------------------------------
   /// The binary capture session (one vw.trace.v1 shard per daemon host);
@@ -267,7 +263,6 @@ class VirtuosoSystem {
  private:
   struct DaemonRuntime {
     std::unique_ptr<wren::OnlineAnalyzer> analyzer;
-    std::unique_ptr<wren::WrenService> service;
     std::unique_ptr<vttif::LocalVttif> local_vttif;
     std::unique_ptr<sim::PeriodicTask> reporter;
     std::unique_ptr<sim::PeriodicTask> heartbeat;
@@ -323,7 +318,6 @@ class VirtuosoSystem {
   std::unique_ptr<obs::EventTracer> tracer_;
   transport::TransportStack stack_;
   vnet::Overlay overlay_;
-  soap::RpcRegistry registry_;
   std::unique_ptr<vnet::ControlPlane> control_;
   net::ReservationManager reservation_manager_;
   std::vector<net::ReservationId> reservation_ids_;
@@ -347,7 +341,6 @@ class VirtuosoSystem {
   std::uint64_t migration_failures_ = 0;
   std::uint64_t failure_replans_ = 0;
   std::uint64_t daemons_declared_dead_ = 0;
-  std::unique_ptr<soap::TelemetryService> telemetry_;
   std::unique_ptr<FederationRuntime> federation_;
   std::map<std::uint64_t, std::unique_ptr<wren::ActiveProber>> probes_;
   std::uint64_t next_probe_id_ = 0;

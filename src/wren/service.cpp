@@ -1,35 +1,6 @@
 #include "wren/service.hpp"
 
-#include <charconv>
-#include <stdexcept>
-
 namespace vw::wren {
-
-namespace {
-
-net::NodeId parse_node(const std::string& s) {
-  net::NodeId value = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::invalid_argument("bad peer id: " + s);
-  }
-  return value;
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, ptr);
-}
-
-double parse_double(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size()) throw std::invalid_argument("bad number: " + s);
-  return v;
-}
-
-}  // namespace
 
 WrenService::WrenService(soap::RpcRegistry& registry, OnlineAnalyzer& analyzer,
                          std::string endpoint)
@@ -55,31 +26,34 @@ WrenService::WrenService(soap::RpcRegistry& registry, OnlineAnalyzer& analyzer,
 WrenService::~WrenService() { registry_.unregister_endpoint(endpoint_); }
 
 soap::XmlNode WrenService::handle_get_bandwidth(const soap::XmlNode& request) const {
-  const net::NodeId peer = parse_node(request.child_text("peer"));
+  const auto peer = soap::decode_number<net::NodeId>(request.child_text("peer"), request.name,
+                                                     "peer");
   soap::XmlNode resp;
   resp.name = "GetAvailableBandwidthResponse";
   if (auto bw = analyzer_.available_bandwidth_bps(peer)) {
-    resp.add_text_child("bps", fmt(*bw));
+    resp.add_text_child("bps", soap::format_double(*bw));
   }
   return resp;
 }
 
 soap::XmlNode WrenService::handle_get_latency(const soap::XmlNode& request) const {
-  const net::NodeId peer = parse_node(request.child_text("peer"));
+  const auto peer = soap::decode_number<net::NodeId>(request.child_text("peer"), request.name,
+                                                     "peer");
   soap::XmlNode resp;
   resp.name = "GetLatencyResponse";
   if (auto lat = analyzer_.latency_seconds(peer)) {
-    resp.add_text_child("seconds", fmt(*lat));
+    resp.add_text_child("seconds", soap::format_double(*lat));
   }
   return resp;
 }
 
 soap::XmlNode WrenService::handle_get_capacity(const soap::XmlNode& request) const {
-  const net::NodeId peer = parse_node(request.child_text("peer"));
+  const auto peer = soap::decode_number<net::NodeId>(request.child_text("peer"), request.name,
+                                                     "peer");
   soap::XmlNode resp;
   resp.name = "GetCapacityResponse";
   if (auto cap = analyzer_.capacity_bps(peer)) {
-    resp.add_text_child("bps", fmt(*cap));
+    resp.add_text_child("bps", soap::format_double(*cap));
   }
   return resp;
 }
@@ -95,7 +69,9 @@ soap::XmlNode WrenService::handle_get_peers(const soap::XmlNode&) const {
 
 soap::XmlNode WrenService::handle_get_observations(const soap::XmlNode& request) const {
   const std::string since_text = request.child_text("since");
-  const std::uint64_t since = since_text.empty() ? 0 : std::stoull(since_text);
+  const std::uint64_t since =
+      since_text.empty() ? 0
+                         : soap::decode_number<std::uint64_t>(since_text, request.name, "since");
   soap::XmlNode resp;
   resp.name = "GetObservationsResponse";
   for (const StreamedObservation& so : stream_) {
@@ -103,9 +79,9 @@ soap::XmlNode WrenService::handle_get_observations(const soap::XmlNode& request)
     soap::XmlNode& n = resp.add_child("observation");
     n.add_text_child("id", std::to_string(so.id));
     n.add_text_child("peer", std::to_string(so.peer));
-    n.add_text_child("time", fmt(to_seconds(so.observation.time)));
-    n.add_text_child("isr_bps", fmt(so.observation.isr_bps));
-    n.add_text_child("ack_rate_bps", fmt(so.observation.ack_rate_bps));
+    n.add_text_child("time", soap::format_double(to_seconds(so.observation.time)));
+    n.add_text_child("isr_bps", soap::format_double(so.observation.isr_bps));
+    n.add_text_child("ack_rate_bps", soap::format_double(so.observation.ack_rate_bps));
     n.add_text_child("congested", so.observation.congested ? "1" : "0");
     n.add_text_child("train_length", std::to_string(so.observation.train_length));
   }
@@ -121,7 +97,7 @@ std::optional<double> WrenClient::available_bandwidth_bps(net::NodeId peer) cons
   req.add_text_child("peer", std::to_string(peer));
   const soap::XmlNode resp = registry_.call(endpoint_, "GetAvailableBandwidth", req);
   if (resp.child("bps") == nullptr) return std::nullopt;
-  return parse_double(resp.child_text("bps"));
+  return soap::decode_number<double>(resp.child_text("bps"), resp.name, "bps");
 }
 
 std::optional<double> WrenClient::latency_seconds(net::NodeId peer) const {
@@ -130,7 +106,7 @@ std::optional<double> WrenClient::latency_seconds(net::NodeId peer) const {
   req.add_text_child("peer", std::to_string(peer));
   const soap::XmlNode resp = registry_.call(endpoint_, "GetLatency", req);
   if (resp.child("seconds") == nullptr) return std::nullopt;
-  return parse_double(resp.child_text("seconds"));
+  return soap::decode_number<double>(resp.child_text("seconds"), resp.name, "seconds");
 }
 
 std::optional<double> WrenClient::capacity_bps(net::NodeId peer) const {
@@ -139,7 +115,7 @@ std::optional<double> WrenClient::capacity_bps(net::NodeId peer) const {
   req.add_text_child("peer", std::to_string(peer));
   const soap::XmlNode resp = registry_.call(endpoint_, "GetCapacity", req);
   if (resp.child("bps") == nullptr) return std::nullopt;
-  return parse_double(resp.child_text("bps"));
+  return soap::decode_number<double>(resp.child_text("bps"), resp.name, "bps");
 }
 
 std::vector<net::NodeId> WrenClient::peers() const {
@@ -148,7 +124,7 @@ std::vector<net::NodeId> WrenClient::peers() const {
   const soap::XmlNode resp = registry_.call(endpoint_, "GetPeers", req);
   std::vector<net::NodeId> out;
   for (const soap::XmlNode* n : resp.children_named("peer")) {
-    out.push_back(parse_node(n->text));
+    out.push_back(soap::decode_number<net::NodeId>(n->text, resp.name, "peer"));
   }
   return out;
 }
@@ -163,13 +139,17 @@ std::pair<std::vector<StreamedObservation>, std::uint64_t> WrenClient::observati
   std::uint64_t max_id = since;
   for (const soap::XmlNode* n : resp.children_named("observation")) {
     StreamedObservation so;
-    so.id = std::stoull(n->child_text("id"));
-    so.peer = parse_node(n->child_text("peer"));
-    so.observation.time = seconds(parse_double(n->child_text("time")));
-    so.observation.isr_bps = parse_double(n->child_text("isr_bps"));
-    so.observation.ack_rate_bps = parse_double(n->child_text("ack_rate_bps"));
+    so.id = soap::decode_number<std::uint64_t>(n->child_text("id"), n->name, "id");
+    so.peer = soap::decode_number<net::NodeId>(n->child_text("peer"), n->name, "peer");
+    so.observation.time =
+        seconds(soap::decode_number<double>(n->child_text("time"), n->name, "time"));
+    so.observation.isr_bps =
+        soap::decode_number<double>(n->child_text("isr_bps"), n->name, "isr_bps");
+    so.observation.ack_rate_bps =
+        soap::decode_number<double>(n->child_text("ack_rate_bps"), n->name, "ack_rate_bps");
     so.observation.congested = n->child_text("congested") == "1";
-    so.observation.train_length = std::stoull(n->child_text("train_length"));
+    so.observation.train_length =
+        soap::decode_number<std::uint64_t>(n->child_text("train_length"), n->name, "train_length");
     max_id = std::max(max_id, so.id);
     out.push_back(std::move(so));
   }

@@ -7,12 +7,15 @@
 #include "soap/rpc.hpp"
 #include "wren/analyzer.hpp"
 
-// Wren's SOAP measurement interface.
+// Wren's SOAP measurement interface (the paper's gSOAP service), a library
+// for an external consumer: the integrated runtime ships readings to the
+// Proxy as control-plane reports and registers no endpoint of its own.
 //
-// Each host's analyzer is exported as endpoint "wren://<host-name>" with
+// A host's analyzer is exported as endpoint "wren://<host-name>" with
 // methods:
 //   GetAvailableBandwidth(peer) -> bits/s or empty when unknown
 //   GetLatency(peer)            -> seconds or empty when unknown
+//   GetCapacity(peer)           -> bits/s or empty when unknown
 //   GetPeers()                  -> peer list
 //   GetObservations(since)      -> observation batch with monotone ids,
 //                                  so clients can consume the measurement
@@ -51,8 +54,9 @@ class WrenService {
   static constexpr std::size_t kStreamCapacity = 4096;
 };
 
-/// Client-side wrapper over the SOAP calls (what VTTIF's nonblocking
-/// collection uses).
+/// Client-side wrapper over the SOAP calls. A request field that is not a
+/// valid number comes back as a SoapFault; a response field that is not one
+/// throws std::runtime_error.
 class WrenClient {
  public:
   WrenClient(const soap::RpcRegistry& registry, std::string endpoint);

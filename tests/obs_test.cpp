@@ -1,7 +1,6 @@
 // Unit tests for the observability subsystem: metrics registry semantics,
 // histogram bucketing and quantiles, event-tracer ring behavior, exporter
-// output (including Chrome trace JSON well-formedness) and the SOAP
-// QueryMetrics / StreamEvents round trip.
+// output (including Chrome trace JSON well-formedness).
 
 #include <gtest/gtest.h>
 
@@ -21,8 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
-#include "soap/rpc.hpp"
-#include "soap/telemetry.hpp"
 #include "util/log.hpp"
 
 namespace vw::obs {
@@ -304,21 +301,6 @@ TEST(EventTracerTest, SpanRecordsCompleteEventWithArgs) {
   EXPECT_EQ(events[0].args[0].second, "value");
 }
 
-TEST(EventTracerTest, EventsSincePagesIncrementally) {
-  EventTracer tracer(64);
-  for (int i = 0; i < 10; ++i) tracer.instant("e" + std::to_string(i), "test");
-  auto [first, cursor1] = tracer.events_since(0, 4);
-  ASSERT_EQ(first.size(), 4u);
-  EXPECT_EQ(first.front().name, "e0");
-  auto [second, cursor2] = tracer.events_since(first.back().id, 100);
-  ASSERT_EQ(second.size(), 6u);
-  EXPECT_EQ(second.front().name, "e4");
-  EXPECT_EQ(cursor2, second.back().id);
-  auto [rest, cursor3] = tracer.events_since(cursor2, 100);
-  EXPECT_TRUE(rest.empty());
-  EXPECT_EQ(cursor3, cursor2);
-}
-
 TEST(EventTracerTest, CompleteRejectsBackwardInterval) {
   EventTracer tracer(16);
   EXPECT_THROW(tracer.complete("bad", "test", millis(10), millis(5)),
@@ -405,83 +387,6 @@ TEST(ObsExportTest, CsvAndTextTableCoverEveryInstrument) {
   write_text_table(table, reg.snapshot());
   EXPECT_NE(table.str().find("a.count"), std::string::npos);
   EXPECT_NE(table.str().find("c.dist"), std::string::npos);
-}
-
-// --- SOAP round trip ---------------------------------------------------------
-
-TEST(TelemetrySoapTest, QueryMetricsRoundTrip) {
-  MetricsRegistry reg;
-  reg.counter("wren.trains.accepted").add(42);
-  reg.gauge("vttif.topology.edges").set(6.5);
-  Histogram& h = reg.histogram("vm.migration.duration_s");
-  h.record(1.5);
-  h.record(12.0);
-  reg.histogram("vadapt.empty");
-
-  soap::RpcRegistry rpc;
-  soap::TelemetryService service(rpc, reg, nullptr, "telemetry://test");
-  const soap::TelemetryClient client(rpc, "telemetry://test");
-
-  const MetricsSnapshot snap = client.query_metrics();
-  ASSERT_EQ(snap.metrics.size(), 4u);
-
-  const MetricValue* c = snap.find("wren.trains.accepted");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->count, 42u);
-  const MetricValue* g = snap.find("vttif.topology.edges");
-  ASSERT_NE(g, nullptr);
-  EXPECT_DOUBLE_EQ(g->value, 6.5);
-  const MetricValue* hv = snap.find("vm.migration.duration_s");
-  ASSERT_NE(hv, nullptr);
-  EXPECT_EQ(hv->histogram.count, 2u);
-  EXPECT_DOUBLE_EQ(hv->histogram.sum, 13.5);
-  EXPECT_DOUBLE_EQ(hv->histogram.min, 1.5);
-  EXPECT_DOUBLE_EQ(hv->histogram.max, 12.0);
-  EXPECT_EQ(hv->histogram.buckets[Histogram::bucket_index(1.5)], 1u);
-  // The empty histogram's extremes survive the wire as NaN.
-  const MetricValue* empty = snap.find("vadapt.empty");
-  ASSERT_NE(empty, nullptr);
-  EXPECT_TRUE(std::isnan(empty->histogram.min));
-  EXPECT_TRUE(std::isnan(empty->histogram.max));
-
-  // Prefix filter crosses the wire too.
-  const MetricsSnapshot wren = client.query_metrics("wren");
-  ASSERT_EQ(wren.metrics.size(), 1u);
-  EXPECT_EQ(wren.metrics[0].name, "wren.trains.accepted");
-}
-
-TEST(TelemetrySoapTest, StreamEventsPagesThroughTheRing) {
-  MetricsRegistry reg;
-  EventTracer tracer(64);
-  for (int i = 0; i < 7; ++i) {
-    tracer.instant("e" + std::to_string(i), "test", {{"i", std::to_string(i)}});
-  }
-  soap::RpcRegistry rpc;
-  soap::TelemetryService service(rpc, reg, &tracer, "telemetry://test");
-  const soap::TelemetryClient client(rpc, "telemetry://test");
-
-  auto [first, cursor] = client.stream_events(0, 3);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].name, "e0");
-  EXPECT_EQ(first[0].phase, EventPhase::kInstant);
-  ASSERT_EQ(first[0].args.size(), 1u);
-  EXPECT_EQ(first[0].args[0].first, "i");
-
-  auto [rest, cursor2] = client.stream_events(first.back().id, 100);
-  ASSERT_EQ(rest.size(), 4u);
-  EXPECT_EQ(rest.back().name, "e6");
-  EXPECT_EQ(cursor2, rest.back().id);
-  auto [none, cursor3] = client.stream_events(cursor2, 100);
-  EXPECT_TRUE(none.empty());
-  EXPECT_EQ(cursor3, cursor2);
-}
-
-TEST(TelemetrySoapTest, StreamEventsWithoutTracerFaults) {
-  MetricsRegistry reg;
-  soap::RpcRegistry rpc;
-  soap::TelemetryService service(rpc, reg, nullptr, "telemetry://test");
-  const soap::TelemetryClient client(rpc, "telemetry://test");
-  EXPECT_THROW(client.stream_events(0), soap::SoapFault);
 }
 
 // --- concurrency (run under TSan in CI) -------------------------------------

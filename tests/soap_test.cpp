@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "soap/rpc.hpp"
 #include "soap/xml.hpp"
@@ -64,6 +65,11 @@ TEST(XmlTest, MalformedInputsThrow) {
   EXPECT_THROW(parse_xml("<a>&unknown;</a>"), std::runtime_error);
   EXPECT_THROW(parse_xml("<a></a><b></b>"), std::runtime_error);  // two roots
   EXPECT_THROW(parse_xml("plain text"), std::runtime_error);
+  // 100,000 nested elements: rejected at the depth cap, not a stack overflow.
+  std::string deep;
+  for (int i = 0; i < 100'000; ++i) deep += "<a>";
+  for (int i = 0; i < 100'000; ++i) deep += "</a>";
+  EXPECT_THROW(parse_xml(deep), std::runtime_error);
 }
 
 TEST(XmlTest, StrictAttributeDecoding) {

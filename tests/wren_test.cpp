@@ -555,6 +555,43 @@ TEST(WrenServiceTest, UnknownPeerReturnsEmpty) {
   EXPECT_FALSE(client.latency_seconds(42).has_value());
 }
 
+TEST(WrenServiceTest, MalformedNumbersFault) {
+  WrenEnv env;
+  OnlineAnalyzer analyzer(env.net, env.sender);
+  soap::RpcRegistry registry;
+  WrenService service(registry, analyzer, "wren://sender");
+  const auto call = [&registry](const char* method, const char* field, const char* value) {
+    soap::XmlNode req;
+    req.name = method;
+    req.add_text_child(field, value);
+    return registry.call("wren://sender", method, req);
+  };
+  // The whole text must be the number: no sign to wrap, no prefix read from
+  // "5x", no leading space, no hex, nothing past 2^64-1.
+  for (const char* bad : {"-1", "5x", " 7", "0x10", "abc", "18446744073709551616"}) {
+    try {
+      call("GetObservations", "since", bad);
+      ADD_FAILURE() << "since=\"" << bad << "\" was accepted";
+    } catch (const soap::SoapFault& f) {
+      EXPECT_NE(std::string(f.what()).find("since"), std::string::npos) << f.what();
+    }
+    EXPECT_THROW(call("GetAvailableBandwidth", "peer", bad), soap::SoapFault) << bad;
+  }
+  EXPECT_THROW(call("GetLatency", "peer", "4294967296"), soap::SoapFault);  // > u32
+  EXPECT_NO_THROW(call("GetObservations", "since", ""));  // empty still means 0
+  EXPECT_NO_THROW(call("GetObservations", "since", "7"));
+
+  // The client decodes responses just as strictly.
+  registry.register_method("wren://lax", "GetAvailableBandwidth", [](const soap::XmlNode&) {
+    soap::XmlNode resp;
+    resp.name = "GetAvailableBandwidthResponse";
+    resp.add_text_child("bps", "5e6x");
+    return resp;
+  });
+  EXPECT_THROW(WrenClient(registry, "wren://lax").available_bandwidth_bps(1),
+               std::runtime_error);
+}
+
 // --- GlobalNetworkView ------------------------------------------------------------
 
 TEST(GlobalViewTest, UpdatesAndQueries) {
