@@ -1,6 +1,6 @@
-// Datapath micro benchmarks (this PR's acceptance gate): event-scheduler
-// throughput on a TCP-timer-style churn workload, and end-to-end simulated
-// packet throughput on a fig4-style star topology.
+// Datapath micro benchmarks: event-scheduler throughput on a
+// TCP-timer-style churn workload, end-to-end simulated packet throughput on
+// a fig4-style star topology, and route computation on BRITE networks.
 //
 // The scheduler is benchmarked twice over the identical workload:
 //   * `baseline` — a line-for-line replica of the pre-overhaul engine
@@ -32,6 +32,7 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "topo/brite.hpp"
 #include "transport/stack.hpp"
 #include "transport/udp.hpp"
 #include "util/check.hpp"
@@ -218,6 +219,28 @@ void BM_StarForwarding(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(received));
 }
 BENCHMARK(BM_StarForwarding)->Arg(8)->Arg(32);
+
+// --- route computation: fig11-style BRITE networks ----------------------------
+// N Waxman routers (out-degree 2) with one single-link host each, the shape
+// the federated fleets attach daemons in. Times one Network::compute_routes
+// over the 2N-node network; the hosts are leaves, so the per-source Dijkstra
+// runs over the N routers only.
+void BM_ComputeRoutes(benchmark::State& state) {
+  const auto routers = static_cast<std::size_t>(state.range(0));
+  topo::BriteParams params;
+  params.nodes = routers;
+  params.out_degree = 2;
+  const RngService rngs(4242);
+  const topo::BriteTopology brite(params, rngs.stream("routes.brite"));
+  sim::Simulator sim;
+  Rng pick = rngs.stream("routes.hosts");
+  const topo::BriteNetwork bn = topo::make_brite_network(sim, brite, routers, pick);
+  for (auto _ : state) {
+    bn.network->compute_routes();
+  }
+  state.counters["nodes"] = static_cast<double>(bn.network->node_count());
+}
+BENCHMARK(BM_ComputeRoutes)->Arg(64)->Arg(256)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,8 +1,8 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -24,7 +24,6 @@ NodeId Network::add_node(std::string name, bool is_host) {
   host_stacks_.emplace_back();
   taps_.emplace_back();
   routes_valid_ = false;
-  channel_index_valid_ = false;  // stride changes with the node count
   return id;
 }
 
@@ -52,16 +51,11 @@ void Network::add_link(NodeId a, NodeId b, const LinkConfig& config) {
     channels_.push_back(std::move(ch));
   }
   routes_valid_ = false;
-  channel_index_valid_ = false;
 }
 
-void Network::rebuild_channel_index() {
-  index_stride_ = nodes_.size();
-  channel_index_.assign(index_stride_ * index_stride_, nullptr);
-  for (const auto& [pair, ch] : channel_by_pair_) {
-    channel_index_[static_cast<std::size_t>(pair.first) * index_stride_ + pair.second] = ch;
-  }
-  channel_index_valid_ = true;
+Channel* Network::find_channel(NodeId from, NodeId to) const {
+  const auto it = channel_by_pair_.find({from, to});
+  return it == channel_by_pair_.end() ? nullptr : it->second;
 }
 
 Channel& Network::channel(NodeId from, NodeId to) {
@@ -80,86 +74,161 @@ bool Network::has_channel(NodeId from, NodeId to) const {
   return find_channel(from, to) != nullptr;
 }
 
+// Routing runs Dijkstra from every core node over the core only. A leaf L
+// with neighbour P changes nothing by its absence: its one in-edge comes
+// from P, so L is reached only when P settles, with dist[P] + w; popping L
+// would relax only L -> P, at a cost above dist[P] because every weight is
+// at least kPerHopCost. So a leaf is never interior to a shortest path,
+// relaxes nothing, and the core nodes settle in the same (dist, node) order
+// with the same first hops as in a Dijkstra over all nodes. A leaf's routes
+// follow: from L, every node P reaches is reached through L's uplink; toward
+// L, the first hop is the first hop toward P, or the down-link from P.
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
-  next_hop_.assign(n, std::vector<NodeId>(n, kInvalidNode));
-
-  // Adjacency lists from the channel map.
-  std::vector<std::vector<std::pair<NodeId, SimTime>>> adj(n);
+  // CSR adjacency. channel_by_pair_ is ordered by (from, to), so each row
+  // is contiguous and sorted by neighbour.
+  std::vector<std::uint32_t> adj_start(n + 1, 0);
+  std::vector<ChannelId> adj;
+  adj.reserve(channel_by_pair_.size());
   for (const auto& [pair, ch] : channel_by_pair_) {
-    adj[pair.first].push_back({pair.second, ch->prop_delay() + kPerHopCost});
+    ++adj_start[pair.first + 1];
+    adj.push_back(ch->id());
+  }
+  for (std::size_t u = 0; u < n; ++u) adj_start[u + 1] += adj_start[u];
+  const auto degree = [&](NodeId u) { return adj_start[u + 1] - adj_start[u]; };
+
+  // Leaves: one link, to a node with more than one. Core indices follow node
+  // order, so (dist, core index) pops in the same order as (dist, node).
+  uplink_.assign(n, kNoChannel);
+  for (NodeId u = 0; u < n; ++u) {
+    if (degree(u) != 1) continue;
+    const Channel& up = *channels_[adj[adj_start[u]]];
+    if (degree(up.to()) == 1) continue;
+    // first_hop takes the down-link to a leaf as its uplink's id ^ 1.
+    const ChannelId down = up.id() ^ 1u;
+    VW_ASSERT(down < channels_.size() && channels_[down]->from() == up.to() &&
+                  channels_[down]->to() == u,
+              "Network::compute_routes: channel ", down, " is not the down-link ", up.to(),
+              " -> ", u);
+    uplink_[u] = up.id();
+  }
+  core_of_.assign(n, 0);
+  std::vector<NodeId> core_nodes;
+  for (NodeId u = 0; u < n; ++u) {
+    if (uplink_[u] != kNoChannel) continue;
+    core_of_[u] = static_cast<std::uint32_t>(core_nodes.size());
+    core_nodes.push_back(u);
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    if (uplink_[u] != kNoChannel) core_of_[u] = core_of_[channels_[uplink_[u]]->to()];
+  }
+  core_count_ = core_nodes.size();
+
+  // Core-to-core edges, in the same row order.
+  struct CoreEdge {
+    SimTime weight;
+    std::uint32_t to;
+    ChannelId channel;
+  };
+  std::vector<std::uint32_t> core_start(core_count_ + 1, 0);
+  std::vector<CoreEdge> core_edges;
+  for (std::size_t c = 0; c < core_count_; ++c) {
+    const NodeId u = core_nodes[c];
+    for (std::uint32_t k = adj_start[u]; k < adj_start[u + 1]; ++k) {
+      const Channel& ch = *channels_[adj[k]];
+      if (uplink_[ch.to()] != kNoChannel) continue;
+      core_edges.push_back({ch.prop_delay() + kPerHopCost, core_of_[ch.to()], ch.id()});
+    }
+    core_start[c + 1] = static_cast<std::uint32_t>(core_edges.size());
   }
 
-  // Dijkstra from every source; record the first hop of each shortest path.
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<SimTime> dist(n, std::numeric_limits<SimTime>::max());
-    std::vector<NodeId> first_hop(n, kInvalidNode);
-    using Item = std::pair<SimTime, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  // Dijkstra from every core source; record the first-hop channel of each
+  // shortest path straight into the source's row.
+  route_.assign(core_count_ * core_count_, kNoChannel);
+  std::vector<SimTime> dist(core_count_);
+  using Item = std::pair<SimTime, std::uint32_t>;
+  std::vector<Item> heap;
+  for (std::uint32_t src = 0; src < core_count_; ++src) {
+    ChannelId* first = route_.data() + static_cast<std::size_t>(src) * core_count_;
+    std::fill(dist.begin(), dist.end(), std::numeric_limits<SimTime>::max());
     dist[src] = 0;
-    pq.push({0, src});
-    while (!pq.empty()) {
-      auto [d, u] = pq.top();
-      pq.pop();
+    heap.assign(1, {0, src});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, u] = heap.back();
+      heap.pop_back();
       if (d > dist[u]) continue;
-      for (auto [v, w] : adj[u]) {
-        const SimTime nd = d + w;
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          first_hop[v] = (u == src) ? v : first_hop[u];
-          pq.push({nd, v});
+      for (std::uint32_t k = core_start[u]; k < core_start[u + 1]; ++k) {
+        const CoreEdge& e = core_edges[k];
+        const SimTime nd = d + e.weight;
+        if (nd < dist[e.to]) {
+          dist[e.to] = nd;
+          first[e.to] = (u == src) ? e.channel : first[u];
+          heap.push_back({nd, e.to});
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
       }
     }
-    next_hop_[src] = std::move(first_hop);
   }
   routes_valid_ = true;
-  // The dense index shares the routing tables' lifecycle: packets only flow
-  // after compute_routes, so the hot path always sees a valid index.
-  rebuild_channel_index();
+}
+
+ChannelId Network::first_hop(NodeId at, NodeId dst) const {
+  VW_REQUIRE(routes_valid_, "Network: routes not computed before next_hop lookup");
+  if (at == dst) return kNoChannel;
+  const std::uint32_t from = core_of_[at];
+  const std::uint32_t to = core_of_[dst];
+  if (uplink_[at] != kNoChannel) {
+    // A leaf reaches its neighbour, its neighbour's other leaves and
+    // whatever its neighbour routes to, all through its uplink.
+    return from == to || route_[from * core_count_ + to] != kNoChannel ? uplink_[at]
+                                                                        : kNoChannel;
+  }
+  // `dst` is a leaf of `at`: the final down-link. add_link creates a link's
+  // two channels back to back, so a channel's reverse is its id ^ 1
+  // (compute_routes asserts it for every leaf).
+  if (from == to) return uplink_[dst] ^ 1u;
+  return route_[from * core_count_ + to];
 }
 
 NodeId Network::next_hop(NodeId at, NodeId dst) const {
-  VW_REQUIRE(routes_valid_, "Network: routes not computed before next_hop lookup");
-  return next_hop_.at(at).at(dst);
+  VW_REQUIRE(at < nodes_.size() && dst < nodes_.size(), "Network::next_hop: unknown node (at=",
+             at, " dst=", dst, ", ", nodes_.size(), " nodes)");
+  const ChannelId c = first_hop(at, dst);
+  return c == kNoChannel ? kInvalidNode : channels_[c]->to();
+}
+
+template <typename Fn>
+bool Network::for_each_hop(NodeId a, NodeId b, Fn&& fn) const {
+  VW_REQUIRE(a < nodes_.size() && b < nodes_.size(), "Network: path query on unknown node (a=", a,
+             " b=", b, ", ", nodes_.size(), " nodes)");
+  for (NodeId at = a; at != b;) {
+    const ChannelId c = first_hop(at, b);
+    if (c == kNoChannel) return false;
+    const Channel& ch = *channels_[c];
+    fn(ch);
+    at = ch.to();
+  }
+  return true;
 }
 
 SimTime Network::path_prop_delay(NodeId a, NodeId b) const {
-  if (a == b) return 0;
   SimTime total = 0;
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return -1;
-    total += channel(at, nh).prop_delay();
-    at = nh;
-  }
-  return total;
+  const bool reachable = for_each_hop(a, b, [&](const Channel& ch) { total += ch.prop_delay(); });
+  return reachable ? total : -1;
 }
 
 double Network::path_bottleneck_bps(NodeId a, NodeId b) const {
-  if (a == b) return std::numeric_limits<double>::infinity();
   double bottleneck = std::numeric_limits<double>::infinity();
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return 0.0;
-    bottleneck = std::min(bottleneck, channel(at, nh).capacity_bps());
-    at = nh;
-  }
-  return bottleneck;
+  const bool reachable = for_each_hop(
+      a, b, [&](const Channel& ch) { bottleneck = std::min(bottleneck, ch.capacity_bps()); });
+  return reachable ? bottleneck : 0.0;
 }
 
 bool Network::path_up(NodeId a, NodeId b) const {
-  if (a == b) return true;
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return false;
-    if (channel(at, nh).is_down()) return false;
-    at = nh;
-  }
-  return true;
+  bool up = true;
+  const bool reachable = for_each_hop(a, b, [&](const Channel& ch) { up = up && !ch.is_down(); });
+  return reachable && up;
 }
 
 void Network::send(Packet pkt) {
@@ -180,11 +249,9 @@ void Network::send(Packet pkt) {
 }
 
 void Network::forward(Packet&& pkt, NodeId at) {
-  const NodeId nh = next_hop(at, pkt.flow.dst);
-  if (nh == kInvalidNode) return;  // unreachable: silently dropped (like IP)
-  Channel* ch = find_channel(at, nh);
-  VW_ASSERT(ch != nullptr, "Network::forward: next hop without a channel (", at, " -> ", nh, ")");
-  ch->enqueue(std::move(pkt));
+  const ChannelId c = first_hop(at, pkt.flow.dst);
+  if (c == kNoChannel) return;  // unreachable: silently dropped (like IP)
+  channels_[c]->enqueue(std::move(pkt));
 }
 
 void Network::handle_arrival(Packet&& pkt, NodeId at) {

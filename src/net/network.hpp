@@ -46,8 +46,10 @@ class Network {
   /// Adds a full-duplex link (two symmetric channels) between a and b.
   void add_link(NodeId a, NodeId b, const LinkConfig& config);
 
-  /// Recomputes the all-pairs next-hop table; must be called after topology
-  /// construction and after any add_link.
+  /// Recomputes the routing tables; must be called after topology
+  /// construction and after any add_link. Routes are shortest-latency paths
+  /// over the router core: a leaf (a node whose only link goes to a
+  /// non-leaf) routes through its neighbour and is never a transit hop.
   void compute_routes();
 
   // --- data path ---------------------------------------------------------
@@ -80,7 +82,8 @@ class Network {
   const Channel& channel(NodeId from, NodeId to) const;
   bool has_channel(NodeId from, NodeId to) const;
 
-  /// Next hop from `at` toward `dst`; kInvalidNode when unreachable.
+  /// Next hop from `at` toward `dst`; kInvalidNode when unreachable or when
+  /// `at == dst`.
   NodeId next_hop(NodeId at, NodeId dst) const;
 
   /// Sum of propagation delays along the routed path a->b; -1 if unreachable.
@@ -97,40 +100,44 @@ class Network {
   std::uint64_t packets_dropped() const;
 
  private:
+  /// Marks "no route" in the first-hop table and a core node in uplink_.
+  static constexpr ChannelId kNoChannel = 0xffffffffu;
+
   void handle_arrival(Packet&& pkt, NodeId at);
   void deliver_to_host(Packet&& pkt);
   void forward(Packet&& pkt, NodeId at);
   void fire_taps(NodeId host, TapDirection dir, SimTime t, const Packet& pkt);
-  void rebuild_channel_index();
 
-  /// Hot-path channel resolution: a single indexed load once the dense
-  /// index has been built (compute_routes); falls back to the ordered map
-  /// during cold construction-time queries. nullptr when absent.
-  Channel* find_channel(NodeId from, NodeId to) const {
-    if (channel_index_valid_) {
-      if (from >= index_stride_ || to >= index_stride_) return nullptr;
-      return channel_index_[static_cast<std::size_t>(from) * index_stride_ + to];
-    }
-    auto it = channel_by_pair_.find({from, to});
-    return it == channel_by_pair_.end() ? nullptr : it->second;
-  }
+  /// The channel a packet at `at` bound for `dst` leaves on; kNoChannel when
+  /// `dst` is unreachable or `at == dst`. Both ids must be in range.
+  ChannelId first_hop(NodeId at, NodeId dst) const;
+
+  /// Calls fn(channel) for each channel of the routed path a -> b, in
+  /// order; false when b is unreachable from a.
+  template <typename Fn>
+  bool for_each_hop(NodeId a, NodeId b, Fn&& fn) const;
+
+  /// The channel from -> to, or nullptr.
+  Channel* find_channel(NodeId from, NodeId to) const;
 
   sim::Simulator& sim_;
   std::vector<NodeInfo> nodes_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  // Cold-path owner of the (from, to) -> channel relation: construction,
-  // duplicate-link checks, and the deterministic iteration order
-  // compute_routes depends on. The hot path never hashes or searches it —
-  // it goes through channel_index_, a dense n x n pointer matrix rebuilt
-  // alongside the routing tables.
+  // Owner of the (from, to) -> channel relation: channel lookups, duplicate-
+  // link checks, and the deterministic order compute_routes builds its
+  // adjacency rows in. The packet path never searches it.
   std::map<std::pair<NodeId, NodeId>, Channel*> channel_by_pair_;
-  std::vector<Channel*> channel_index_;  ///< [from * index_stride_ + to]
-  std::size_t index_stride_ = 0;
-  bool channel_index_valid_ = false;
   std::vector<HostStackFn> host_stacks_;
   std::vector<std::vector<std::pair<TapId, TapFn>>> taps_;
   std::map<std::pair<NodeId, NodeId>, SimTime> endpoint_delays_;
-  std::vector<std::vector<NodeId>> next_hop_;  ///< [src][dst]
+
+  // Routing state, rebuilt by compute_routes. Every per-node table is O(n);
+  // only route_ is quadratic, and only in the core size.
+  /// A core node's own core index; a leaf's neighbour's core index.
+  std::vector<std::uint32_t> core_of_;
+  std::vector<ChannelId> uplink_;  ///< a leaf's single out-channel; kNoChannel for core
+  std::size_t core_count_ = 0;
+  std::vector<ChannelId> route_;  ///< [core_of(at) * core_count_ + core_of(dst)] first hop
   bool routes_valid_ = false;
   TapId next_tap_id_ = 1;
   std::uint64_t next_packet_id_ = 1;

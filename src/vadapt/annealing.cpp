@@ -81,12 +81,8 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
   Path candidate_path;            // perturbed path under consideration
   Configuration previous_conf;    // revert buffer for mapping moves
 
-  // Move statistics stay in locals: the hot loop must not touch atomics.
-  std::uint64_t n_accepted = 0;
-  std::uint64_t n_rejected = 0;
-  std::uint64_t n_mapping_moves = 0;
-  obs::EventTracer::Span run_span = params.obs.span("vadapt.sa", "vadapt");
-
+  // Move statistics accumulate in the result: the hot loop must not touch
+  // atomics.
   for (std::size_t iter = 0; iter < params.iterations; ++iter) {
     // --- perturbation function -------------------------------------------
     // One move per iteration: occasionally the VM mapping (full rescore —
@@ -124,11 +120,11 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
     // --- acceptance --------------------------------------------------------
     const double dE = cand_eval.cost - current_eval.cost;
     const bool accept = dE >= 0 || rng.chance(std::exp(dE / temperature));
-    if (mapping_move) ++n_mapping_moves;
+    if (mapping_move) ++result.mapping_moves;
     if (accept) {
-      ++n_accepted;
+      ++result.accepted;
     } else {
-      ++n_rejected;
+      ++result.rejected;
     }
     if (accept) {
       current_eval = cand_eval;
@@ -155,18 +151,6 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
   }
 
   result.final_state = ev.configuration();
-
-  if (params.obs.metrics != nullptr) {
-    obs::add(params.obs.counter("vadapt.sa.runs"));
-    obs::add(params.obs.counter("vadapt.sa.iterations"), params.iterations);
-    obs::add(params.obs.counter("vadapt.sa.moves.accepted"), n_accepted);
-    obs::add(params.obs.counter("vadapt.sa.moves.rejected"), n_rejected);
-    obs::add(params.obs.counter("vadapt.sa.moves.mapping"), n_mapping_moves);
-    obs::record(params.obs.histogram("vadapt.sa.best_cost"), result.best_evaluation.cost);
-  }
-  run_span.arg("iterations", std::to_string(params.iterations));
-  run_span.arg("accepted", std::to_string(n_accepted));
-  run_span.end();
   return result;
 }
 
@@ -212,12 +196,34 @@ AnnealingResult simulated_annealing(const CapacityGraph& graph,
            "simulated_annealing: initial mapping not injective/in range");
   if (current.paths.size() != demands.size()) reset_paths_direct(current, demands);
 
+  const SimTime start = params.obs.tracer != nullptr ? params.obs.tracer->now() : 0;
+  AnnealingResult result;
   if (params.full_rescore) {
     FullRescorer ev(graph, demands, objective);
-    return anneal_loop(graph, demands, params, rng, std::move(current), ev);
+    result = anneal_loop(graph, demands, params, rng, std::move(current), ev);
+  } else {
+    IncrementalEvaluator ev(graph, demands, objective);
+    result = anneal_loop(graph, demands, params, rng, std::move(current), ev);
   }
-  IncrementalEvaluator ev(graph, demands, objective);
-  return anneal_loop(graph, demands, params, rng, std::move(current), ev);
+  record_annealing_run(params.obs, params, result, start);
+  return result;
+}
+
+void record_annealing_run(const obs::Scope& scope, const AnnealingParams& params,
+                          const AnnealingResult& result, SimTime start) {
+  if (scope.metrics != nullptr) {
+    obs::add(scope.counter("vadapt.sa.runs"));
+    obs::add(scope.counter("vadapt.sa.iterations"), params.iterations);
+    obs::add(scope.counter("vadapt.sa.moves.accepted"), result.accepted);
+    obs::add(scope.counter("vadapt.sa.moves.rejected"), result.rejected);
+    obs::add(scope.counter("vadapt.sa.moves.mapping"), result.mapping_moves);
+    obs::record(scope.histogram("vadapt.sa.best_cost"), result.best_evaluation.cost);
+  }
+  if (scope.tracer != nullptr) {
+    scope.tracer->complete("vadapt.sa", "vadapt", start, scope.tracer->now(),
+                           {{"iterations", std::to_string(params.iterations)},
+                            {"accepted", std::to_string(result.accepted)}});
+  }
 }
 
 }  // namespace vw::vadapt

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -42,8 +43,8 @@ struct AnnealingParams {
   /// differential tests and the BENCH_vadapt micro benches.
   bool full_rescore = false;
   /// Telemetry (vadapt.sa.* counters + a run span). Disabled by default;
-  /// move statistics accumulate in locals inside the loop and flush once
-  /// per run, so enabling it cannot perturb optimizer decisions or timing.
+  /// move statistics accumulate in the result and flush once per run, so
+  /// enabling it cannot perturb optimizer decisions or timing.
   obs::Scope obs;
 };
 
@@ -58,7 +59,18 @@ struct AnnealingResult {
   Evaluation best_evaluation;
   Configuration final_state;
   std::vector<AnnealingTracePoint> trace;
+  std::uint64_t accepted = 0;       ///< moves taken
+  std::uint64_t rejected = 0;       ///< moves reverted
+  std::uint64_t mapping_moves = 0;  ///< moves that perturbed the VM mapping
 };
+
+/// Flushes one finished run's telemetry into `scope`: the vadapt.sa.*
+/// counters, the best-cost histogram, and a "vadapt.sa" span from `start`
+/// to now carrying the iteration and accepted counts. simulated_annealing
+/// calls it for its own run; multi_start_annealing runs its chains with
+/// telemetry off and calls it per chain in chain-index order.
+void record_annealing_run(const obs::Scope& scope, const AnnealingParams& params,
+                          const AnnealingResult& result, SimTime start);
 
 /// A uniformly random valid configuration (injective mapping, direct paths).
 Configuration random_configuration(const CapacityGraph& graph, const std::vector<Demand>& demands,

@@ -40,12 +40,20 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
     chain_seeds[k] = seeds.seed_for("vadapt.multistart.chain." + std::to_string(k));
   }
 
+  // Chains run with telemetry off and are recorded after the batch in chain
+  // order, so the trace and the metrics do not depend on which chain
+  // finished first.
+  const obs::Scope& scope = params.annealing.obs;
+  AnnealingParams chain_params = params.annealing;
+  chain_params.obs = {};
+  const SimTime start = scope.tracer != nullptr ? scope.tracer->now() : 0;
+
   std::vector<ChainSlot> slots(params.chains);
   auto run_chain = [&](std::size_t k) {
     try {
       std::optional<Configuration> chain_initial;
       if (initial && k == 0) chain_initial = *initial;
-      slots[k].result = simulated_annealing(graph, demands, n_vms, objective, params.annealing,
+      slots[k].result = simulated_annealing(graph, demands, n_vms, objective, chain_params,
                                             Rng(chain_seeds[k]), std::move(chain_initial));
     } catch (...) {
       slots[k].error = std::current_exception();
@@ -72,6 +80,7 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
   out.chains.reserve(params.chains);
   std::size_t best = 0;
   for (std::size_t k = 0; k < params.chains; ++k) {
+    record_annealing_run(scope, params.annealing, slots[k].result, start);
     out.chains.push_back({chain_seeds[k], slots[k].result.best_evaluation});
     if (slots[k].result.best_evaluation.cost > slots[best].result.best_evaluation.cost) {
       best = k;
@@ -81,9 +90,9 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
   out.best = std::move(slots[best].result);
   VW_ENSURE(out.chains.size() == params.chains, "multi_start_annealing: chain outcome lost");
 
-  if (params.annealing.obs.metrics != nullptr) {
-    obs::add(params.annealing.obs.counter("vadapt.multistart.runs"));
-    obs::add(params.annealing.obs.counter("vadapt.multistart.chains"), params.chains);
+  if (scope.metrics != nullptr) {
+    obs::add(scope.counter("vadapt.multistart.runs"));
+    obs::add(scope.counter("vadapt.multistart.chains"), params.chains);
   }
   return out;
 }

@@ -1,12 +1,25 @@
 // Unit tests for the physical network substrate: link serialization and
-// propagation timing, drop-tail queueing, routing, taps, endpoint delay
-// emulation and the SNMP-style link probe.
+// propagation timing, drop-tail queueing, routing (with a differential test
+// against the all-node Dijkstra reference), taps, endpoint delay emulation
+// and the SNMP-style link probe.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
+#include <queue>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "net/network.hpp"
 #include "net/probe.hpp"
 #include "sim/simulator.hpp"
+#include "topo/brite.hpp"
+#include "util/rng.hpp"
 
 namespace vw::net {
 namespace {
@@ -287,6 +300,289 @@ TEST(LinkProbeTest, CurrentAvailableBeforeSamplesIsCapacity) {
   TwoHosts env;
   LinkProbe probe(env.sim, env.net.channel(env.a, env.b), seconds(1.0));
   EXPECT_DOUBLE_EQ(probe.current_available_bps(), env.net.channel(env.a, env.b).capacity_bps());
+}
+
+TEST(NetworkTest, NextHopOnUnknownNodeNamesTheIds) {
+  TwoHosts env;
+  try {
+    (void)env.net.next_hop(env.a, 77);
+    FAIL() << "next_hop accepted an unknown node";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dst=77"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)env.net.next_hop(9, env.b), std::invalid_argument);
+  EXPECT_THROW((void)env.net.path_prop_delay(env.a, 9), std::invalid_argument);
+}
+
+// --- route differential: core routing vs the all-node reference -------------
+
+using LinkMap = std::map<std::pair<NodeId, NodeId>, LinkConfig>;
+
+// Reference oracle: a per-source Dijkstra over every node, leaves included,
+// with the relaxation, first-hop rule and pop order that the core-only
+// Network::compute_routes must reproduce exactly.
+std::vector<std::vector<NodeId>> reference_next_hops(std::size_t n, const LinkMap& links) {
+  constexpr SimTime kPerHopCost = micros(1);
+  std::vector<std::vector<NodeId>> next_hop_(n, std::vector<NodeId>(n, kInvalidNode));
+
+  // Adjacency lists from the channel map.
+  std::vector<std::vector<std::pair<NodeId, SimTime>>> adj(n);
+  for (const auto& [pair, cfg] : links) {
+    adj[pair.first].push_back({pair.second, cfg.prop_delay + kPerHopCost});
+  }
+
+  // Dijkstra from every source; record the first hop of each shortest path.
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<SimTime> dist(n, std::numeric_limits<SimTime>::max());
+    std::vector<NodeId> first_hop(n, kInvalidNode);
+    using Item = std::pair<SimTime, NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[src] = 0;
+    pq.push({0, src});
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) continue;
+      for (auto [v, w] : adj[u]) {
+        const SimTime nd = d + w;
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          first_hop[v] = (u == src) ? v : first_hop[u];
+          pq.push({nd, v});
+        }
+      }
+    }
+    next_hop_[src] = std::move(first_hop);
+  }
+  return next_hop_;
+}
+
+// A network plus the links it was built from, so the reference sees the
+// same graph without reading the network's internals.
+struct RouteCase {
+  sim::Simulator sim;
+  std::unique_ptr<Network> net = std::make_unique<Network>(sim);
+  LinkMap links;  ///< both directions of every link
+  std::set<std::pair<NodeId, NodeId>> down;
+
+  void link(NodeId a, NodeId b, const LinkConfig& cfg) {
+    net->add_link(a, b, cfg);
+    links[{a, b}] = cfg;
+    links[{b, a}] = cfg;
+  }
+  bool linked(NodeId a, NodeId b) const { return links.contains({a, b}); }
+  void set_down(NodeId a, NodeId b) {
+    net->set_link_down(a, b, true);
+    down.insert({a, b});
+    down.insert({b, a});
+  }
+};
+
+// Computes routes, takes `down_links` random links down, and compares every
+// ordered pair against the reference: next hop, and the delay, bottleneck
+// and liveness of the path the reference routes.
+void expect_routes_match_reference(RouteCase& rc, Rng& rng, std::size_t down_links) {
+  rc.net->compute_routes();
+  const std::size_t n = rc.net->node_count();
+  std::vector<std::pair<NodeId, NodeId>> link_list;
+  for (const auto& [pair, cfg] : rc.links) {
+    if (pair.first < pair.second) link_list.push_back(pair);
+  }
+  for (std::size_t i = 0; i < down_links && !link_list.empty(); ++i) {
+    const auto k = rng.uniform_int(0, static_cast<std::int64_t>(link_list.size()) - 1);
+    const auto [a, b] = link_list[static_cast<std::size_t>(k)];
+    rc.set_down(a, b);
+  }
+  for (const auto& [pair, cfg] : rc.links) {
+    const Channel& ch = rc.net->channel(pair.first, pair.second);
+    ASSERT_EQ(ch.from(), pair.first);
+    ASSERT_EQ(ch.to(), pair.second);
+  }
+
+  const auto ref = reference_next_hops(n, rc.links);
+  std::size_t mismatches = 0;
+  std::ostringstream first;
+  const auto mismatch = [&](NodeId a, NodeId b, const char* what, const auto& got,
+                            const auto& want) {
+    if (mismatches++ == 0) {
+      first << what << "(" << a << ", " << b << "): got " << got << ", want " << want;
+    }
+  };
+  std::size_t reachable_pairs = 0;
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      if (rc.net->next_hop(a, b) != ref[a][b]) {
+        mismatch(a, b, "next_hop", rc.net->next_hop(a, b), ref[a][b]);
+      }
+      SimTime delay = 0;
+      double bottleneck = std::numeric_limits<double>::infinity();
+      bool up = true;
+      bool reachable = true;
+      for (NodeId at = a; at != b;) {
+        const NodeId nh = ref[at][b];
+        if (nh == kInvalidNode) {
+          reachable = false;
+          break;
+        }
+        const LinkConfig& cfg = rc.links.at({at, nh});
+        delay += cfg.prop_delay;
+        bottleneck = std::min(bottleneck, cfg.bits_per_sec);
+        up = up && !rc.down.contains({at, nh});
+        at = nh;
+      }
+      if (reachable && a != b) ++reachable_pairs;
+      const SimTime want_delay = reachable ? delay : -1;
+      const double want_bottleneck = reachable ? bottleneck : 0.0;
+      if (rc.net->path_prop_delay(a, b) != want_delay) {
+        mismatch(a, b, "path_prop_delay", rc.net->path_prop_delay(a, b), want_delay);
+      }
+      if (rc.net->path_bottleneck_bps(a, b) != want_bottleneck) {
+        mismatch(a, b, "path_bottleneck_bps", rc.net->path_bottleneck_bps(a, b), want_bottleneck);
+      }
+      if (rc.net->path_up(a, b) != (reachable && up)) {
+        mismatch(a, b, "path_up", rc.net->path_up(a, b), reachable && up);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first.str();
+  EXPECT_GT(reachable_pairs, 0u);
+}
+
+// A seeded random graph with every shape the leaf rule has to get right:
+// a router mesh split into up to three components, single-link hosts,
+// multi-homed hosts, hosts hanging off a multi-homed host, host-host pairs,
+// host chains, isolated nodes, and link delays drawn from {0, 1, 2} us so
+// equal-cost ties (across hop counts too) are common. Roles are shuffled
+// before the nodes are added, so leaf and core ids interleave.
+void build_random_graph(RouteCase& rc, Rng& rng) {
+  enum class Role { kRouter, kLeafHost, kMultiHomed, kHostOnHost, kPair, kChain, kIsolated };
+  const auto count = [&](int lo, int hi) { return static_cast<int>(rng.uniform_int(lo, hi)); };
+  std::vector<Role> roles;
+  const auto add_roles = [&](Role role, int k) { roles.insert(roles.end(), k, role); };
+  add_roles(Role::kRouter, count(3, 24));
+  add_roles(Role::kLeafHost, count(0, 30));
+  add_roles(Role::kMultiHomed, count(0, 4));
+  add_roles(Role::kHostOnHost, count(0, 3));
+  add_roles(Role::kPair, 2 * count(0, 2));
+  add_roles(Role::kChain, 3 * count(0, 1));
+  add_roles(Role::kIsolated, count(0, 2));
+  std::shuffle(roles.begin(), roles.end(), rng.engine());
+
+  std::map<Role, std::vector<NodeId>> by_role;
+  for (const Role role : roles) {
+    const bool host = role != Role::kRouter;
+    const std::string name = (host ? "h" : "r") + std::to_string(rc.net->node_count());
+    const NodeId id = rc.net->add_node(name, host);
+    by_role[role].push_back(id);
+  }
+  const auto config = [&] {
+    LinkConfig cfg;
+    cfg.bits_per_sec = 1e6 * static_cast<double>(rng.uniform_int(1, 8));
+    cfg.prop_delay = micros(rng.uniform_int(0, 2));
+    return cfg;
+  };
+  const auto pick = [&](const std::vector<NodeId>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+
+  // Router components: a random spanning tree each (so some routers are
+  // leaves themselves), plus extra mesh links.
+  const std::vector<NodeId>& routers = by_role[Role::kRouter];
+  const std::size_t components = static_cast<std::size_t>(count(1, 3));
+  std::vector<std::vector<NodeId>> comp(components);
+  for (std::size_t i = 0; i < routers.size(); ++i) comp[i % components].push_back(routers[i]);
+  for (const auto& c : comp) {
+    for (std::size_t i = 1; i < c.size(); ++i) {
+      const auto parent = rng.uniform_int(0, static_cast<std::int64_t>(i) - 1);
+      rc.link(c[i], c[static_cast<std::size_t>(parent)], config());
+    }
+    for (std::size_t extra = c.size() / 2; extra > 0 && c.size() > 2; --extra) {
+      const NodeId a = pick(c);
+      const NodeId b = pick(c);
+      if (a != b && !rc.linked(a, b)) rc.link(a, b, config());
+    }
+  }
+  for (const NodeId h : by_role[Role::kLeafHost]) rc.link(h, pick(routers), config());
+  for (const NodeId h : by_role[Role::kMultiHomed]) {
+    for (int k = count(2, 3); k > 0; --k) {
+      const NodeId r = pick(routers);
+      if (!rc.linked(h, r)) rc.link(h, r, config());
+    }
+  }
+  for (const NodeId h : by_role[Role::kHostOnHost]) {
+    const auto& multi = by_role[Role::kMultiHomed];
+    rc.link(h, multi.empty() ? pick(routers) : pick(multi), config());
+  }
+  const auto& pairs = by_role[Role::kPair];
+  for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) rc.link(pairs[i], pairs[i + 1], config());
+  const auto& chain = by_role[Role::kChain];
+  for (std::size_t i = 0; i + 2 < chain.size(); i += 3) {
+    rc.link(chain[i], chain[i + 1], config());
+    rc.link(chain[i + 1], chain[i + 2], config());
+  }
+}
+
+TEST(RouteDifferentialTest, RandomGraphsMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    RouteCase rc;
+    build_random_graph(rc, rng);
+    expect_routes_match_reference(rc, rng, static_cast<std::size_t>(rng.uniform_int(0, 3)));
+  }
+}
+
+TEST(RouteDifferentialTest, EqualDelayTiesMatchReference) {
+  // Two routers joined by two equal-delay two-hop paths and a direct link
+  // of the same total cost: every tie-break the reference makes must hold.
+  RouteCase rc;
+  LinkConfig cfg;
+  cfg.prop_delay = micros(1);
+  LinkConfig direct;
+  direct.prop_delay = micros(3);
+  const NodeId h0 = rc.net->add_host("h0");
+  const NodeId r0 = rc.net->add_router("r0");
+  const NodeId m1 = rc.net->add_router("m1");
+  const NodeId h1 = rc.net->add_host("h1");
+  const NodeId m2 = rc.net->add_router("m2");
+  const NodeId r1 = rc.net->add_router("r1");
+  rc.link(h0, r0, cfg);
+  rc.link(r0, m1, cfg);
+  rc.link(m1, r1, cfg);
+  rc.link(r0, m2, cfg);
+  rc.link(m2, r1, cfg);
+  rc.link(r0, r1, direct);
+  rc.link(h1, r1, cfg);
+  Rng rng(3);
+  expect_routes_match_reference(rc, rng, 0);
+}
+
+TEST(RouteDifferentialTest, BriteFleetShapeMatchesReference) {
+  // The fig11 shape: 256 BRITE routers, 128 single-link hosts on distinct
+  // routers, built by topo::make_brite_network itself. The reference reads
+  // each link's configuration back through the public channel().
+  topo::BriteParams params;
+  params.nodes = 256;
+  params.out_degree = 2;
+  const topo::BriteTopology brite(params, RngService(99).stream("fig11.brite"));
+  RouteCase rc;
+  Rng place = RngService(4242).stream("brite_fleet.hosts");
+  topo::BriteNetwork bn = topo::make_brite_network(rc.sim, brite, 128, place);
+  rc.net = std::move(bn.network);
+  const auto record = [&](NodeId a, NodeId b) {
+    for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      const Channel& ch = rc.net->channel(from, to);
+      rc.links[{from, to}] = {ch.capacity_bps(), ch.prop_delay(), 256 * 1024};
+    }
+  };
+  for (const topo::BriteEdge& e : brite.edges()) record(bn.routers[e.a], bn.routers[e.b]);
+  for (std::size_t i = 0; i < bn.hosts.size(); ++i) {
+    record(bn.hosts[i], bn.routers[bn.host_router[i]]);
+  }
+  ASSERT_EQ(rc.links.size(), 2 * (brite.edges().size() + bn.hosts.size()));
+  Rng rng(11);
+  expect_routes_match_reference(rc, rng, 4);
 }
 
 }  // namespace

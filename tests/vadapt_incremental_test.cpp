@@ -15,6 +15,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "topo/testbed.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -274,6 +277,35 @@ TEST(MultiStartTest, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(sequential.chains[k].best_evaluation.cost, threaded.chains[k].best_evaluation.cost)
         << "chain " << k;
   }
+}
+
+TEST(MultiStartTest, TelemetryIsIndependentOfCompletionOrder) {
+  // Pooled chains finish in whatever order the scheduler picks; their
+  // vadapt.sa spans and metrics must still come out in chain order, the
+  // same as a serial run's.
+  const CapacityGraph graph = random_graph(16, 5);
+  Rng rng(6);
+  const std::vector<Demand> demands = mixed_demands(6, rng);
+  const auto run = [&](std::size_t threads) {
+    obs::MetricsRegistry metrics;
+    obs::EventTracer tracer;
+    MultiStartParams params;
+    params.chains = 4;
+    params.threads = threads;
+    params.seed = 99;
+    params.annealing.iterations = 1500;
+    params.annealing.trace_stride = 1500;
+    params.annealing.obs = obs::Scope{&metrics, &tracer};
+    multi_start_annealing(graph, demands, 6, Objective{}, params);
+    const std::vector<obs::TraceEvent> events = tracer.events();
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const obs::TraceEvent& e) { return e.name == "vadapt.sa"; }),
+              4);
+    return std::pair{obs::events_jsonl(events), obs::metrics_json(metrics.snapshot())};
+  };
+  const auto pooled = run(4);
+  EXPECT_EQ(run(4), pooled);
+  EXPECT_EQ(run(1), pooled);
 }
 
 TEST(MultiStartTest, BestIsMaxOverChains) {

@@ -14,10 +14,13 @@ Three suites:
   * ``datapath`` — wraps ``micro_datapath`` into BENCH_datapath.json:
     scheduler ops/sec on the churn workload for the pre-overhaul baseline
     replica (std::function + hash-set cancellation, compiled into the same
-    binary) and the slot-arena engine, their speedup, and end-to-end star
-    packets/sec. ``--gate`` (default 3.0 for this suite) makes the script
-    exit nonzero when the scheduler speedup falls below the acceptance
-    criterion, which is how CI enforces the perf gate.
+    binary) and the slot-arena engine, their speedup, end-to-end star
+    packets/sec, and a ``routes`` block: milliseconds per
+    Network::compute_routes on BRITE networks of 64, 256 and 1000 routers
+    with one single-link host each. ``--gate`` (default 3.0 for this suite)
+    makes the script exit nonzero when the scheduler speedup falls below the
+    acceptance criterion, which is how CI enforces the perf gate; the route
+    timings are reported, not gated.
 
   * ``vadapt_warm`` — wraps ``micro_vadapt_warm`` into
     BENCH_vadapt_warm.json: warm-start single-link re-adaptation time vs
@@ -99,6 +102,8 @@ def datapath_summary(benchmarks: list) -> dict:
             "Packet-sized (96 B) captures",
             "star_forwarding": "fig4-style star, UDP ring traffic, "
             "packets delivered end to end",
+            "routes": "BRITE Waxman routers (out-degree 2) plus one single-link "
+            "host each; one Network::compute_routes",
         },
         "scheduler_churn": {
             # `baseline` replicates the pre-overhaul engine (std::function
@@ -111,6 +116,12 @@ def datapath_summary(benchmarks: list) -> dict:
         "star_forwarding_packets_per_sec": {
             "hosts_8": items_per_second(benchmarks, "BM_StarForwarding/8"),
             "hosts_32": items_per_second(benchmarks, "BM_StarForwarding/32"),
+        },
+        "routes": {
+            "compute_ms": {
+                f"routers_{n}": real_time_seconds(benchmarks, f"BM_ComputeRoutes/{n}") * 1e3
+                for n in (64, 256, 1000)
+            },
         },
     }
 
@@ -257,6 +268,9 @@ def main() -> int:
             f"star_forwarding: 8 hosts={star['hosts_8']:.3g} pkt/s, "
             f"32 hosts={star['hosts_32']:.3g} pkt/s"
         )
+        routes = result["routes"]["compute_ms"]
+        print("compute_routes: " + ", ".join(
+            f"{key.split('_')[1]} routers={ms:.3g} ms" for key, ms in routes.items()))
         if gate is not None and (speedup is None or speedup < gate):
             gate_failures.append(f"scheduler_churn: {speedup:.2f}x < {gate:g}x")
 
