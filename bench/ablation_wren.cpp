@@ -45,9 +45,7 @@ CaseResult run_case(double cross_bps, const wren::WrenParams& params, bool delay
   net.add_link(sw, receiver, cfg);
   net.compute_routes();
   transport::TransportStack stack(net);
-  transport::TcpParams tcp;
-  tcp.delayed_ack = delayed_ack;
-  stack.set_default_tcp_params(tcp);
+  stack.set_delayed_ack(delayed_ack);
 
   wren::OnlineAnalyzer analyzer(net, sender, params);
   transport::CbrUdpSource cbr(stack, cross, receiver, 7000, cross_bps, 1000);

@@ -76,9 +76,7 @@ ToolResult run_active(double cross_rate) {
   LanEnv env;
   transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, cross_rate, 1000);
   if (cross_rate > 0) cbr.start();
-  wren::ActiveProbeParams params;
-  params.max_rate_bps = 100e6;
-  wren::ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, params);
+  wren::ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
   ToolResult r;
   prober.start([&](double bps) {
     r.estimate_mbps = bps / 1e6;

@@ -15,9 +15,11 @@
 //   * each failed migration triggers a re-plan (rate-limited by the
 //     adaptation cooldown) until a configuration sticks.
 //
-// The run is bit-for-bit deterministic for a given --seed. Exit status is
-// nonzero when any resilience invariant is violated, so CI can use this as
-// a smoke test.
+// The run prints its fault schedule up front and, with telemetry on, the
+// failed migrations and the system's virtuoso.* trace instants (daemon
+// killed / dead / alive, reservation denied) after the run. It is
+// bit-for-bit deterministic for a given --seed. Exit status is nonzero when
+// any resilience invariant is violated, so CI can use this as a smoke test.
 //
 //   $ ./examples/chaos_cluster [--seed N] [--metrics-json FILE]
 //     [--metrics-csv FILE] [--trace FILE] [--events-jsonl FILE]
@@ -105,12 +107,9 @@ int main(int argc, char** argv) {
   sim::Simulator sim;
   topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
 
-  Logger logger(&std::cout, LogLevel::kWarn, [&sim] { return sim.now(); });
-
   virtuoso::SystemConfig config;
   config.seed = opt.seed;
   config.telemetry = opt.telemetry;
-  config.logger = &logger;
   // The failure model, all enabled:
   config.view_staleness_horizon = seconds(10.0);
   config.control_heartbeat_period = seconds(1.0);
@@ -168,8 +167,13 @@ int main(int argc, char** argv) {
   // The chaos script: the first adaptation (t~2 s) sends three migrations
   // across the inter-domain link (~10 s each); cut that link mid-flight and
   // restore it 18 s later.
-  net::FaultPlan faults(sim, *tb.network, &logger);
-  faults.link_outage(seconds(5.0), seconds(23.0), tb.switch1, tb.switch2);
+  const SimTime outage_from = seconds(5.0);
+  const SimTime outage_until = seconds(23.0);
+  net::FaultPlan faults(sim, *tb.network);
+  faults.link_outage(outage_from, outage_until, tb.switch1, tb.switch2);
+  std::cout << "fault schedule: link " << tb.network->node(tb.switch1).name << "<->"
+            << tb.network->node(tb.switch2).name << " DOWN at " << to_seconds(outage_from)
+            << " s, UP at " << to_seconds(outage_until) << " s\n";
 
   sim.run_until(seconds(100.0));
   app.stop();
@@ -180,6 +184,15 @@ int main(int argc, char** argv) {
   }
 
   // --- report ---------------------------------------------------------------
+  if (const obs::EventTracer* tracer = system.tracer()) {
+    for (const obs::TraceEvent& e : tracer->events()) {
+      if (e.phase != obs::EventPhase::kInstant) continue;
+      if (e.category != "virtuoso" && e.name != "vm.migration.failed") continue;
+      std::cout << "[" << to_seconds(e.ts) << " s] " << e.name;
+      for (const auto& [key, value] : e.args) std::cout << " " << key << "=" << value;
+      std::cout << "\n";
+    }
+  }
   const vnet::ControlPlane& control = system.control_plane();
   const vm::MigrationEngine& migration = system.migration();
   std::cout << "auto adaptations:    " << system.auto_adaptations() << "\n"

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <string>
-
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/log.hpp"
 
 // Scripted failure injection for chaos scenarios: a FaultPlan schedules
 // link outages against the physical network at fixed virtual times, so a
@@ -16,8 +13,7 @@ namespace vw::net {
 
 class FaultPlan {
  public:
-  FaultPlan(sim::Simulator& sim, Network& network, Logger* logger = nullptr)
-      : sim_(sim), network_(network), logger_(logger) {}
+  FaultPlan(sim::Simulator& sim, Network& network) : sim_(sim), network_(network) {}
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
@@ -32,11 +28,10 @@ class FaultPlan {
   void link_outage(SimTime from, SimTime until, NodeId a, NodeId b);
 
  private:
-  void schedule(SimTime at, std::string label, NodeId a, NodeId b, bool down);
+  void schedule(SimTime at, NodeId a, NodeId b, bool down);
 
   sim::Simulator& sim_;
   Network& network_;
-  Logger* logger_;
 };
 
 }  // namespace vw::net

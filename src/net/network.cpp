@@ -4,9 +4,9 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace vw::net {
 
@@ -316,8 +316,8 @@ void Network::set_link_down(NodeId a, NodeId b, bool down) {
 }
 
 void Network::set_link_loss(NodeId a, NodeId b, double p, const RngService& rngs) {
-  channel(a, b).set_loss(p, rngs.stream(logcat("loss.", a, ".", b)));
-  channel(b, a).set_loss(p, rngs.stream(logcat("loss.", b, ".", a)));
+  channel(a, b).set_loss(p, rngs.stream("loss." + std::to_string(a) + "." + std::to_string(b)));
+  channel(b, a).set_loss(p, rngs.stream("loss." + std::to_string(b) + "." + std::to_string(a)));
 }
 
 std::uint64_t Network::packets_dropped() const {

@@ -60,7 +60,7 @@ void TransportStack::handle_tcp(net::Packet&& pkt) {
     auto lit = tcp_listeners_.find({pkt.flow.dst, pkt.flow.dst_port});
     if (lit == tcp_listeners_.end()) return;
     auto conn = std::unique_ptr<TcpConnection>(
-        new TcpConnection(*this, key, /*is_client=*/false, tcp_params_));
+        new TcpConnection(*this, key, /*is_client=*/false, delayed_ack_));
     TcpConnection* server = conn.get();
     owned_connections_.push_back(std::move(conn));
     register_tcp(key, server);
@@ -94,7 +94,7 @@ TcpConnection& TransportStack::tcp_connect(net::NodeId src_host, net::NodeId dst
   // connections silently swallow each other's segments.
   VW_ASSERT(!tcp_conns_.contains(key), "tcp_connect: flow key already registered");
   auto conn = std::unique_ptr<TcpConnection>(
-      new TcpConnection(*this, key, /*is_client=*/true, tcp_params_));
+      new TcpConnection(*this, key, /*is_client=*/true, delayed_ack_));
   TcpConnection* client = conn.get();
   owned_connections_.push_back(std::move(conn));
   register_tcp(key, client);

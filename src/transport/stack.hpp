@@ -22,21 +22,6 @@ class UdpSocket;
 inline constexpr std::uint32_t kMss = 1460;         ///< TCP max segment payload
 inline constexpr std::uint32_t kHeaderBytes = 40;   ///< IP + TCP/UDP header model
 
-struct TcpParams {
-  std::uint32_t mss = kMss;
-  std::uint64_t initial_cwnd_segments = 2;
-  std::uint64_t receive_window = 256 * 1024;  ///< bytes (2006-era scaled window)
-  SimTime min_rto = millis(200);
-  SimTime max_rto = seconds(60.0);
-  SimTime initial_rto = seconds(1.0);
-  /// RFC 1122 delayed ACKs: acknowledge every second full segment or after
-  /// the timeout, whichever first; out-of-order data is ACKed immediately.
-  /// Off by default (per-segment ACKs give Wren the densest feedback; the
-  /// delayed-ACK ablation measures the accuracy cost).
-  bool delayed_ack = false;
-  SimTime delayed_ack_timeout = millis(40);
-};
-
 class TransportStack {
  public:
   explicit TransportStack(net::Network& network);
@@ -48,10 +33,13 @@ class TransportStack {
   net::Network& network() { return network_; }
   sim::Simulator& simulator() { return network_.simulator(); }
 
-  /// Parameters applied to subsequently created TCP connections (both the
-  /// client endpoint of tcp_connect and server endpoints from listeners).
-  void set_default_tcp_params(const TcpParams& params) { tcp_params_ = params; }
-  const TcpParams& default_tcp_params() const { return tcp_params_; }
+  /// RFC 1122 delayed ACKs for subsequently created TCP connections (both
+  /// the client endpoint of tcp_connect and server endpoints from
+  /// listeners): acknowledge every second full segment or after
+  /// kDelayedAckTimeout, whichever first; out-of-order data is ACKed
+  /// immediately. Off by default (per-segment ACKs give Wren the densest
+  /// feedback; the delayed-ACK ablation measures the accuracy cost).
+  void set_delayed_ack(bool on) { delayed_ack_ = on; }
 
   /// Allocates an ephemeral port on `host` (49152+, never reused).
   std::uint16_t ephemeral_port(net::NodeId host);
@@ -99,7 +87,7 @@ class TransportStack {
   std::map<net::NodeId, std::uint16_t> next_ephemeral_;
   std::vector<std::unique_ptr<TcpConnection>> owned_connections_;
   std::vector<bool> host_hooked_;
-  TcpParams tcp_params_;
+  bool delayed_ack_ = false;
   obs::Counter* c_tcp_connections_ = nullptr;
   obs::Counter* c_tcp_segments_ = nullptr;
   obs::Counter* c_tcp_retransmits_ = nullptr;

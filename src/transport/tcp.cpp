@@ -8,15 +8,15 @@
 namespace vw::transport {
 
 TcpConnection::TcpConnection(TransportStack& stack, net::FlowKey flow, bool is_client,
-                             TcpParams params)
+                             bool delayed_ack)
     : stack_(stack),
       sim_(stack.simulator()),
       flow_(flow),
-      params_(params),
+      delayed_ack_(delayed_ack),
       state_(is_client ? State::kSynSent : State::kSynReceived) {
-  cwnd_ = static_cast<double>(params_.initial_cwnd_segments * params_.mss);
-  ssthresh_ = params_.receive_window;
-  rto_ = params_.initial_rto;
+  cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
+  ssthresh_ = kReceiveWindow;
+  rto_ = kInitialRto;
 }
 
 TcpConnection::~TcpConnection() {
@@ -57,7 +57,7 @@ void TcpConnection::send_syn(bool ack) {
         close();
         return;
       }
-      rto_ = std::min(rto_ * 2, params_.max_rto);
+      rto_ = std::min(rto_ * 2, kMaxRto);
       send_syn(state_ == State::kSynReceived);
     }
   });
@@ -77,7 +77,7 @@ void TcpConnection::handle_synack(const net::Packet&) {
 void TcpConnection::become_established() {
   state_ = State::kEstablished;
   disarm_rto();
-  rto_ = params_.initial_rto;
+  rto_ = kInitialRto;
   if (on_established_) on_established_();
   try_send();
 }
@@ -132,7 +132,7 @@ void TcpConnection::handle_data(const net::Packet& pkt) {
       if (!inserted) it->second = std::max(it->second, seg_end);
     }
   }
-  if (!params_.delayed_ack || !in_order || !out_of_order_.empty()) {
+  if (!delayed_ack_ || !in_order || !out_of_order_.empty()) {
     // Immediate ACK: delayed ACKs disabled, or the segment was out of
     // order / filled a hole (duplicate-ACK feedback must not be delayed).
     send_pure_ack();
@@ -143,7 +143,7 @@ void TcpConnection::handle_data(const net::Packet& pkt) {
     return;
   }
   if (!delack_timer_.valid()) {
-    delack_timer_ = sim_.schedule_in(params_.delayed_ack_timeout, [this] {
+    delack_timer_ = sim_.schedule_in(kDelayedAckTimeout, [this] {
       delack_timer_ = sim::EventHandle{};
       if (unacked_segments_ > 0) send_pure_ack();
     });
@@ -191,12 +191,12 @@ void TcpConnection::try_send() {
             " end=", buffered_end_, ")");
   VW_ASSERT(cwnd_ >= 1.0, "TcpConnection: congestion window collapsed to ", cwnd_);
   const std::uint64_t window = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(cwnd_), params_.receive_window);
+      static_cast<std::uint64_t>(cwnd_), kReceiveWindow);
   while (snd_nxt_ < buffered_end_) {
     const std::uint64_t in_flight = snd_nxt_ - snd_una_;
     if (in_flight >= window) break;
     const std::uint32_t len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>({params_.mss, buffered_end_ - snd_nxt_, window - in_flight}));
+        std::min<std::uint64_t>({kMss, buffered_end_ - snd_nxt_, window - in_flight}));
     if (len == 0) break;
     send_segment(snd_nxt_, len, /*retransmit=*/false);
     snd_nxt_ += len;
@@ -243,7 +243,7 @@ void TcpConnection::on_new_ack(std::uint64_t ack) {
     rtt_sample_pending_ = false;
   }
 
-  const std::uint64_t mss = params_.mss;
+  const std::uint64_t mss = kMss;
   if (in_fast_recovery_) {
     if (ack >= recover_) {
       // Full ACK: leave fast recovery with the halved window.
@@ -276,7 +276,7 @@ void TcpConnection::on_new_ack(std::uint64_t ack) {
   // A late pre-RTO ACK can overtake the go-back-N rewound snd_nxt_.
   if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
   // Forward progress clears any RTO exponential backoff (RFC 6298 style).
-  if (srtt_ > 0) rto_ = std::clamp(srtt_ + 4 * rttvar_, params_.min_rto, params_.max_rto);
+  if (srtt_ > 0) rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
   if (snd_una_ >= snd_nxt_) {
     disarm_rto();
   } else {
@@ -291,7 +291,7 @@ void TcpConnection::on_dup_ack() {
 }
 
 void TcpConnection::enter_fast_recovery() {
-  const std::uint64_t mss = params_.mss;
+  const std::uint64_t mss = kMss;
   const std::uint64_t flight = snd_nxt_ - snd_una_;
   ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * mss);
   in_fast_recovery_ = true;
@@ -305,7 +305,7 @@ void TcpConnection::enter_fast_recovery() {
 
 void TcpConnection::on_rto() {
   if (state_ != State::kEstablished || snd_una_ >= snd_nxt_) return;
-  const std::uint64_t mss = params_.mss;
+  const std::uint64_t mss = kMss;
   const std::uint64_t flight = snd_nxt_ - snd_una_;
   ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * mss);
   cwnd_ = static_cast<double>(mss);
@@ -313,7 +313,7 @@ void TcpConnection::on_rto() {
   in_fast_recovery_ = false;
   rtt_sample_pending_ = false;
   snd_nxt_ = snd_una_;  // go-back-N
-  rto_ = std::min(rto_ * 2, params_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   const std::uint32_t len = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(mss, buffered_end_ - snd_una_));
   send_segment(snd_una_, len, /*retransmit=*/true);
@@ -341,7 +341,7 @@ void TcpConnection::sample_rtt(SimTime rtt) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + rtt) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, params_.min_rto, params_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 }  // namespace vw::transport

@@ -28,6 +28,13 @@
 
 namespace vw::transport {
 
+inline constexpr std::uint64_t kInitialCwndSegments = 2;
+inline constexpr std::uint64_t kReceiveWindow = 256 * 1024;  ///< bytes (2006-era scaled window)
+inline constexpr SimTime kMinRto = millis(200);
+inline constexpr SimTime kMaxRto = seconds(60.0);
+inline constexpr SimTime kInitialRto = seconds(1.0);
+inline constexpr SimTime kDelayedAckTimeout = millis(40);  ///< see TransportStack::set_delayed_ack
+
 class TcpConnection {
  public:
   enum class State { kSynSent, kSynReceived, kEstablished, kClosed };
@@ -81,12 +88,11 @@ class TcpConnection {
   bool in_fast_recovery() const { return in_fast_recovery_; }
   std::uint32_t duplicate_acks() const { return dup_acks_; }
   SimTime current_rto() const { return rto_; }
-  const TcpParams& params() const { return params_; }
 
  private:
   friend class TransportStack;
 
-  TcpConnection(TransportStack& stack, net::FlowKey flow, bool is_client, TcpParams params);
+  TcpConnection(TransportStack& stack, net::FlowKey flow, bool is_client, bool delayed_ack);
 
   // Packet-level entry point (called by the stack).
   void handle_packet(net::Packet&& pkt);
@@ -118,7 +124,7 @@ class TcpConnection {
   TransportStack& stack_;
   sim::Simulator& sim_;
   net::FlowKey flow_;
-  TcpParams params_;
+  bool delayed_ack_;
   State state_;
   TcpConnection* peer_ = nullptr;
 

@@ -22,7 +22,8 @@
 //   VW_UNREACHABLE(...)       marks code that must never execute
 //
 // Trailing arguments after the condition are streamed into the failure
-// message (logcat-style), and are only evaluated when the contract fires:
+// message (operator<< concatenation), and are only evaluated when the
+// contract fires:
 //
 //   VW_REQUIRE(at >= now_, "time went backwards: at=", at, " now=", now_);
 //

@@ -13,8 +13,8 @@
 // the RAII guard (scoped capability); vw::CondVar pairs with vw::Mutex via
 // std::condition_variable_any.
 //
-// All mutex-protected structures in the tree (Logger, ThreadPool,
-// MetricsRegistry, EventTracer) hold locks for O(small) critical sections
+// All mutex-protected structures in the tree (ThreadPool, MetricsRegistry,
+// EventTracer) hold locks for O(small) critical sections
 // and never nest them, so there is no lock ordering to encode — EXCLUDES
 // annotations on the public entry points are enough to prove non-reentrancy.
 

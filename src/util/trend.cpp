@@ -54,20 +54,16 @@ double slope_ratio(std::span<const double> series) {
   return net_increase / resid_sd;
 }
 
-Trend detect_trend(std::span<const double> series, const TrendParams& params) {
-  VW_REQUIRE(params.pct_threshold >= 0.0 && params.pct_threshold <= 1.0,
-             "detect_trend: pct_threshold outside [0,1]: ", params.pct_threshold);
-  VW_REQUIRE(params.pdt_threshold >= -1.0 && params.pdt_threshold <= 1.0,
-             "detect_trend: pdt_threshold outside [-1,1]: ", params.pdt_threshold);
+Trend detect_trend(std::span<const double> series, bool require_both) {
   // PCT/PDT are meaningless over NaN/inf samples (comparisons go false and
   // variation sums poison): reject polluted series at the boundary.
   VW_AUDIT(std::all_of(series.begin(), series.end(),
                        [](double v) { return std::isfinite(v); }),
            "detect_trend: non-finite sample in series");
-  if (series.size() < params.min_samples) return Trend::kUndecided;
-  const bool pct_up = pct_metric(series) >= params.pct_threshold;
-  const bool pdt_up = pdt_metric(series) >= params.pdt_threshold;
-  const bool increasing = params.require_both ? (pct_up && pdt_up) : (pct_up || pdt_up);
+  if (series.size() < kTrendMinSamples) return Trend::kUndecided;
+  const bool pct_up = pct_metric(series) >= kPctThreshold;
+  const bool pdt_up = pdt_metric(series) >= kPdtThreshold;
+  const bool increasing = require_both ? (pct_up && pdt_up) : (pct_up || pdt_up);
   return increasing ? Trend::kIncreasing : Trend::kNotIncreasing;
 }
 

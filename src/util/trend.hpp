@@ -22,17 +22,12 @@ double pct_metric(std::span<const double> series);
 /// shorter than 2 or with zero total variation.
 double pdt_metric(std::span<const double> series);
 
-/// Parameters for the combined trend decision.
-struct TrendParams {
-  double pct_threshold = 0.6;   ///< PCT above this indicates increase
-  double pdt_threshold = 0.4;   ///< PDT above this indicates increase
-  std::size_t min_samples = 3;  ///< below this, no decision is made
-  /// When set, BOTH metrics must cross their thresholds (the conservative
-  /// conjunctive rule): sawtooth delay patterns — slow rises with sharp
-  /// resets, typical of bursty cross traffic — push PCT high with zero net
-  /// trend, and PDT vetoes them.
-  bool require_both = false;
-};
+/// Combined-decision thresholds (the pathload literature's values).
+inline constexpr double kPctThreshold = 0.6;       ///< PCT at or above this indicates increase
+inline constexpr double kPdtThreshold = 0.4;       ///< PDT at or above this indicates increase
+inline constexpr std::size_t kTrendMinSamples = 3;  ///< below this, no decision is made
+static_assert(kPctThreshold >= 0.0 && kPctThreshold <= 1.0, "PCT threshold outside [0,1]");
+static_assert(kPdtThreshold >= -1.0 && kPdtThreshold <= 1.0, "PDT threshold outside [-1,1]");
 
 enum class Trend { kIncreasing, kNotIncreasing, kUndecided };
 
@@ -45,7 +40,10 @@ double slope_ratio(std::span<const double> series);
 
 /// Combined decision: increasing when either metric crosses its threshold
 /// (the pathload "grey region" rule collapsed to a binary decision —
-/// SIC only needs congested / not congested).
-Trend detect_trend(std::span<const double> series, const TrendParams& params = {});
+/// SIC only needs congested / not congested). With `require_both`, BOTH
+/// metrics must cross (the conservative conjunctive rule): sawtooth delay
+/// patterns — slow rises with sharp resets, typical of bursty cross
+/// traffic — push PCT high with zero net trend, and PDT vetoes them.
+Trend detect_trend(std::span<const double> series, bool require_both = false);
 
 }  // namespace vw

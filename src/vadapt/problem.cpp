@@ -10,6 +10,8 @@ namespace vw::vadapt {
 CapacityGraph::CapacityGraph(std::vector<net::NodeId> hosts, double default_bw_bps,
                              double default_latency_s)
     : hosts_(std::move(hosts)),
+      default_bw_(default_bw_bps),
+      default_lat_(default_latency_s),
       bw_(hosts_.size(), std::vector<double>(hosts_.size(), default_bw_bps)),
       lat_(hosts_.size(), std::vector<double>(hosts_.size(), default_latency_s)) {
   for (std::size_t i = 0; i < hosts_.size(); ++i) {

@@ -55,8 +55,15 @@ class CapacityGraph {
 
   const std::vector<std::vector<double>>& bandwidth_matrix() const { return bw_; }
 
+  /// The capacity and latency every off-diagonal pair started with (what a
+  /// pair falls back to when its measurement is lost).
+  double default_bandwidth() const { return default_bw_; }
+  double default_latency() const { return default_lat_; }
+
  private:
   std::vector<net::NodeId> hosts_;
+  double default_bw_;
+  double default_lat_;
   /// host id -> index, built once in the constructor (first occurrence wins,
   /// matching the linear scan it replaced).
   std::unordered_map<net::NodeId, HostIndex> index_;

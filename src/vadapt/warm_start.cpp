@@ -76,9 +76,9 @@ void WarmStartOptimizer::apply_delta(const wren::ViewDelta& delta,
     double lat = graph_->latency(*u, *v);
     if (d.invalidated) {
       // The view lost this pair's measurement; the system would fall back
-      // to its defaults when rebuilding the graph — mirror that here.
-      bw = params_.fallback_bandwidth_bps;
-      lat = params_.fallback_latency_s;
+      // to the adopted graph's defaults when rebuilding it — mirror that.
+      bw = graph_->default_bandwidth();
+      lat = graph_->default_latency();
     }
     if (d.bandwidth_changed) bw = d.bandwidth_bps;
     if (d.latency_changed) lat = d.latency_s;

@@ -55,11 +55,6 @@ struct WarmStartParams {
   /// Burst length: 200 iterations per target demand, clamped to this range.
   std::size_t min_burst_iterations = 500;
   std::size_t max_burst_iterations = 20000;
-  /// Capacity/latency assumed for a pair the delta invalidated (the view
-  /// lost its measurement): mirrors SystemConfig::default_bandwidth_bps and
-  /// the default latency the system's capacity_graph() uses.
-  double fallback_bandwidth_bps = 100e6;
-  double fallback_latency_s = 0.001;
   /// Telemetry (vadapt.warm.* counters/histograms); disabled by default.
   obs::Scope obs;
 };

@@ -90,42 +90,37 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
   view_.set_clock([this] { return sim_.now(); });
   view_.set_staleness_horizon(config_.view_staleness_horizon);
   if (config_.warm_start.enabled) {
-    // Deltas drive the warm path; fallbacks mirror what capacity_graph()
-    // assumes for unmeasured pairs so a patched incumbent and a rebuilt
-    // graph agree on invalidated entries.
+    // Deltas drive the warm path.
     view_.enable_delta_tracking();
-    config_.warm_start.fallback_bandwidth_bps = config_.default_bandwidth_bps;
-    config_.warm_start.fallback_latency_s = 0.001;
     warm_ = std::make_unique<vadapt::WarmStartOptimizer>(config_.warm_start);
   }
   if (!config_.capture_dir.empty()) {
     capture_ = std::make_unique<wren::CaptureSession>(network_, config_.capture_dir);
   }
-  if (config_.telemetry) {
-    const obs::Scope s = scope();
-    stack_.set_obs(s);
-    overlay_.set_obs(s);
-    global_vttif_->set_obs(s);
-    migration_.set_obs(s);
-    view_.set_obs(s);
-    // Every SA / multistart run launched through this system reports into
-    // the same registry.
-    config_.annealing.obs = s;
-    config_.multistart.annealing.obs = s;
-    c_adaptations_ = s.counter("virtuoso.adaptations");
-    c_migrations_issued_ = s.counter("virtuoso.migrations.issued");
-    c_reservations_granted_ = s.counter("virtuoso.reservations.granted");
-    c_reservations_denied_ = s.counter("virtuoso.reservations.denied");
-    c_wren_reports_ = s.counter("virtuoso.reports.wren");
-    c_migration_failures_ = s.counter("virtuoso.migrations.failed");
-    c_replans_ = s.counter("virtuoso.replans");
-    c_daemons_dead_ = s.counter("virtuoso.daemons.declared_dead");
-    c_warm_starts_ = s.counter("virtuoso.adapt.warm_starts");
-    c_cold_starts_ = s.counter("virtuoso.adapt.cold_starts");
-    h_warm_delta_pairs_ = s.histogram("vadapt.warm.delta_pairs");
-    if (warm_) warm_->params().obs = s;
-    if (capture_) capture_->set_obs(s);
-  }
+  // With telemetry off scope() is null and every instrument resolves null.
+  const obs::Scope s = scope();
+  stack_.set_obs(s);
+  overlay_.set_obs(s);
+  global_vttif_->set_obs(s);
+  migration_.set_obs(s);
+  view_.set_obs(s);
+  // Every SA / multistart run launched through this system reports into
+  // the same registry.
+  config_.annealing.obs = s;
+  config_.multistart.annealing.obs = s;
+  c_adaptations_ = s.counter("virtuoso.adaptations");
+  c_migrations_issued_ = s.counter("virtuoso.migrations.issued");
+  c_reservations_granted_ = s.counter("virtuoso.reservations.granted");
+  c_reservations_denied_ = s.counter("virtuoso.reservations.denied");
+  c_wren_reports_ = s.counter("virtuoso.reports.wren");
+  c_migration_failures_ = s.counter("virtuoso.migrations.failed");
+  c_replans_ = s.counter("virtuoso.replans");
+  c_daemons_dead_ = s.counter("virtuoso.daemons.declared_dead");
+  c_warm_starts_ = s.counter("virtuoso.adapt.warm_starts");
+  c_cold_starts_ = s.counter("virtuoso.adapt.cold_starts");
+  h_warm_delta_pairs_ = s.histogram("vadapt.warm.delta_pairs");
+  if (warm_) warm_->params().obs = s;
+  if (capture_) capture_->set_obs(s);
 }
 
 VirtuosoSystem::~VirtuosoSystem() { finish_capture(); }
@@ -138,10 +133,10 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
   vnet::VnetDaemon& daemon = overlay_.create_daemon(host, name, is_proxy);
   DaemonRuntime rt;
   rt.analyzer = std::make_unique<wren::OnlineAnalyzer>(network_, host, config_.wren);
-  if (config_.telemetry) rt.analyzer->set_obs(scope());
+  rt.analyzer->set_obs(scope());
   if (capture_) capture_->add_host(host);
   rt.local_vttif = std::make_unique<vttif::LocalVttif>(
-      sim_, daemon, config_.vttif_local_period,
+      sim_, daemon, kVttifLocalPeriod,
       [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
         // Ship the local matrix to the Proxy through the control plane
         // (the paper: "VTTIF uses VNET to periodically send the local
@@ -152,7 +147,7 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
           global_vttif_->update_from(reporter, m);
         }
       });
-  if (config_.telemetry) rt.local_vttif->set_obs(scope());
+  rt.local_vttif->set_obs(scope());
   runtimes_.emplace(host, std::move(rt));
   return daemon;
 }
@@ -165,7 +160,7 @@ void VirtuosoSystem::bootstrap(vnet::LinkProtocol proto) {
   // connections; the Proxy folds them into its global views.
   control_ = std::make_unique<vnet::ControlPlane>(stack_, overlay_.proxy().host(), kRootPort,
                                                   config_.control);
-  if (config_.telemetry) control_->set_obs(scope());
+  control_->set_obs(scope());
   // Every handler decodes its whole message before it touches state; a
   // field that does not decode throws std::runtime_error, which the control
   // plane counts as a parse failure and drops.
@@ -217,7 +212,7 @@ void VirtuosoSystem::start_reporting(net::NodeId host) {
   // regional proxy instead (report_plane()).
   DaemonRuntime& rt = runtimes_.at(host);
   rt.reporter = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.wren_report_period, [this, host] { send_wren_report(host); });
+      sim_, kWrenReportPeriod, [this, host] { send_wren_report(host); });
   // Heartbeats prove the daemon alive even when it has nothing to report
   // (VTTIF pushes skip empty matrices, Wren reports skip peerless hosts).
   if (config_.control_heartbeat_period > 0) {
@@ -260,18 +255,14 @@ void VirtuosoSystem::liveness_tick() {
       obs::add(c_daemons_dead_);
       // Its measurements describe paths nobody can confirm any more.
       const std::size_t invalidated = view_.invalidate_host(host);
-      if (config_.logger) {
-        config_.logger->warn("virtuoso",
-                             logcat("daemon on host ", host, " missed reports for ",
-                                    to_seconds(now - last), " s: declared dead, ", invalidated,
-                                    " view entries invalidated"));
-      }
+      scope().instant("virtuoso.daemon.dead", "virtuoso",
+                      {{"host", std::to_string(host)},
+                       {"silent_s", std::to_string(to_seconds(now - last))},
+                       {"invalidated", std::to_string(invalidated)}});
     } else if (!timed_out && dead_daemons_.contains(host)) {
       // It reported again: resurrection.
       dead_daemons_.erase(host);
-      if (config_.logger) {
-        config_.logger->info("virtuoso", logcat("daemon on host ", host, " reporting again"));
-      }
+      scope().instant("virtuoso.daemon.alive", "virtuoso", {{"host", std::to_string(host)}});
     }
   }
 }
@@ -352,12 +343,12 @@ void VirtuosoSystem::bootstrap_federation() {
   // contract the view entries follow).
   fed->root->set_host_seen_fn(
       [this](net::NodeId host, SimTime at) { note_report_at(host, at); });
-  if (config_.telemetry) fed->root->set_obs(scope());
+  fed->root->set_obs(scope());
 
   fed->scheduler = std::make_unique<wren::MeasurementScheduler>();
   fed->scheduler->set_request_fn(
       [this](net::NodeId from, net::NodeId to) { start_probe(from, to); });
-  if (config_.telemetry) fed->scheduler->set_obs(scope());
+  fed->scheduler->set_obs(scope());
 
   // Summaries arrive at the root over the regular control plane, so their
   // traffic crosses the simulated network and is measurable against the
@@ -378,13 +369,13 @@ void VirtuosoSystem::bootstrap_federation() {
     reg.proxy_host = region_hosts.front();
     reg.control = std::make_unique<vnet::ControlPlane>(stack_, reg.proxy_host,
                                                        kRegionalPort, config_.control);
-    if (config_.telemetry) reg.control->set_obs(scope());
+    reg.control->set_obs(scope());
     wren::RegionalProxyParams params;
     params.summary_max_pairs = fc.summary_max_pairs;
     params.staleness_horizon = config_.view_staleness_horizon;
     reg.proxy = std::make_unique<wren::RegionalProxy>(r, fed->region_map, params);
     reg.proxy->set_clock([this] { return sim_.now(); });
-    if (config_.telemetry) reg.proxy->set_obs(scope());
+    reg.proxy->set_obs(scope());
 
     wren::RegionalProxy* proxy = reg.proxy.get();
     reg.control->register_handler("Heartbeat", [this, proxy](const soap::XmlNode& msg) {
@@ -426,7 +417,7 @@ void VirtuosoSystem::schedule_full_re_report(net::NodeId host, bool regional_tie
   // Deferred a beat so the gap callback never re-enters ControlPlane::send,
   // and bounded to one make-up report per health-check period per host even
   // while an outage keeps evicting.
-  const SimTime delay = std::max<SimTime>(millis(1), config_.control.health_check_period);
+  const SimTime delay = std::max<SimTime>(millis(1), vnet::kHealthCheckPeriod);
   sim_.schedule_in(delay, [this, host, regional_tier] {
     rereport_pending_.erase(host);
     if (!regional_tier && federation_ != nullptr) {
@@ -497,9 +488,7 @@ void VirtuosoSystem::kill_daemon(net::NodeId host) {
     overlay_.daemon_on(host).set_frame_observer(nullptr);
     rt.local_vttif.reset();
   }
-  if (config_.logger) {
-    config_.logger->warn("virtuoso", logcat("daemon on host ", host, " killed"));
-  }
+  scope().instant("virtuoso.daemon.killed", "virtuoso", {{"host", std::to_string(host)}});
 }
 
 std::vector<net::NodeId> VirtuosoSystem::live_daemon_hosts() const {
@@ -611,7 +600,7 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
       // A fresh named stream per adaptation epoch: warm bursts never
       // perturb the RNG streams the cold algorithms draw from.
       Rng rng = rng_service_.stream("vadapt.warm.burst." + std::to_string(warm_epoch_++));
-      const vadapt::WarmAdaptStats stats = warm_->adapt(delta, demands, std::move(rng));
+      warm_->adapt(delta, demands, std::move(rng));
       AdaptationOutcome outcome;
       outcome.migrations = apply_configuration(warm_->graph(), demands, warm_->incumbent());
       outcome.configuration = warm_->incumbent();
@@ -621,12 +610,8 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
       adapt_span.arg("warm", "1");
       adapt_span.arg("demands", std::to_string(demands.size()));
       adapt_span.arg("migrations", std::to_string(outcome.migrations));
-      if (config_.logger) {
-        config_.logger->info(
-            "vadapt", logcat("warm adaptation: cost=", outcome.evaluation.cost / 1e6,
-                             " Mb/s delta_pairs=", stats.delta_pairs, " targets=",
-                             stats.target_demands));
-      }
+      adapt_span.arg("cost_mbps", std::to_string(outcome.evaluation.cost / 1e6));
+      adapt_span.arg("feasible", outcome.evaluation.feasible ? "1" : "0");
       return outcome;
     }
     // Cold fallback: no/incompatible incumbent, too-small problem, or a
@@ -677,12 +662,8 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
   outcome.hosts = graph.hosts();
   adapt_span.arg("demands", std::to_string(demands.size()));
   adapt_span.arg("migrations", std::to_string(outcome.migrations));
-  if (config_.logger) {
-    config_.logger->info(
-        "vadapt", logcat("adaptation complete: cost=", eval.cost / 1e6, " Mb/s feasible=",
-                         eval.feasible, " demands=", demands.size(), " migrations=",
-                         outcome.migrations));
-  }
+  adapt_span.arg("cost_mbps", std::to_string(eval.cost / 1e6));
+  adapt_span.arg("feasible", eval.feasible ? "1" : "0");
   return outcome;
 }
 
@@ -693,10 +674,6 @@ void VirtuosoSystem::on_migration_failed(net::NodeId source, net::NodeId target)
   // planner to re-measure (or fall back) before trusting it again.
   view_.invalidate(source, target);
   view_.invalidate(target, source);
-  if (config_.logger) {
-    config_.logger->warn("virtuoso", logcat("migration ", source, "->", target,
-                                            " failed: VM rolled back, pair invalidated"));
-  }
   if (!auto_adapt_enabled_ || replan_pending_) return;
   // Re-plan around the dead pair, but never inside the failure callback and
   // never faster than the adaptation cooldown allows.
@@ -772,11 +749,10 @@ std::size_t VirtuosoSystem::install_reservations(const AdaptationOutcome& outcom
         obs::add(c_reservations_granted_);
       } else {
         obs::add(c_reservations_denied_);
-        if (config_.logger) {
-          config_.logger->warn("reserve", logcat("reservation denied: ", edge.rate_bps / 1e6,
-                                                 " Mb/s on overlay edge ", from_host, "->",
-                                                 to_host));
-        }
+        scope().instant("virtuoso.reservation.denied", "virtuoso",
+                        {{"from", std::to_string(from_host)},
+                         {"to", std::to_string(to_host)},
+                         {"rate_mbps", std::to_string(edge.rate_bps / 1e6)}});
       }
       break;
     }
@@ -797,10 +773,6 @@ std::size_t VirtuosoSystem::apply_configuration(const vadapt::CapacityGraph& gra
   for (std::size_t v = 0; v < vms_.size(); ++v) {
     const net::NodeId target = graph.host(conf.mapping[v]);
     if (!vms_[v]->attached() || vms_[v]->host() != target) {
-      if (config_.logger) {
-        config_.logger->info("vadapt", logcat("migrating ", vms_[v]->name(), " -> host ",
-                                              target));
-      }
       const std::optional<net::NodeId> source =
           vms_[v]->attached() ? std::optional<net::NodeId>(vms_[v]->host()) : std::nullopt;
       migration_.migrate(*vms_[v], target,

@@ -13,7 +13,6 @@
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
-#include "util/log.hpp"
 #include "transport/stack.hpp"
 #include "vadapt/annealing.hpp"
 #include "vadapt/greedy.hpp"
@@ -56,11 +55,17 @@ enum class AdaptationAlgorithm {
   kMultiStartAnnealing,
 };
 
+inline constexpr SimTime kVttifLocalPeriod = seconds(1.0);  ///< local matrix push period
+inline constexpr SimTime kWrenReportPeriod = seconds(1.0);  ///< daemon Wren report period
+
+/// What a deployment chooses. The daemons' reporting cadence is fixed
+/// (kVttifLocalPeriod, kWrenReportPeriod), as are Wren's collection period
+/// and freshness window (wren::kCollectPeriod, wren::kFreshness) and the
+/// control plane's health-check poll and backoff ceiling and growth
+/// (vnet::kHealthCheckPeriod, kBackoffMax, kBackoffFactor).
 struct SystemConfig {
   wren::WrenParams wren;
   vttif::GlobalVttifParams vttif;
-  SimTime vttif_local_period = seconds(1.0);
-  SimTime wren_report_period = seconds(1.0);
   vadapt::Objective objective;
   vadapt::AnnealingParams annealing;
   /// kMultiStartAnnealing settings; `annealing` above and a seed derived
@@ -71,14 +76,14 @@ struct SystemConfig {
   /// incumbent instead of re-solving from scratch, falling back to the cold
   /// algorithm when the incumbent is missing/stale, the problem is small
   /// (warm_start.min_vms floor), or the delta touches more than a quarter
-  /// of the host-pair space. Construction overwrites the fallback values
-  /// for invalidated pairs with default_bandwidth_bps and 1 ms; unlike
-  /// capacity_graph(), the warm patch does not consult the federation's
-  /// region aggregates.
+  /// of the host-pair space. An invalidated pair falls back to the adopted
+  /// graph's defaults (default_bandwidth_bps and 1 ms).
+  /// Open (ROADMAP item 4): unlike capacity_graph(), the warm patch does
+  /// not consult the federation's region aggregates.
   vadapt::WarmStartParams warm_start;
   vm::MigrationParams migration;
-  /// Control-plane delivery robustness (health checks, reconnect backoff,
-  /// resend window).
+  /// Control-plane delivery robustness (stall and connect timeouts, first
+  /// reconnect delay, resend window).
   vnet::ControlPlaneParams control;
   /// Wren-view entries older than this are invisible to queries and to
   /// capacity_graph(); 0 = entries never go stale (pre-failure behavior).
@@ -94,13 +99,12 @@ struct SystemConfig {
   std::uint64_t seed = 42;
   /// Capacity assumed for daemon pairs Wren has not yet measured.
   double default_bandwidth_bps = 0;
-  /// Optional event log (adaptations, migrations, reservations). The
-  /// pointee must outlive the system; null disables logging.
-  Logger* logger = nullptr;
   /// When true the system owns a MetricsRegistry + EventTracer stamped by
   /// the virtual clock and wires them into every subsystem (wren,
   /// transport, vnet, vttif, vadapt, vm, virtuoso); read them in-process
-  /// through metrics() / tracer().
+  /// through metrics() / tracer(). The tracer is also the system's event
+  /// record: daemon deaths, resurrections and kills, denied reservations
+  /// and each adaptation's cost land there as virtuoso.* events.
   bool telemetry = true;
   /// When non-empty, every daemon host gets a wren::TraceWriter that
   /// persists its packet-header trace as a vw.trace.v1 shard under this

@@ -35,9 +35,9 @@ void MigrationEngine::set_obs(const obs::Scope& scope) {
 SimTime MigrationEngine::estimate_duration(const VirtualMachine& machine, net::NodeId from,
                                            net::NodeId to) const {
   double bps = network_.path_bottleneck_bps(from, to);
-  if (bps <= 0 || !std::isfinite(bps)) bps = params_.fallback_bps;
-  bps *= params_.bandwidth_efficiency;
-  return params_.fixed_overhead +
+  if (bps <= 0 || !std::isfinite(bps)) bps = kMigrationFallbackBps;
+  bps *= kMigrationEfficiency;
+  return kMigrationOverhead +
          seconds(static_cast<double>(machine.memory_bytes()) * 8.0 / bps);
 }
 
@@ -85,7 +85,7 @@ void MigrationEngine::migrate(VirtualMachine& machine, net::NodeId target_host, 
     ++superseded_;
     obs::add(c_superseded_);
     const SimTime elapsed = sim_.now() - pending.started_at;
-    SimTime remaining = params_.fixed_overhead;
+    SimTime remaining = kMigrationOverhead;
     if (pending.source.has_value()) {
       const SimTime new_total = estimate_duration(machine, *pending.source, target_host);
       remaining = std::max<SimTime>(0, new_total - elapsed);
@@ -107,7 +107,7 @@ void MigrationEngine::migrate(VirtualMachine& machine, net::NodeId target_host, 
   pending.target = target_host;
   pending.on_done = std::move(on_done);
   pending.started_at = sim_.now();
-  SimTime duration = params_.fixed_overhead;
+  SimTime duration = kMigrationOverhead;
   if (machine.attached()) {
     pending.source = machine.host();
     duration = estimate_duration(machine, machine.host(), target_host);

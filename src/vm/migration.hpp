@@ -33,10 +33,11 @@ enum class MigrationStatus {
 
 const char* to_string(MigrationStatus status);
 
+inline constexpr SimTime kMigrationOverhead = millis(500);  ///< pause/resume/bookkeeping cost
+inline constexpr double kMigrationEfficiency = 0.7;  ///< fraction of path bottleneck usable
+inline constexpr double kMigrationFallbackBps = 100e6;  ///< used when the path is unknown
+
 struct MigrationParams {
-  SimTime fixed_overhead = millis(500);      ///< pause/resume/bookkeeping cost
-  double bandwidth_efficiency = 0.7;         ///< fraction of path bottleneck usable
-  double fallback_bps = 100e6;               ///< used when the path is unknown
   /// In-flight path liveness poll period; 0 disables path-failure checks.
   SimTime path_check_period = millis(250);
   /// Fail when elapsed time exceeds `deadline_factor` x the initial

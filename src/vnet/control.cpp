@@ -10,8 +10,6 @@ namespace vw::vnet {
 ControlPlane::ControlPlane(transport::TransportStack& stack, net::NodeId proxy_host,
                            std::uint16_t port, ControlPlaneParams params)
     : stack_(stack), proxy_host_(proxy_host), port_(port), params_(params) {
-  VW_REQUIRE(params_.backoff_factor >= 1.0, "ControlPlane: backoff factor must be >= 1, got ",
-             params_.backoff_factor);
   VW_REQUIRE(params_.resend_window >= 1, "ControlPlane: resend window must hold >= 1 message");
   stack_.tcp_listen(proxy_host_, port_, [this](transport::TcpConnection& conn) {
     conn.set_on_message([this](std::uint64_t, const std::any& tag) {
@@ -19,7 +17,7 @@ ControlPlane::ControlPlane(transport::TransportStack& stack, net::NodeId proxy_h
     });
   });
   health_task_ = std::make_unique<sim::PeriodicTask>(
-      sim(), params_.health_check_period, [this] { health_tick(); });
+      sim(), kHealthCheckPeriod, [this] { health_tick(); });
 }
 
 ControlPlane::~ControlPlane() {
@@ -194,9 +192,9 @@ void ControlPlane::fail_connection(net::NodeId host, ClientState& state) {
 void ControlPlane::schedule_reconnect(net::NodeId host, ClientState& state) {
   state.backoff = state.backoff <= 0
                       ? params_.backoff_initial
-                      : std::min(params_.backoff_max,
-                                 static_cast<SimTime>(static_cast<double>(state.backoff) *
-                                                      params_.backoff_factor));
+                      : std::min(kBackoffMax, static_cast<SimTime>(
+                                                  static_cast<double>(state.backoff) *
+                                                  kBackoffFactor));
   state.reconnect_timer = sim().schedule_in(state.backoff, [this, host] {
     attempt_connect(host);
   });

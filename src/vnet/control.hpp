@@ -38,13 +38,18 @@
 
 namespace vw::vnet {
 
+inline constexpr SimTime kHealthCheckPeriod = millis(500);  ///< connection-health poll
+inline constexpr SimTime kBackoffMax = seconds(30.0);        ///< reconnect backoff ceiling
+inline constexpr double kBackoffFactor = 2.0;                ///< exponential backoff growth
+static_assert(kBackoffFactor >= 1.0, "ControlPlane: backoff factor must be >= 1");
+
+/// Delivery robustness settings; the health-check poll and the backoff
+/// ceiling and growth are the fixed kHealthCheckPeriod, kBackoffMax and
+/// kBackoffFactor.
 struct ControlPlaneParams {
-  SimTime health_check_period = millis(500);  ///< connection-health poll
-  SimTime send_timeout = seconds(5.0);   ///< unacked data w/o progress => stall
+  SimTime send_timeout = seconds(5.0);      ///< unacked data w/o progress => stall
   SimTime connect_timeout = seconds(10.0);  ///< handshake must finish by then
   SimTime backoff_initial = millis(500);    ///< first reconnect delay
-  SimTime backoff_max = seconds(30.0);      ///< backoff ceiling
-  double backoff_factor = 2.0;              ///< exponential growth
   std::size_t resend_window = 64;  ///< per-daemon messages kept for resend
 };
 

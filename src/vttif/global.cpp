@@ -31,7 +31,7 @@ void GlobalVttif::close_slot() {
 
   const bool interesting =
       !last_reported_ || !topo.same_shape(*last_reported_) ||
-      topo.max_relative_change(*last_reported_) > params_.change_threshold;
+      topo.max_relative_change(*last_reported_) > kChangeThreshold;
   if (!interesting) return;
 
   const SimTime now = sim_.now();
@@ -58,7 +58,7 @@ TrafficMatrix GlobalVttif::smoothed_rate_matrix() const {
 }
 
 Topology GlobalVttif::current_topology() const {
-  return infer_topology(smoothed_rate_matrix(), params_.prune_fraction);
+  return infer_topology(smoothed_rate_matrix());
 }
 
 }  // namespace vw::vttif

@@ -17,11 +17,12 @@
 
 namespace vw::vttif {
 
+/// Relative rate change that makes a same-shape topology "interesting".
+inline constexpr double kChangeThreshold = 0.5;
+
 struct GlobalVttifParams {
   SimTime aggregation_period = seconds(1.0);  ///< window slot width
   std::size_t window_slots = 10;              ///< sliding window length
-  double prune_fraction = 0.1;                ///< topology pruning threshold
-  double change_threshold = 0.5;              ///< relative rate change that is "interesting"
   SimTime reaction_cooldown = seconds(5.0);   ///< min spacing of change callbacks
 };
 

@@ -62,13 +62,11 @@ double Topology::max_relative_change(const Topology& other) const {
   return worst;
 }
 
-Topology infer_topology(const TrafficMatrix& rates, double prune_fraction) {
-  VW_REQUIRE(prune_fraction >= 0 && prune_fraction <= 1,
-             "infer_topology: prune_fraction outside [0,1]: ", prune_fraction);
+Topology infer_topology(const TrafficMatrix& rates) {
   Topology topo;
   const double max = rates.max_entry();
   if (max <= 0) return topo;
-  const double cutoff = prune_fraction * max;
+  const double cutoff = kPruneFraction * max;
   for (const auto& [key, value] : rates.entries()) {
     if (value < cutoff) continue;
     topo.edges.push_back(TopologyEdge{key.first, key.second, value, value / max});

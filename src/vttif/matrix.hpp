@@ -55,8 +55,12 @@ struct Topology {
   double max_relative_change(const Topology& other) const;
 };
 
-/// Normalize by the max entry and prune entries below `prune_fraction` of
-/// the max — VTTIF's "normalization and pruning techniques".
-Topology infer_topology(const TrafficMatrix& rates, double prune_fraction);
+/// Topology pruning threshold, as a fraction of the largest entry.
+inline constexpr double kPruneFraction = 0.1;
+static_assert(kPruneFraction >= 0 && kPruneFraction <= 1, "prune fraction outside [0,1]");
+
+/// Normalize by the max entry and prune entries below kPruneFraction of the
+/// max — VTTIF's "normalization and pruning techniques".
+Topology infer_topology(const TrafficMatrix& rates);
 
 }  // namespace vw::vttif

@@ -5,14 +5,13 @@
 namespace vw::wren {
 
 ActiveProber::ActiveProber(transport::TransportStack& stack, net::NodeId src, net::NodeId dst,
-                           std::uint16_t dst_port, ActiveProbeParams params)
+                           std::uint16_t dst_port, double max_rate_bps)
     : stack_(stack),
       sim_(stack.simulator()),
       dst_(dst),
       dst_port_(dst_port),
-      params_(params),
-      lo_(params.min_rate_bps),
-      hi_(params.max_rate_bps) {
+      lo_(kProbeMinRateBps),
+      hi_(max_rate_bps) {
   tx_ = stack_.udp_bind(src, stack_.ephemeral_port(src));
   rx_ = stack_.udp_bind(dst, dst_port);
   rx_->set_on_receive([this](const net::Packet& pkt) {
@@ -36,38 +35,38 @@ void ActiveProber::send_train() {
     current_rate_ = 0.5 * (lo_ + hi_);
     congested_votes_ = 0;
   }
-  send_times_.assign(params_.train_length, 0);
+  send_times_.assign(kProbeTrainLength, 0);
   owd_s_.clear();
   train_seq_base_ = tx_->datagrams_sent();
   ++trains_sent_;
 
   const double gap_s =
-      static_cast<double>(params_.packet_bytes) * 8.0 / current_rate_;
-  for (std::uint32_t i = 0; i < params_.train_length; ++i) {
+      static_cast<double>(kProbePacketBytes) * 8.0 / current_rate_;
+  for (std::uint32_t i = 0; i < kProbeTrainLength; ++i) {
     sim_.schedule_in(seconds(gap_s * i), [this, i] {
       send_times_[i] = sim_.now();
-      tx_->send_to(dst_, dst_port_, params_.packet_bytes);
-      bytes_injected_ += params_.packet_bytes + 28;  // + IP/UDP headers
+      tx_->send_to(dst_, dst_port_, kProbePacketBytes);
+      bytes_injected_ += kProbePacketBytes + 28;  // + IP/UDP headers
     });
   }
-  const SimTime train_duration = seconds(gap_s * params_.train_length);
-  sim_.schedule_in(train_duration + params_.settle_after_train, [this] { evaluate_train(); });
+  const SimTime train_duration = seconds(gap_s * kProbeTrainLength);
+  sim_.schedule_in(train_duration + kProbeSettleAfterTrain, [this] { evaluate_train(); });
 }
 
 void ActiveProber::evaluate_train() {
   // Heavy probe loss also signals congestion (queue overflow at this rate).
-  const bool lossy = owd_s_.size() < params_.train_length * 3 / 4;
-  if (lossy || slope_ratio(owd_s_) > params_.slope_ratio_threshold) {
+  const bool lossy = owd_s_.size() < kProbeTrainLength * 3 / 4;
+  if (lossy || slope_ratio(owd_s_) > kProbeSlopeRatioThreshold) {
     ++congested_votes_;
   }
 
-  if (++train_in_iteration_ < params_.trains_per_rate) {
-    sim_.schedule_in(params_.inter_train_gap, [this] { send_train(); });
+  if (++train_in_iteration_ < kProbeTrainsPerRate) {
+    sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); });
     return;
   }
 
   // Majority verdict over this rate's trains drives the binary search.
-  const bool congested = 2 * congested_votes_ > params_.trains_per_rate;
+  const bool congested = 2 * congested_votes_ > kProbeTrainsPerRate;
   train_in_iteration_ = 0;
   if (congested) {
     hi_ = current_rate_;
@@ -75,12 +74,12 @@ void ActiveProber::evaluate_train() {
     lo_ = current_rate_;
   }
 
-  if (++iteration_ >= params_.iterations) {
+  if (++iteration_ >= kProbeIterations) {
     finished_ = true;
     if (on_done_) on_done_(estimate_bps());
     return;
   }
-  sim_.schedule_in(params_.inter_train_gap, [this] { send_train(); });
+  sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); });
 }
 
 }  // namespace vw::wren

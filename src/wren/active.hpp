@@ -20,30 +20,28 @@
 
 namespace vw::wren {
 
-struct ActiveProbeParams {
-  std::uint32_t train_length = 24;
-  std::uint32_t packet_bytes = 1200;
-  double min_rate_bps = 1e6;
-  double max_rate_bps = 1e9;      ///< search upper bound (access line rate)
-  std::size_t iterations = 10;    ///< binary-search refinement steps
-  /// Trains per probed rate; the congestion verdict is a majority vote
-  /// (single trains misread transient queueing noise as congestion).
-  std::size_t trains_per_rate = 3;
-  SimTime inter_train_gap = millis(100);
-  SimTime settle_after_train = millis(50);  ///< wait for stragglers
-  /// Congestion verdict: least-squares net delay increase over the train
-  /// must exceed this multiple of the residual noise (robust against the
-  /// sawtooth patterns bursty cross traffic imprints on one-way delays).
-  double slope_ratio_threshold = 2.0;
-};
+inline constexpr std::uint32_t kProbeTrainLength = 24;    ///< packets per train
+inline constexpr std::uint32_t kProbePacketBytes = 1200;  ///< probe payload
+inline constexpr double kProbeMinRateBps = 1e6;           ///< search lower bound
+inline constexpr std::size_t kProbeIterations = 10;       ///< binary-search refinement steps
+/// Trains per probed rate; the congestion verdict is a majority vote
+/// (single trains misread transient queueing noise as congestion).
+inline constexpr std::size_t kProbeTrainsPerRate = 3;
+inline constexpr SimTime kProbeInterTrainGap = millis(100);
+inline constexpr SimTime kProbeSettleAfterTrain = millis(50);  ///< wait for stragglers
+/// Congestion verdict: least-squares net delay increase over the train must
+/// exceed this multiple of the residual noise (robust against the sawtooth
+/// patterns bursty cross traffic imprints on one-way delays).
+inline constexpr double kProbeSlopeRatioThreshold = 2.0;
 
 class ActiveProber {
  public:
   using DoneFn = std::function<void(double estimate_bps)>;
 
-  /// Binds a probe sender on `src` and a receiver sink on `dst`.
+  /// Binds a probe sender on `src` and a receiver sink on `dst`; the search
+  /// runs between kProbeMinRateBps and `max_rate_bps` (the access line rate).
   ActiveProber(transport::TransportStack& stack, net::NodeId src, net::NodeId dst,
-               std::uint16_t dst_port, ActiveProbeParams params = {});
+               std::uint16_t dst_port, double max_rate_bps = 1e9);
 
   ActiveProber(const ActiveProber&) = delete;
   ActiveProber& operator=(const ActiveProber&) = delete;
@@ -68,7 +66,6 @@ class ActiveProber {
   sim::Simulator& sim_;
   net::NodeId dst_;
   std::uint16_t dst_port_;
-  ActiveProbeParams params_;
   std::shared_ptr<transport::UdpSocket> tx_;
   std::shared_ptr<transport::UdpSocket> rx_;
   double lo_;

@@ -9,7 +9,7 @@ OnlineAnalyzer::OnlineAnalyzer(net::Network& network, net::NodeId host, WrenPara
       host_(host),
       params_(params),
       trace_(network, host),
-      task_(network.simulator(), params.collect_period, [this] { analyze_now(); }) {}
+      task_(network.simulator(), kCollectPeriod, [this] { analyze_now(); }) {}
 
 OnlineAnalyzer::FlowState& OnlineAnalyzer::flow_state(const net::FlowKey& key) {
   auto it = flows_.find(key);
@@ -92,7 +92,7 @@ void OnlineAnalyzer::analyze_now() {
 std::optional<double> OnlineAnalyzer::available_bandwidth_bps(net::NodeId peer) const {
   auto it = peer_state_.find(peer);
   if (it == peer_state_.end() || !it->second.bandwidth_bps) return std::nullopt;
-  if (network_.simulator().now() - it->second.bandwidth_at > params_.freshness) {
+  if (network_.simulator().now() - it->second.bandwidth_at > kFreshness) {
     return std::nullopt;
   }
   return it->second.bandwidth_bps;

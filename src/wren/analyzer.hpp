@@ -19,9 +19,12 @@
 
 namespace vw::wren {
 
+inline constexpr SimTime kCollectPeriod = millis(100);  ///< user-level collection interval
+inline constexpr SimTime kFreshness = seconds(30.0);    ///< older bandwidth estimates are stale
+
+/// Train extraction and SIC settings; the collection period and the
+/// estimate freshness window are the fixed kCollectPeriod and kFreshness.
 struct WrenParams {
-  SimTime collect_period = millis(100);  ///< user-level collection interval
-  SimTime freshness = seconds(30.0);     ///< estimates older than this are stale
   TrainParams train;
   SicParams sic;
 };

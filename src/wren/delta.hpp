@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <utility>
 
 #include "net/packet.hpp"
@@ -63,36 +62,18 @@ class ViewDelta {
     d.invalidated = true;
   }
 
-  /// Record that every entry touching `host` was dropped (daemon death).
-  void note_host_invalidated(net::NodeId host) { invalidated_hosts_.insert(host); }
-
-  bool empty() const { return pairs_.empty() && invalidated_hosts_.empty(); }
+  bool empty() const { return pairs_.empty(); }
 
   /// Number of distinct directed pairs this delta touches (the
   /// `vadapt.warm.delta_pairs` histogram sample).
   std::size_t pair_count() const { return pairs_.size(); }
 
   const std::map<PairKey, PairDelta>& pairs() const { return pairs_; }
-  const std::set<net::NodeId>& invalidated_hosts() const { return invalidated_hosts_; }
 
-  void clear() {
-    pairs_.clear();
-    invalidated_hosts_.clear();
-  }
-
-  /// Fold `other` (the later diff) on top of this one.
-  void merge(const ViewDelta& other) {
-    for (const auto& [key, d] : other.pairs_) {
-      if (d.invalidated) note_invalidated(key.first, key.second);
-      if (d.bandwidth_changed) note_bandwidth(key.first, key.second, d.bandwidth_bps);
-      if (d.latency_changed) note_latency(key.first, key.second, d.latency_s);
-    }
-    for (net::NodeId host : other.invalidated_hosts_) invalidated_hosts_.insert(host);
-  }
+  void clear() { pairs_.clear(); }
 
  private:
   std::map<PairKey, PairDelta> pairs_;
-  std::set<net::NodeId> invalidated_hosts_;
 };
 
 }  // namespace vw::wren

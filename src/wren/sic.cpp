@@ -5,11 +5,12 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "util/trend.hpp"
 
 namespace vw::wren {
 
 SicEstimator::SicEstimator(SicParams params)
-    : params_(params), smoothed_(params.smoothing_alpha) {}
+    : params_(params), smoothed_(kSmoothingAlpha) {}
 
 void SicEstimator::add_ack(SimTime time, std::uint64_t ack) {
   // Keep only cumulative progress: duplicate ACKs signal loss, and a train
@@ -119,7 +120,7 @@ void SicEstimator::evaluate(const Train& train) {
       }
     }
     if (const auto med = median_of(std::move(gaps)); med && *med > 0) {
-      while (n_used > params_.trend.min_samples + 1 &&
+      while (n_used > kTrendMinSamples + 1 &&
              to_seconds(ack_times[n_used - 1] - ack_times[n_used - 2]) > 5.0 * *med) {
         --n_used;
       }
@@ -137,12 +138,12 @@ void SicEstimator::evaluate(const Train& train) {
   obs.time = last_ack->time;
   obs.isr_bps = train.isr_bps;
   obs.train_length = n_used;
-  obs.congested = detect_trend(rtts, params_.trend) == Trend::kIncreasing;
+  obs.congested = detect_trend(rtts) == Trend::kIncreasing;
   if (!obs.congested && min_rtt_s_) {
     double mean_rtt = 0;
     for (double r : rtts) mean_rtt += r;
     mean_rtt /= static_cast<double>(rtts.size());
-    if (mean_rtt > params_.saturated_rtt_factor * *min_rtt_s_) obs.congested = true;
+    if (mean_rtt > kSaturatedRttFactor * *min_rtt_s_) obs.congested = true;
   }
 
   // ACK return rate: bytes after the first packet over the ACK arrival span.

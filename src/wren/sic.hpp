@@ -8,7 +8,6 @@
 
 #include "util/stats.hpp"
 #include "util/time.hpp"
-#include "util/trend.hpp"
 #include "wren/train.hpp"
 
 // Self-induced-congestion analysis of passively observed trains.
@@ -31,17 +30,17 @@ struct SicObservation {
   std::size_t train_length = 0;
 };
 
+inline constexpr double kSmoothingAlpha = 0.3;  ///< EWMA on the reported estimate
+/// A train whose mean RTT exceeds this multiple of the observed minimum RTT
+/// is treated as congested even without an increasing trend: at full
+/// saturation the drop-tail queue pins at its limit, RTTs are high but flat,
+/// and the pure trend test would misread the train as uncongested.
+inline constexpr double kSaturatedRttFactor = 2.5;
+
 struct SicParams {
-  TrendParams trend;                       ///< RTT trend decision thresholds
   std::size_t window_observations = 20;    ///< fusion window size
   SimTime window_age = seconds(3.0);       ///< fusion window max age
   SimTime pending_timeout = seconds(3.0);  ///< drop trains whose ACKs never arrive
-  double smoothing_alpha = 0.3;            ///< EWMA on the reported estimate
-  /// A train whose mean RTT exceeds this multiple of the observed minimum
-  /// RTT is treated as congested even without an increasing trend: at full
-  /// saturation the drop-tail queue pins at its limit, RTTs are high but
-  /// flat, and the pure trend test would misread the train as uncongested.
-  double saturated_rtt_factor = 2.5;
 };
 
 class SicEstimator {

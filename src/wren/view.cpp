@@ -103,7 +103,6 @@ std::size_t GlobalNetworkView::invalidate_host(net::NodeId host) {
       ++it;
     }
   }
-  if (track_delta_ && removed > 0) delta_.note_host_invalidated(host);
   return removed;
 }
 

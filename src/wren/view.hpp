@@ -106,7 +106,6 @@ class GlobalNetworkView {
   /// the view (value-changing updates, invalidations, host drops, staleness
   /// expiries). Off by default — tracking costs a map insert per change.
   void enable_delta_tracking() { track_delta_ = true; }
-  bool delta_tracking_enabled() const { return track_delta_; }
 
   /// Take the accumulated delta since the last drain (empty if tracking is
   /// disabled) and reset the accumulator.
@@ -115,9 +114,6 @@ class GlobalNetworkView {
     delta_.clear();
     return out;
   }
-
-  /// Peek at the accumulated delta without draining it.
-  const ViewDelta& pending_delta() const { return delta_; }
 
  private:
   std::map<std::pair<net::NodeId, net::NodeId>, PathMeasurement> entries_;

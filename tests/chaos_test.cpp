@@ -329,6 +329,53 @@ TEST(ControlReconnectTest, OutageDisconnectsThenReconnectsWithBackoffAndResends)
   EXPECT_EQ(control.messages_dropped(), 0u);  // window never overflowed
 }
 
+TEST(ControlReconnectTest, BackoffDoublesToCeiling) {
+  sim::Simulator sim;
+  net::Network net{sim};
+  const net::NodeId daemon_host = net.add_host("daemon");
+  const net::NodeId proxy_host = net.add_host("proxy");
+  const net::NodeId sw = net.add_router("sw");
+  net::LinkConfig cfg;
+  cfg.bits_per_sec = 100e6;
+  cfg.prop_delay = millis(1);
+  net.add_link(daemon_host, sw, cfg);
+  net.add_link(sw, proxy_host, cfg);
+  net.compute_routes();
+  transport::TransportStack stack(net);
+
+  vnet::ControlPlaneParams params;  // backoff_initial = 500 ms
+  vnet::ControlPlane control(stack, proxy_host, 9001, params);
+  control.register_handler("Ping", [](const soap::XmlNode&) {});
+  sim::PeriodicTask pinger(sim, millis(500), [&] {
+    soap::XmlNode msg;
+    msg.name = "Ping";
+    control.send(daemon_host, msg);
+  });
+
+  // The link never returns: every attempt fails, so the daemon keeps
+  // backing off. Each reconnect attempt follows the disconnect before it
+  // by exactly one backoff delay; sample both counters on a 1 ms grid.
+  net::FaultPlan faults(sim, net);
+  faults.link_down(seconds(5.0), daemon_host, sw);
+  std::vector<SimTime> disconnect_at;
+  std::vector<SimTime> attempt_at;
+  sim::PeriodicTask probe(sim, millis(1), [&] {
+    if (control.disconnects() > disconnect_at.size()) disconnect_at.push_back(sim.now());
+    if (control.reconnect_attempts() > attempt_at.size()) attempt_at.push_back(sim.now());
+  });
+  sim.run_until(seconds(200.0));
+
+  const std::vector<SimTime> expected = {millis(500),    seconds(1.0),  seconds(2.0),
+                                         seconds(4.0),   seconds(8.0),  seconds(16.0),
+                                         vnet::kBackoffMax, vnet::kBackoffMax};
+  ASSERT_GE(attempt_at.size(), expected.size());
+  ASSERT_GE(disconnect_at.size(), attempt_at.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_NEAR(to_seconds(attempt_at[k] - disconnect_at[k]), to_seconds(expected[k]), 0.0015)
+        << "attempt " << k;
+  }
+}
+
 // --- daemon-failure detection --------------------------------------------------------
 
 TEST(DaemonFailureTest, KilledDaemonIsDeclaredDeadAndExcluded) {

@@ -29,9 +29,7 @@ struct Env {
     net.add_link(a, b, cfg);
     net.compute_routes();
     stack = std::make_unique<TransportStack>(net);
-    TcpParams params;
-    params.delayed_ack = delayed_ack;
-    stack->set_default_tcp_params(params);
+    stack->set_delayed_ack(delayed_ack);
   }
 
   /// Count pure ACKs arriving at host a (the sender side).
@@ -122,9 +120,7 @@ TEST(DelayedAckTest, WrenStillMeasuresWithDelayedAcks) {
   net.add_link(sw, receiver, cfg);
   net.compute_routes();
   TransportStack stack(net);
-  TcpParams params;
-  params.delayed_ack = true;
-  stack.set_default_tcp_params(params);
+  stack.set_delayed_ack(true);
 
   wren::OnlineAnalyzer analyzer(net, sender);
   CbrUdpSource cbr(stack, cross, receiver, 7000, 40e6, 1000);

@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace vw::obs {
 namespace {
@@ -455,32 +454,6 @@ TEST(ObsConcurrencyTest, TracerConcurrentRecording) {
   EXPECT_EQ(tracer.recorded(), static_cast<std::uint64_t>(kThreads) * kEvents);
   EXPECT_EQ(tracer.events().size(), tracer.capacity());
   EXPECT_EQ(tracer.dropped(), tracer.recorded() - tracer.capacity());
-}
-
-TEST(ObsConcurrencyTest, LoggerConcurrentSinkWrites) {
-  std::ostringstream sink;
-  Logger logger(&sink, LogLevel::kInfo);
-  constexpr int kThreads = 8;
-  constexpr int kLines = 200;
-  const std::string payload(64, 'x');  // long enough to expose interleaving
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&logger, &payload] {
-      for (int i = 0; i < kLines; ++i) logger.info("test", payload);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  // Every line arrived exactly once and intact — no interleaved characters.
-  std::istringstream lines(sink.str());
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_NE(line.find(payload), std::string::npos) << line;
-    ++n;
-  }
-  EXPECT_EQ(n, static_cast<std::size_t>(kThreads) * kLines);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/small_fn.hpp"
 #include "util/stats.hpp"
@@ -254,14 +253,11 @@ TEST(TrendTest, RequireBothVetoesSawtooth) {
   for (int k = 0; k < 8; ++k) {
     for (int i = 0; i < 4; ++i) sawtooth.push_back(1.0 + 0.1 * i);
   }
-  TrendParams or_rule;
-  TrendParams and_rule;
-  and_rule.require_both = true;
-  EXPECT_EQ(detect_trend(sawtooth, or_rule), Trend::kIncreasing);      // PCT fooled
-  EXPECT_EQ(detect_trend(sawtooth, and_rule), Trend::kNotIncreasing);  // PDT vetoes
+  EXPECT_EQ(detect_trend(sawtooth), Trend::kIncreasing);  // PCT fooled
+  EXPECT_EQ(detect_trend(sawtooth, /*require_both=*/true), Trend::kNotIncreasing);  // PDT vetoes
   // A genuine ramp passes both rules.
   const std::vector<double> ramp{1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(detect_trend(ramp, and_rule), Trend::kIncreasing);
+  EXPECT_EQ(detect_trend(ramp, /*require_both=*/true), Trend::kIncreasing);
 }
 
 TEST(TrendTest, SlopeRatioSeparatesRampFromSawtooth) {
@@ -336,30 +332,6 @@ TEST(CsvTest, TextRow) {
   EXPECT_EQ(os.str(), "name,value\n\"alpha,beta\",1\n");
 }
 
-// --- log ---------------------------------------------------------------------
-
-TEST(LogTest, RespectsLevel) {
-  std::ostringstream os;
-  Logger log(&os, LogLevel::kWarn);
-  log.info("comp", "hidden");
-  log.warn("comp", "shown");
-  EXPECT_EQ(os.str().find("hidden"), std::string::npos);
-  EXPECT_NE(os.str().find("shown"), std::string::npos);
-}
-
-TEST(LogTest, DisabledLoggerDropsEverything) {
-  Logger log;
-  log.error("comp", "nothing happens");  // must not crash
-  EXPECT_FALSE(log.enabled(LogLevel::kError));
-}
-
-TEST(LogTest, TimestampsFromClock) {
-  std::ostringstream os;
-  Logger log(&os, LogLevel::kInfo, [] { return seconds(1.5); });
-  log.info("comp", "msg");
-  EXPECT_NE(os.str().find("[1.500000s]"), std::string::npos);
-}
-
 // --- SmallFn (the event engine's SBO callback) -------------------------------
 
 TEST(SmallFnTest, SmallCaptureStaysInline) {
@@ -417,10 +389,6 @@ TEST(SmallFnTest, ReassignmentReplacesCallable) {
   EXPECT_EQ(f(3), 30);
   f = nullptr;
   EXPECT_FALSE(static_cast<bool>(f));
-}
-
-TEST(LogTest, LogcatConcatenates) {
-  EXPECT_EQ(logcat("a=", 1, " b=", 2.5), "a=1 b=2.5");
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "topo/testbed.hpp"
 #include "vm/apps.hpp"
 #include "virtuoso/system.hpp"
@@ -231,28 +229,63 @@ TEST(VirtuosoTest, AutoAdaptationTriggersOnTrafficChange) {
   EXPECT_NE(std::find(d2.begin(), d2.end(), v1.host()), d2.end());
 }
 
-TEST(VirtuosoTest, LoggerRecordsAdaptationEvents) {
-  std::ostringstream log_sink;
-  Logger logger(&log_sink, LogLevel::kInfo);
+TEST(VirtuosoTest, TracerRecordsAdaptationEvents) {
   SystemConfig config;
   config.annealing.iterations = 100;
-  config.logger = &logger;
+  config.daemon_timeout = seconds(2.0);
+  config.control_heartbeat_period = millis(500);
   ChallengeEnv env(config);
-  env.system->create_vm("vm-0", env.tb.domain1_hosts[0], 4ull << 20);
-  env.system->create_vm("vm-1", env.tb.domain1_hosts[1], 4ull << 20);
+  VirtuosoSystem& sys = *env.system;
+  sys.create_vm("vm-0", env.tb.domain1_hosts[0], 4ull << 20);
+  sys.create_vm("vm-1", env.tb.domain1_hosts[1], 4ull << 20);
   const topo::ChallengeScenario truth = topo::make_challenge_scenario();
   const auto hosts = env.tb.hosts();
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     for (std::size_t j = 0; j < hosts.size(); ++j) {
       if (i != j) {
-        env.system->network_view().update_bandwidth(hosts[i], hosts[j],
-                                                    truth.graph.bandwidth(i, j), 0);
+        sys.network_view().update_bandwidth(hosts[i], hosts[j], truth.graph.bandwidth(i, j), 0);
       }
     }
   }
-  env.system->adapt_now(AdaptationAlgorithm::kGreedy);
-  const std::string out = log_sink.str();
-  EXPECT_NE(out.find("adaptation complete"), std::string::npos);
+  const AdaptationOutcome outcome = sys.adapt_now(AdaptationAlgorithm::kGreedy);
+
+  // A killed daemon goes silent, is declared dead, and comes back alive
+  // once it reports again (here: one heartbeat, as a restarted daemon
+  // would send).
+  const net::NodeId victim = hosts.back();
+  sys.kill_daemon(victim);
+  env.sim.run_until(seconds(5.0));
+  ASSERT_FALSE(sys.daemon_alive(victim));
+  soap::XmlNode heartbeat;
+  heartbeat.name = "Heartbeat";
+  heartbeat.attributes["reporter"] = std::to_string(victim);
+  sys.control_plane().send(victim, heartbeat);
+  env.sim.run_until(seconds(6.5));  // one sweep later, before it goes silent again
+  ASSERT_TRUE(sys.daemon_alive(victim));
+
+  auto arg = [](const obs::TraceEvent& e, const std::string& key) -> std::string {
+    for (const auto& [k, v] : e.args) {
+      if (k == key) return v;
+    }
+    return "<missing>";
+  };
+  const std::vector<obs::TraceEvent> events = sys.tracer()->events();
+  std::size_t adapts = 0;
+  std::vector<std::string> victim_events;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "virtuoso.adapt") {
+      ++adapts;
+      EXPECT_EQ(arg(e, "cost_mbps"), std::to_string(outcome.evaluation.cost / 1e6));
+      EXPECT_EQ(arg(e, "feasible"), outcome.evaluation.feasible ? "1" : "0");
+    } else if (e.category == "virtuoso" && arg(e, "host") == std::to_string(victim)) {
+      EXPECT_EQ(e.phase, obs::EventPhase::kInstant);
+      victim_events.push_back(e.name);
+    }
+  }
+  EXPECT_EQ(adapts, 1u);
+  EXPECT_EQ(victim_events,
+            (std::vector<std::string>{"virtuoso.daemon.killed", "virtuoso.daemon.dead",
+                                      "virtuoso.daemon.alive"}));
 }
 
 TEST(VirtuosoTest, DisableAutoAdaptationStopsTriggers) {

@@ -52,23 +52,23 @@ TEST(InferTopologyTest, PrunesWeakEdges) {
   m.add(1, 2, 1000);
   m.add(2, 3, 500);
   m.add(3, 4, 50);  // 5% of max: below the 10% cutoff
-  const Topology topo = infer_topology(m, 0.1);
+  const Topology topo = infer_topology(m);
   ASSERT_EQ(topo.edges.size(), 2u);
   EXPECT_DOUBLE_EQ(topo.edges[0].normalized, 1.0);
   EXPECT_DOUBLE_EQ(topo.edges[1].normalized, 0.5);
 }
 
 TEST(InferTopologyTest, EmptyMatrixYieldsEmptyTopology) {
-  EXPECT_TRUE(infer_topology(TrafficMatrix{}, 0.1).edges.empty());
+  EXPECT_TRUE(infer_topology(TrafficMatrix{}).edges.empty());
 }
 
 TEST(TopologyTest, SameShapeComparesEdgeSets) {
   TrafficMatrix m1, m2;
   m1.add(1, 2, 100);
   m2.add(1, 2, 70);  // same edge, different rate
-  EXPECT_TRUE(infer_topology(m1, 0.1).same_shape(infer_topology(m2, 0.1)));
+  EXPECT_TRUE(infer_topology(m1).same_shape(infer_topology(m2)));
   m2.add(2, 3, 60);
-  EXPECT_FALSE(infer_topology(m1, 0.1).same_shape(infer_topology(m2, 0.1)));
+  EXPECT_FALSE(infer_topology(m1).same_shape(infer_topology(m2)));
 }
 
 TEST(TopologyTest, MaxRelativeChange) {
@@ -76,7 +76,7 @@ TEST(TopologyTest, MaxRelativeChange) {
   m1.add(1, 2, 100);
   m2.add(1, 2, 150);
   const double change =
-      infer_topology(m2, 0.1).max_relative_change(infer_topology(m1, 0.1));
+      infer_topology(m2).max_relative_change(infer_topology(m1));
   EXPECT_NEAR(change, 0.5, 1e-9);
 }
 
@@ -258,7 +258,7 @@ namespace classify_helpers {
 Topology from_edges(const std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>>& edges) {
   TrafficMatrix m;
   for (const auto& [src, dst] : edges) m.add(src, dst, 1000);
-  return infer_topology(m, 0.1);
+  return infer_topology(m);
 }
 
 }  // namespace classify_helpers

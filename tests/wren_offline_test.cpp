@@ -147,9 +147,7 @@ TEST_P(ActiveProberSweepTest, BinarySearchFindsResidual) {
   transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, cross_rate, 1000);
   if (cross_rate > 0) cbr.start();
 
-  ActiveProbeParams params;
-  params.max_rate_bps = 100e6;
-  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, params);
+  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
   double estimate = 0;
   prober.start([&](double bps) { estimate = bps; });
   env.sim.run_until(seconds(20.0));
@@ -158,7 +156,7 @@ TEST_P(ActiveProberSweepTest, BinarySearchFindsResidual) {
   const double truth = 100e6 - cross_rate;
   EXPECT_NEAR(estimate, truth, 0.25 * truth) << "cross " << cross_rate;
   EXPECT_GT(prober.bytes_injected(), 0u);  // the cost Wren avoids
-  EXPECT_EQ(prober.trains_sent(), params.iterations * params.trains_per_rate);
+  EXPECT_EQ(prober.trains_sent(), kProbeIterations * kProbeTrainsPerRate);
 }
 
 INSTANTIATE_TEST_SUITE_P(CrossRates, ActiveProberSweepTest,
@@ -166,9 +164,7 @@ INSTANTIATE_TEST_SUITE_P(CrossRates, ActiveProberSweepTest,
 
 TEST(ActiveProberTest, InjectsSubstantialProbeTraffic) {
   LanEnv env;
-  ActiveProbeParams params;
-  params.max_rate_bps = 100e6;
-  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, params);
+  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
   prober.start(nullptr);
   env.sim.run_until(seconds(20.0));
   // 10 trains x 24 packets x ~1228B.

@@ -414,6 +414,29 @@ TEST(WrenEndToEndTest, LatencyEstimateMatchesPath) {
   EXPECT_LT(*lat, 0.002);
 }
 
+TEST(OnlineAnalyzerTest, EstimateGoesStaleAfterFreshnessWindow) {
+  WrenEnv env;
+  OnlineAnalyzer analyzer(env.net, env.sender);
+  SimTime last_observation = 0;
+  analyzer.set_on_observation([&](net::NodeId, const SicObservation& o) {
+    last_observation = std::max(last_observation, o.time);
+  });
+  std::vector<transport::MessagePhase> phases{
+      {.count = 20, .message_bytes = 100'000, .spacing = millis(50), .pause_after = 0}};
+  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
+  app.start();
+  env.sim.run_until(seconds(3.0));  // the traffic is over; no more observations
+  ASSERT_GT(last_observation, 0);
+  ASSERT_TRUE(analyzer.available_bandwidth_bps(env.receiver).has_value());
+
+  env.sim.run_until(last_observation + kFreshness - millis(1));
+  EXPECT_TRUE(analyzer.available_bandwidth_bps(env.receiver).has_value());
+  env.sim.run_until(last_observation + kFreshness + millis(1));
+  EXPECT_FALSE(analyzer.available_bandwidth_bps(env.receiver).has_value());
+  // Latency is a path property (min RTT), not a fading estimate.
+  EXPECT_TRUE(analyzer.latency_seconds(env.receiver).has_value());
+}
+
 TEST(WrenEndToEndTest, PeersListedAfterTraffic) {
   WrenEnv env;
   OnlineAnalyzer analyzer(env.net, env.sender);

@@ -471,7 +471,8 @@ def check_hygiene(ctx: FileContext) -> list[Finding]:
         m = BANNED_IO.search(code)
         if m:
             out.append(Finding(path, line_of(code, m.start()), "hygiene",
-                               f"banned IO `{m.group(1)}` in library code; use util/log.hpp"))
+                               f"banned IO `{m.group(1)}` in library code; "
+                               "record events on obs::EventTracer"))
         # Raw text, not `code`: strip_comments blanks string literals.
         for m in METRIC_CALL.finditer(raw):
             if not METRIC_NAME.match(m.group(1)):
