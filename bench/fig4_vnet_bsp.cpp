@@ -91,10 +91,10 @@ int main(int argc, char** argv) {
   std::cerr << "fig4: supersteps=" << app.supersteps_completed()
             << " records_captured=" << trace.records_captured()
             << " observations=" << wm_wren.observations_total() << "\n";
-  system.finish_capture();
-  if (wren::CaptureSession* capture = system.capture()) {
-    std::cerr << "fig4 capture: " << capture->writers().size() << " shard(s) in "
-              << capture->dir() << ", " << capture->records_captured() << " records\n";
+  const std::uint64_t captured = system.finish_capture();
+  if (!capture_dir.empty()) {
+    std::cerr << "fig4 capture: " << system.overlay().daemon_hosts().size() << " shard(s) in "
+              << capture_dir << ", " << captured << " records\n";
   }
   return 0;
 }

@@ -177,10 +177,10 @@ int main(int argc, char** argv) {
 
   sim.run_until(seconds(100.0));
   app.stop();
-  system.finish_capture();
-  if (wren::CaptureSession* capture = system.capture()) {
-    std::cout << "capture: " << capture->writers().size() << " shard(s) in " << capture->dir()
-              << ", " << capture->records_captured() << " records\n";
+  const std::uint64_t captured = system.finish_capture();
+  if (!opt.capture_dir.empty()) {
+    std::cout << "capture: " << system.overlay().daemon_hosts().size() << " shard(s) in "
+              << opt.capture_dir << ", " << captured << " records\n";
   }
 
   // --- report ---------------------------------------------------------------

@@ -6,10 +6,10 @@
 // monitored transfer, writes the filtered records to a vw.trace.v1 archive,
 // reads it back, and reproduces the online estimate from the file alone.
 //
-// It also runs the capture differential: the same run is captured a second
-// time through the TraceWriter datapath (tap -> encode buffer -> shard
-// file). The useful records of the writer's shard must equal the archived
-// TraceFacility records one for one, and both must replay to bit-identical
+// It also runs the capture differential: the trace facility streams the
+// same records to a vw.trace.v1 shard while the run goes on (tap -> encode
+// buffer -> shard file). The useful records of that shard must equal the
+// batch-written archive one for one, and both must replay to bit-identical
 // SIC estimates. Exit status is nonzero on any difference, so CI can use
 // this as the capture/replay correctness gate.
 //
@@ -27,7 +27,6 @@
 #include "wren/analyzer.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace_binary.hpp"
-#include "wren/trace_writer.hpp"
 
 using namespace vw;
 
@@ -54,8 +53,8 @@ int main(int argc, char** argv) {
   wren::TraceFacility trace(net, sender, 1 << 20);
   wren::OnlineAnalyzer online(net, sender);  // for comparison
 
-  // Second capture path, same tap source: the TraceWriter datapath.
-  wren::TraceWriter writer(net, sender, shard_path);
+  // The streamed path out of the same tap: every record also goes to a shard.
+  trace.capture_to(shard_path);
 
   transport::CbrUdpSource cbr(stack, cross, receiver, 7000, 35e6, 1000);
   cbr.start();
@@ -89,12 +88,12 @@ int main(int argc, char** argv) {
   }
 
   // --- capture differential -----------------------------------------------
-  // The shard captured by the writer must hold exactly the archived useful
-  // records and replay to the exact same estimates: same records in, same
-  // SIC math, bit-identical doubles out.
-  writer.finish();
+  // The streamed shard must hold exactly the archived useful records and
+  // replay to the exact same estimates: same records in, same SIC math,
+  // bit-identical doubles out.
+  trace.finish_capture();
   const wren::BinaryTrace shard = wren::read_trace_binary_file(shard_path);
-  std::cout << "writer shard: " << shard.records.size() << " records -> " << shard_path << "\n";
+  std::cout << "streamed shard: " << shard.records.size() << " records -> " << shard_path << "\n";
   const auto shard_useful = wren::filter_useful(shard.records);
   const wren::OfflineResult from_shard = wren::analyze_offline(shard_useful);
 

@@ -1,33 +1,8 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace vw {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void Ewma::add(double x) {
   if (!has_value_) {
@@ -36,40 +11,6 @@ void Ewma::add(double x) {
   } else {
     value_ = alpha_ * x + (1.0 - alpha_) * value_;
   }
-}
-
-void SlidingWindow::add(double x) {
-  values_.push_back(x);
-  while (values_.size() > capacity_) values_.pop_front();
-}
-
-double SlidingWindow::mean() const {
-  if (values_.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-double SlidingWindow::quantile(double q) const {
-  if (values_.empty()) throw std::logic_error("SlidingWindow::quantile on empty window");
-  std::vector<double> sorted(values_.begin(), values_.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double SlidingWindow::min() const {
-  if (values_.empty()) throw std::logic_error("SlidingWindow::min on empty window");
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double SlidingWindow::max() const {
-  if (values_.empty()) throw std::logic_error("SlidingWindow::max on empty window");
-  return *std::max_element(values_.begin(), values_.end());
 }
 
 std::optional<double> median_of(std::vector<double> v) {

@@ -1,43 +1,12 @@
 #pragma once
 
-#include <cstddef>
-#include <deque>
-#include <limits>
 #include <optional>
 #include <vector>
 
-// Streaming statistics used by Wren's online analysis and the reporting
-// harnesses: running moments, exponentially weighted moving averages, and
-// sliding-window order statistics.
+// Statistics used by Wren's SIC analysis: an exponentially weighted moving
+// average and the median of a sample.
 
 namespace vw {
-
-/// Welford running moments: numerically stable count/mean/variance/min/max.
-class RunningStats {
- public:
-  void add(double x);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  /// Extremes are NaN until the first sample arrives — a reading of 0.0
-  /// from an empty accumulator would be indistinguishable from a real
-  /// observation of zero, so exporters must treat NaN as "no data".
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::quiet_NaN();
-  double max_ = std::numeric_limits<double>::quiet_NaN();
-  double sum_ = 0.0;
-};
 
 /// Exponentially weighted moving average with weight `alpha` on new samples.
 class Ewma {
@@ -54,32 +23,6 @@ class Ewma {
   double alpha_;
   double value_ = 0.0;
   bool has_value_ = false;
-};
-
-/// Fixed-capacity sliding window supporting order statistics; O(n log n) per
-/// query, which is fine for Wren's short observation windows.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity) : capacity_(capacity) {}
-
-  void add(double x);
-  std::size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
-  std::size_t capacity() const { return capacity_; }
-
-  double mean() const;
-  /// Order statistic: q in [0,1]; q=0.5 is the median (linear interpolation).
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-  double min() const;
-  double max() const;
-  void clear() { values_.clear(); }
-
-  const std::deque<double>& values() const { return values_; }
-
- private:
-  std::size_t capacity_;
-  std::deque<double> values_;
 };
 
 /// Median of a copy of `v`; nullopt when empty.

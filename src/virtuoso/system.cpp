@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -94,9 +95,7 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
     view_.enable_delta_tracking();
     warm_ = std::make_unique<vadapt::WarmStartOptimizer>(config_.warm_start);
   }
-  if (!config_.capture_dir.empty()) {
-    capture_ = std::make_unique<wren::CaptureSession>(network_, config_.capture_dir);
-  }
+  if (!config_.capture_dir.empty()) std::filesystem::create_directories(config_.capture_dir);
   // With telemetry off scope() is null and every instrument resolves null.
   const obs::Scope s = scope();
   stack_.set_obs(s);
@@ -120,13 +119,12 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
   c_cold_starts_ = s.counter("virtuoso.adapt.cold_starts");
   h_warm_delta_pairs_ = s.histogram("vadapt.warm.delta_pairs");
   if (warm_) warm_->params().obs = s;
-  if (capture_) capture_->set_obs(s);
 }
 
-VirtuosoSystem::~VirtuosoSystem() { finish_capture(); }
-
-void VirtuosoSystem::finish_capture() {
-  if (capture_) capture_->finish();
+std::uint64_t VirtuosoSystem::finish_capture() {
+  std::uint64_t records = 0;
+  for (auto& [host, rt] : runtimes_) records += rt.analyzer->trace().finish_capture();
+  return records;
 }
 
 vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name, bool is_proxy) {
@@ -134,7 +132,13 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
   DaemonRuntime rt;
   rt.analyzer = std::make_unique<wren::OnlineAnalyzer>(network_, host, config_.wren);
   rt.analyzer->set_obs(scope());
-  if (capture_) capture_->add_host(host);
+  if (!config_.capture_dir.empty()) {
+    rt.analyzer->trace().capture_to(
+        (std::filesystem::path(config_.capture_dir) /
+         ("trace_host" + std::to_string(host) + ".vwtrace"))
+            .string(),
+        static_cast<std::uint32_t>(runtimes_.size()));
+  }
   rt.local_vttif = std::make_unique<vttif::LocalVttif>(
       sim_, daemon, kVttifLocalPeriod,
       [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
@@ -289,20 +293,19 @@ wren::FederationRoot* VirtuosoSystem::federation_root() {
   return federation_ ? federation_->root.get() : nullptr;
 }
 
+VirtuosoSystem::FederationRegion* VirtuosoSystem::region_at(wren::RegionId region) {
+  if (!federation_ || region >= federation_->regions.size()) return nullptr;
+  return &federation_->regions[region];
+}
+
 wren::RegionalProxy* VirtuosoSystem::regional_proxy(wren::RegionId region) {
-  if (!federation_) return nullptr;
-  for (FederationRegion& reg : federation_->regions) {
-    if (reg.id == region) return reg.proxy.get();
-  }
-  return nullptr;
+  FederationRegion* reg = region_at(region);
+  return reg ? reg->proxy.get() : nullptr;
 }
 
 vnet::ControlPlane* VirtuosoSystem::regional_control(wren::RegionId region) {
-  if (!federation_) return nullptr;
-  for (FederationRegion& reg : federation_->regions) {
-    if (reg.id == region) return reg.control.get();
-  }
-  return nullptr;
+  FederationRegion* reg = region_at(region);
+  return reg ? reg->control.get() : nullptr;
 }
 
 wren::MeasurementScheduler* VirtuosoSystem::measurement_scheduler() {
@@ -310,13 +313,9 @@ wren::MeasurementScheduler* VirtuosoSystem::measurement_scheduler() {
 }
 
 vnet::ControlPlane& VirtuosoSystem::report_plane(net::NodeId host) {
-  if (federation_ != nullptr) {
-    const wren::RegionId r = federation_->region_map.region_of(host);
-    for (FederationRegion& reg : federation_->regions) {
-      if (reg.id == r) return *reg.control;
-    }
-  }
-  return *control_;
+  vnet::ControlPlane* regional =
+      federation_ ? regional_control(federation_->region_map.region_of(host)) : nullptr;
+  return regional ? *regional : *control_;
 }
 
 wren::RegionalProxy* VirtuosoSystem::regional_proxy_for(net::NodeId host) {
@@ -333,9 +332,6 @@ void VirtuosoSystem::bootstrap_federation() {
 
   auto fed = std::make_unique<FederationRuntime>();
   fed->region_map = wren::RegionMap::round_robin(hosts, fc.regions);
-  for (net::NodeId host : hosts) {
-    overlay_.daemon_on(host).set_region(fed->region_map.region_of(host));
-  }
 
   fed->root = std::make_unique<wren::FederationRoot>(view_, fed->region_map);
   // Liveness evidence rides the summaries: a HostSeen record proves the
@@ -362,10 +358,10 @@ void VirtuosoSystem::bootstrap_federation() {
   });
 
   for (wren::RegionId r = 0; r < static_cast<wren::RegionId>(fc.regions); ++r) {
+    // Region r sits at index r: round-robin gives it at least host r.
     std::vector<net::NodeId> region_hosts = fed->region_map.hosts_in(r);
-    if (region_hosts.empty()) continue;
+    VW_ASSERT(!region_hosts.empty(), "federation: region ", r, " has no daemon host");
     FederationRegion reg;
-    reg.id = r;
     reg.proxy_host = region_hosts.front();
     reg.control = std::make_unique<vnet::ControlPlane>(stack_, reg.proxy_host,
                                                        kRegionalPort, config_.control);
@@ -389,23 +385,21 @@ void VirtuosoSystem::bootstrap_federation() {
     reg.control->set_on_window_gap(
         [this](net::NodeId host) { schedule_full_re_report(host, /*regional_tier=*/true); });
 
-    const std::size_t index = fed->regions.size();
     reg.exporter = std::make_unique<sim::PeriodicTask>(
-        sim_, fc.export_period,
-        [this, index] { export_summary(index, /*force_full=*/false); });
+        sim_, fc.export_period, [this, r] { export_summary(r, /*force_full=*/false); });
     fed->regions.push_back(std::move(reg));
   }
 
   federation_ = std::move(fed);
 }
 
-void VirtuosoSystem::export_summary(std::size_t region_index, bool force_full) {
-  FederationRegion& reg = federation_->regions.at(region_index);
+void VirtuosoSystem::export_summary(wren::RegionId region, bool force_full) {
+  FederationRegion& reg = federation_->regions.at(region);
   const wren::FederationSummary summary = reg.proxy->build_summary(sim_.now(), force_full);
   soap::XmlNode msg;
   msg.name = "FederationSummary";
   msg.attributes["reporter"] = std::to_string(reg.proxy_host);
-  msg.attributes["region"] = std::to_string(reg.id);
+  msg.attributes["region"] = std::to_string(region);
   msg.add_text_child("summary", wren::summary_to_hex(summary));
   // Even an empty summary ships: it advances the sequence number (gap
   // detection) and doubles as the regional proxy's liveness signal.
@@ -421,13 +415,12 @@ void VirtuosoSystem::schedule_full_re_report(net::NodeId host, bool regional_tie
   sim_.schedule_in(delay, [this, host, regional_tier] {
     rereport_pending_.erase(host);
     if (!regional_tier && federation_ != nullptr) {
-      for (std::size_t i = 0; i < federation_->regions.size(); ++i) {
-        if (federation_->regions[i].proxy_host == host) {
-          // The lost message was (or may have been) a summary: re-export
-          // with sampling bypassed so every held entry reaches the root.
-          export_summary(i, /*force_full=*/true);
-          return;
-        }
+      const wren::RegionId r = federation_->region_map.region_of(host);
+      if (const FederationRegion* reg = region_at(r); reg && reg->proxy_host == host) {
+        // The lost message was (or may have been) a summary: re-export
+        // with sampling bypassed so every held entry reaches the root.
+        export_summary(r, /*force_full=*/true);
+        return;
       }
     }
     send_wren_report(host);

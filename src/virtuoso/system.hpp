@@ -28,7 +28,6 @@
 #include "vttif/local.hpp"
 #include "wren/active.hpp"
 #include "wren/analyzer.hpp"
-#include "wren/capture.hpp"
 #include "wren/federation.hpp"
 #include "wren/view.hpp"
 
@@ -106,10 +105,11 @@ struct SystemConfig {
   /// record: daemon deaths, resurrections and kills, denied reservations
   /// and each adaptation's cost land there as virtuoso.* events.
   bool telemetry = true;
-  /// When non-empty, every daemon host gets a wren::TraceWriter that
-  /// persists its packet-header trace as a vw.trace.v1 shard under this
-  /// directory (one file per host, shard tag = add order). Shards finalize
-  /// on finish_capture() or destruction and feed the vwcap-* tool suite +
+  /// When non-empty, the constructor creates this directory and every
+  /// daemon's trace facility (the same tap its Wren analyzer drains) also
+  /// streams its packet-header records to a vw.trace.v1 shard in it:
+  /// trace_host<id>.vwtrace, shard tag = add order. Shards finalize on
+  /// finish_capture() or destruction and feed the vwcap-* tool suite +
   /// offline replay.
   std::string capture_dir;
   /// The federated measurement plane (DESIGN.md §5i). When enabled,
@@ -131,7 +131,6 @@ struct AdaptationOutcome {
 class VirtuosoSystem {
  public:
   VirtuosoSystem(sim::Simulator& sim, net::Network& network, SystemConfig config = {});
-  ~VirtuosoSystem();
 
   VirtuosoSystem(const VirtuosoSystem&) = delete;
   VirtuosoSystem& operator=(const VirtuosoSystem&) = delete;
@@ -191,12 +190,11 @@ class VirtuosoSystem {
   obs::EventTracer* tracer() { return tracer_.get(); }
 
   // --- packet-trace capture ----------------------------------------------------
-  /// The binary capture session (one vw.trace.v1 shard per daemon host);
-  /// null unless SystemConfig::capture_dir is set.
-  wren::CaptureSession* capture() { return capture_.get(); }
-  /// Finalize all capture shards (write buffered tails, patch headers).
-  /// Idempotent; also runs at destruction. No-op without capture.
-  void finish_capture();
+  /// Finalize every daemon's capture shard (SystemConfig::capture_dir) and
+  /// return the records they hold in total; 0 without capture. Idempotent.
+  /// Throws std::runtime_error naming the shard when a write failed; the
+  /// implicit finish at destruction never throws.
+  std::uint64_t finish_capture();
 
   // --- federation ---------------------------------------------------------------
   /// Whether the federated measurement plane is live (bootstrap() ran with
@@ -275,7 +273,6 @@ class VirtuosoSystem {
   /// One region of the federated plane: its proxy host, the control plane
   /// its daemons report into, the partial view, and the export task.
   struct FederationRegion {
-    wren::RegionId id = wren::kInvalidRegion;
     net::NodeId proxy_host = net::kInvalidNode;
     std::unique_ptr<vnet::ControlPlane> control;
     std::unique_ptr<wren::RegionalProxy> proxy;
@@ -286,8 +283,11 @@ class VirtuosoSystem {
     wren::RegionMap region_map;
     std::unique_ptr<wren::FederationRoot> root;
     std::unique_ptr<wren::MeasurementScheduler> scheduler;
-    std::vector<FederationRegion> regions;
+    std::vector<FederationRegion> regions;  ///< region r at index r
   };
+
+  /// The region with id `region`; null when out of range or federation off.
+  FederationRegion* region_at(wren::RegionId region);
 
   void start_reporting(net::NodeId host);
   std::optional<vadapt::VmIndex> vm_index_for_mac(vnet::MacAddress mac) const;
@@ -303,7 +303,7 @@ class VirtuosoSystem {
   wren::RegionalProxy* regional_proxy_for(net::NodeId host);
   /// Ship one full Wren report for `host` right now (window-gap healing).
   void send_wren_report(net::NodeId host);
-  void export_summary(std::size_t region_index, bool force_full);
+  void export_summary(wren::RegionId region, bool force_full);
   /// A resend-window eviction lost unacknowledged state for `host`:
   /// schedule the make-up report (full summary for a regional proxy host on
   /// the root tier, full Wren report otherwise). Deferred + deduplicated so
@@ -326,7 +326,6 @@ class VirtuosoSystem {
   net::ReservationManager reservation_manager_;
   std::vector<net::ReservationId> reservation_ids_;
   wren::GlobalNetworkView view_;
-  std::unique_ptr<wren::CaptureSession> capture_;
   std::unique_ptr<vttif::GlobalVttif> global_vttif_;
   vm::MigrationEngine migration_;
   std::map<net::NodeId, DaemonRuntime> runtimes_;

@@ -106,11 +106,6 @@ class VnetDaemon {
   const std::string& name() const { return name_; }
   bool is_proxy() const { return is_proxy_; }
 
-  /// Federation region this daemon reports into (DESIGN.md §5i). Region 0
-  /// is the default single-region (flat) plane; the bootstrap redirects the
-  /// daemon's report stream to its region's proxy based on this.
-  void set_region(std::uint32_t region) { region_ = region; }
-  std::uint32_t region() const { return region_; }
   std::uint64_t frames_forwarded() const { return frames_forwarded_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
 
@@ -136,7 +131,6 @@ class VnetDaemon {
   net::NodeId host_;
   std::string name_;
   bool is_proxy_;
-  std::uint32_t region_ = 0;
   std::map<MacAddress, VmDeliveryFn> local_vms_;
   std::map<LinkId, std::unique_ptr<OverlayLink>> links_;
   std::map<MacAddress, LinkId> rules_;

@@ -61,6 +61,7 @@ class OnlineAnalyzer {
   void set_obs(const obs::Scope& scope);
 
   net::NodeId host() const { return host_; }
+  TraceFacility& trace() { return trace_; }
   const TraceFacility& trace() const { return trace_; }
   std::uint64_t observations_total() const { return observations_total_; }
 

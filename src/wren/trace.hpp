@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
@@ -16,8 +18,19 @@
 // records carry the NIC serialization-completion timestamp (the precise
 // wire departure time the SIC analysis needs), incoming records the
 // delivery timestamp.
+//
+// The facility is the host's one trace tap. Besides the ring the analyzer
+// drains, it can stream every record it takes to a vw.trace.v1 shard file
+// (capture_to), the paper's "transmitted to a remote repository" path for
+// offline analysis:
+//
+//   tap ─▶ PacketRecord ─┬─▶ encode into shard buffer ──(full)──▶ shard file
+//                        └─▶ ring (drop-oldest) ──▶ collect()
 
 namespace vw::wren {
+
+/// Bytes per encoded vw.trace.v1 record (layout in trace_binary.hpp).
+inline constexpr std::size_t kTraceRecordSize = 48;
 
 struct PacketRecord {
   SimTime timestamp = 0;
@@ -60,12 +73,33 @@ class TraceFacility {
   TraceFacility(const TraceFacility&) = delete;
   TraceFacility& operator=(const TraceFacility&) = delete;
 
+  /// Shard encode buffer: ~256 KiB, a whole number of records so a write
+  /// never splits one.
+  static constexpr std::size_t kShardBufferBytes =
+      256 * 1024 / kTraceRecordSize * kTraceRecordSize;
+
   /// Drain all records accumulated since the previous collect().
   std::vector<PacketRecord> collect();
+
+  /// Also persist every record captured from now on to a vw.trace.v1 shard
+  /// at `path`, tagged `shard` in the file header. The shard is lossless:
+  /// each record is encoded before it enters the ring, so ring drops never
+  /// reach it. Throws std::runtime_error when the file cannot be created.
+  /// At most one shard is open at a time.
+  void capture_to(const std::string& path, std::uint32_t shard = 0);
+
+  /// Stop capturing to the shard, write its buffered tail and patch the
+  /// header's record count; a shard is a valid vw.trace.v1 file only after
+  /// this. Returns the records the shard holds (0 without capture_to).
+  /// Idempotent; the destructor runs it too, but only this explicit call
+  /// reports a failed write, by throwing std::runtime_error naming the path.
+  std::uint64_t finish_capture();
 
   /// Attach telemetry (wren.trace.captured / wren.trace.dropped counters
   /// plus the wren.trace.buffered occupancy gauge, updated on every capture
   /// and drain so ring occupancy is observable between collect() calls).
+  /// A shard adds wren.trace.writer.captured/bytes, resolved only once one
+  /// is opened; per-shard numbers live in the shard headers.
   void set_obs(const obs::Scope& scope);
 
   net::NodeId host() const { return host_; }
@@ -74,6 +108,8 @@ class TraceFacility {
   std::size_t buffered() const { return ring_.size(); }
 
  private:
+  struct Shard;
+
   void on_tap(const net::TapEvent& ev);
 
   net::Network& network_;
@@ -92,6 +128,11 @@ class TraceFacility {
   obs::Counter* c_captured_ = nullptr;
   obs::Counter* c_dropped_ = nullptr;
   obs::Gauge* g_buffered_ = nullptr;
+  obs::Scope scope_;
+  // The open shard sink, null without capture_to() and after
+  // finish_capture(); `shard_records_` is what the last one persisted.
+  std::unique_ptr<Shard> shard_;
+  std::uint64_t shard_records_ = 0;
 };
 
 }  // namespace vw::wren

@@ -10,7 +10,7 @@
 
 // The vw.trace.v1 compact binary trace format, the repository's one trace
 // format: capture shards, vwcap tool outputs and offline archives all use
-// it. High-rate capture wants a fixed-size layout the writer can encode
+// it. High-rate capture wants a fixed-size layout the shard sink can encode
 // straight into its buffer and tools can mmap-scan. Layout
 // (everything little-endian, regardless of host byte order):
 //
@@ -21,7 +21,7 @@
 //     [16] u32 host           capturing NodeId
 //     [20] u32 shard          capture shard / NIC tag
 //     [24] u64 record_count   records in the file (patched at finalize)
-//     [32] u64 dropped        capture-time drops: 0 from this writer; kept
+//     [32] u64 dropped        capture-time drops: 0 from the shard sink; kept
 //                             for format stability (older shards may carry
 //                             a count, and readers still accept it)
 //     [40] u8[24] reserved    zero
@@ -49,14 +49,13 @@ namespace vw::wren {
 inline constexpr std::uint64_t kTraceMagic = 0x3145434152545756ull;  // "VWTRACE1"
 inline constexpr std::uint32_t kTraceVersion = 1;
 inline constexpr std::size_t kTraceHeaderSize = 64;
-inline constexpr std::size_t kTraceRecordSize = 48;
 
 /// File-level capture metadata carried by the vw.trace.v1 header.
 struct TraceFileHeader {
   net::NodeId host = net::kInvalidNode;  ///< capturing host (kInvalidNode for merged files)
   std::uint32_t shard = 0;               ///< capture shard / NIC tag
   std::uint64_t record_count = 0;
-  std::uint64_t dropped = 0;  ///< 0 from this writer; kept for format stability
+  std::uint64_t dropped = 0;  ///< 0 from the shard sink; kept for format stability
 };
 
 /// Encode one record / header into its fixed-size wire image.

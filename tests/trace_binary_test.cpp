@@ -1,11 +1,12 @@
 // Tests for the vw.trace.v1 binary capture datapath: the binary codec
-// (incl. corrupt-input handling), the buffered TraceWriter sink, the
-// capture-session wiring, the corpus operations (merge/filter/match), and
-// the binary -> offline-replay differential.
+// (incl. corrupt-input handling), the trace facility's buffered shard sink,
+// the system's per-daemon capture wiring, the corpus operations
+// (merge/filter/match), and the binary -> offline-replay differential.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -14,13 +15,13 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "sim/simulator.hpp"
+#include "topo/testbed.hpp"
 #include "transport/sources.hpp"
 #include "transport/stack.hpp"
-#include "wren/capture.hpp"
+#include "virtuoso/system.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace.hpp"
 #include "wren/trace_binary.hpp"
-#include "wren/trace_writer.hpp"
 
 namespace vw::wren {
 namespace {
@@ -182,7 +183,7 @@ TEST(TraceFacilityGaugeTest, BufferedGaugeTracksRingOccupancy) {
   EXPECT_EQ(buffered.value(), 0.0);  // drained
 }
 
-// --- TraceWriter end-to-end --------------------------------------------------
+// --- the facility's shard sink end to end -------------------------------------
 
 struct CaptureEnv {
   sim::Simulator sim;
@@ -210,20 +211,29 @@ struct CaptureEnv {
     app.start();
     sim.run_until(seconds(run_s));
   }
+
+  // Enough traffic to fill the shard encode buffer several times over.
+  void run_long_transfer() {
+    std::vector<transport::MessagePhase> phases{
+        {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
+    transport::MessageSource app(*stack, sender, receiver, 9000, phases);
+    app.start();
+    sim.run_until(seconds(7.0));
+  }
 };
 
-TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
+TEST(ShardSinkTest, CapturesExactlyWhatTheRingSees) {
   CaptureEnv env;
-  const std::string path = temp_path("writer-e2e.vwtrace");
+  const std::string path = temp_path("sink-e2e.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriter writer(env.net, env.sender, path, /*shard=*/7);
-
+  TraceFacility independent(env.net, env.sender, 1 << 20);  // a second tap, no shard
   obs::MetricsRegistry reg;
-  writer.set_obs(obs::Scope{&reg, nullptr});
+  facility.set_obs(obs::Scope{&reg, nullptr});
+  EXPECT_EQ(reg.snapshot("wren.trace.writer").metrics.size(), 0u);  // no shard yet
+  facility.capture_to(path, /*shard=*/7);
 
   env.run_transfer();
-  writer.finish();
-  EXPECT_TRUE(writer.finished());
+  const std::uint64_t persisted = facility.finish_capture();
 
   const auto expected = facility.collect();
   const BinaryTrace shard = read_trace_binary_file(path);
@@ -231,13 +241,14 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   EXPECT_EQ(shard.header.shard, 7u);
   EXPECT_EQ(shard.header.dropped, 0u);
   EXPECT_EQ(shard.header.record_count, shard.records.size());
-  EXPECT_EQ(writer.records_captured(), expected.size());
+  EXPECT_EQ(persisted, expected.size());
   ASSERT_EQ(shard.records.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_TRUE(shard.records[i] == expected[i]) << "record " << i;
   }
+  EXPECT_TRUE(independent.collect() == expected);
 
-  // Telemetry: the writer accounted every record and byte.
+  // Telemetry: the sink accounted every record and byte.
   const obs::MetricsSnapshot snap = reg.snapshot("wren.trace.writer");
   ASSERT_EQ(snap.metrics.size(), 2u);
   EXPECT_EQ(reg.counter("wren.trace.writer.captured").value(), expected.size());
@@ -245,26 +256,21 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
             expected.size() * kTraceRecordSize);
 }
 
-TEST(TraceWriterTest, ShardSpansManyBufferFlushes) {
-  // Enough traffic to fill the encode buffer several times over: every
-  // full-buffer write and the partial tail must land in order.
+TEST(ShardSinkTest, ShardSpansManyBufferFlushes) {
+  // Every full-buffer write and the partial tail must land in order.
   CaptureEnv env;
-  const std::string path = temp_path("writer-flushes.vwtrace");
+  const std::string path = temp_path("sink-flushes.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriter writer(env.net, env.sender, path);
   obs::MetricsRegistry reg;
-  writer.set_obs(obs::Scope{&reg, nullptr});
+  facility.capture_to(path);
+  facility.set_obs(obs::Scope{&reg, nullptr});  // attaching after open works too
 
-  std::vector<transport::MessagePhase> phases{
-      {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
-  app.start();
-  env.sim.run_until(seconds(7.0));
-  writer.finish();
+  env.run_long_transfer();
+  facility.finish_capture();
 
   const auto expected = facility.collect();
   const std::size_t n = expected.size();
-  ASSERT_GT(n * kTraceRecordSize, 2 * TraceWriter::kBufferBytes);
+  ASSERT_GT(n * kTraceRecordSize, 2 * TraceFacility::kShardBufferBytes);
   const BinaryTrace shard = read_trace_binary_file(path);
   EXPECT_EQ(shard.header.record_count, n);
   ASSERT_EQ(shard.records.size(), n);
@@ -274,49 +280,164 @@ TEST(TraceWriterTest, ShardSpansManyBufferFlushes) {
   EXPECT_EQ(reg.counter("wren.trace.writer.bytes").value(), n * kTraceRecordSize);
 }
 
-TEST(TraceWriterTest, FinishIsIdempotentAndDestructorSafe) {
+TEST(ShardSinkTest, ShardIsLosslessWhileTheRingDropsOldest) {
   CaptureEnv env;
-  const std::string path = temp_path("writer-idem.vwtrace");
-  {
-    TraceWriter writer(env.net, env.sender, path);
-    env.run_transfer(1.0);
-    writer.finish();
-    writer.finish();  // no-op
-  }                   // destructor runs finish() again
-  EXPECT_NO_THROW(read_trace_binary_file(path));
-}
-
-TEST(TraceWriterTest, ThrowsWhenFileCannotBeCreated) {
-  CaptureEnv env;
-  EXPECT_THROW(TraceWriter(env.net, env.sender, "/nonexistent-dir/x/y.vwtrace"),
-               std::runtime_error);
-}
-
-TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
-  CaptureEnv env;
-  const std::string dir = temp_path("capture-session");
-  CaptureSession session(env.net, dir);
-  session.add_host(env.sender);
-  session.add_host(env.receiver);
+  const std::string path = temp_path("sink-lossless.vwtrace");
+  TraceFacility small(env.net, env.sender, 16);
+  TraceFacility reference(env.net, env.sender, 1 << 20);
+  small.capture_to(path);
   env.run_transfer();
-  session.finish();
+  small.finish_capture();
 
-  ASSERT_EQ(session.writers().size(), 2u);
-  EXPECT_GT(session.records_captured(), 0u);
+  EXPECT_GT(small.records_dropped(), 0u);
+  EXPECT_EQ(small.collect().size(), 16u);
+  const auto all = reference.collect();
+  const BinaryTrace shard = read_trace_binary_file(path);
+  EXPECT_EQ(shard.header.dropped, 0u);
+  EXPECT_TRUE(shard.records == all);
+}
+
+TEST(ShardSinkTest, FinishIsIdempotentAndDestructorSafe) {
+  CaptureEnv env;
+  const std::string path = temp_path("sink-idem.vwtrace");
+  std::uint64_t first = 0;
+  {
+    TraceFacility facility(env.net, env.sender);
+    facility.capture_to(path);
+    env.run_transfer(1.0);
+    first = facility.finish_capture();
+    EXPECT_EQ(facility.finish_capture(), first);  // no-op, same count
+    env.run_transfer(1.5);                        // the ring still fills
+    EXPECT_EQ(facility.finish_capture(), first);
+  }  // the destructor finishes nothing more
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(read_trace_binary_file(path).header.record_count, first);
+
+  // Without an explicit finish the destructor writes a valid shard.
+  const std::string implicit = temp_path("sink-implicit.vwtrace");
+  {
+    TraceFacility facility(env.net, env.sender);
+    facility.capture_to(implicit);
+    env.run_transfer(2.0);
+  }
+  EXPECT_GT(read_trace_binary_file(implicit).records.size(), 0u);
+}
+
+TEST(ShardSinkTest, ThrowsWhenFileCannotBeCreated) {
+  CaptureEnv env;
+  TraceFacility facility(env.net, env.sender);
+  EXPECT_THROW(facility.capture_to("/nonexistent-dir/x/y.vwtrace"), std::runtime_error);
+  EXPECT_EQ(facility.finish_capture(), 0u);  // nothing was opened
+}
+
+TEST(ShardSinkTest, FailedWriteThrowsOnExplicitFinishOnly) {
+  // A device that accepts the open and then fails every write: the records
+  // never reach a file, and the explicit finish must say so.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  CaptureEnv env;
+  {
+    TraceFacility facility(env.net, env.sender);
+    facility.capture_to("/dev/full");
+    env.run_transfer(1.0);
+    try {
+      facility.finish_capture();
+      ADD_FAILURE() << "finish_capture() returned after a failed write";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+    }
+  }
+  // The implicit finish in the destructor swallows the same failure.
+  EXPECT_NO_THROW({
+    TraceFacility facility(env.net, env.sender);
+    facility.capture_to("/dev/full");
+    env.run_transfer(2.0);
+  });
+}
+
+TEST(ShardSinkTest, OneShardPerHostMergesTimeOrdered) {
+  CaptureEnv env;
+  const std::string dir = temp_path("capture-shards");
+  std::filesystem::create_directories(dir);
+  TraceFacility at_sender(env.net, env.sender);
+  TraceFacility at_receiver(env.net, env.receiver);
+  at_sender.capture_to(dir + "/trace_host" + std::to_string(env.sender) + ".vwtrace", 0);
+  at_receiver.capture_to(dir + "/trace_host" + std::to_string(env.receiver) + ".vwtrace", 1);
+  env.run_transfer();
+  const std::uint64_t total = at_sender.finish_capture() + at_receiver.finish_capture();
+  EXPECT_GT(total, 0u);
 
   std::vector<std::vector<PacketRecord>> shards;
-  for (const auto& w : session.writers()) {
-    const BinaryTrace t = read_trace_binary_file(w->path());
-    EXPECT_EQ(t.header.host, w->host());
+  for (const net::NodeId host : {env.sender, env.receiver}) {
+    const BinaryTrace t =
+        read_trace_binary_file(dir + "/trace_host" + std::to_string(host) + ".vwtrace");
+    EXPECT_EQ(t.header.host, host);
+    EXPECT_EQ(t.header.shard, shards.size());
     shards.push_back(t.records);
   }
-  EXPECT_EQ(shards[0].size() + shards[1].size(), session.records_captured());
+  EXPECT_EQ(shards[0].size() + shards[1].size(), total);
 
   const auto merged = merge_traces(shards);
-  ASSERT_EQ(merged.size(), session.records_captured());
+  ASSERT_EQ(merged.size(), total);
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].timestamp, merged[i].timestamp);
   }
+}
+
+// --- the system's capture wiring ----------------------------------------------
+
+struct CaptureSystemEnv {
+  sim::Simulator sim;
+  topo::ChallengeNetwork tb;
+  std::unique_ptr<virtuoso::VirtuosoSystem> system;
+  std::vector<net::NodeId> add_order;
+
+  explicit CaptureSystemEnv(const std::string& capture_dir)
+      : tb(topo::make_challenge_network(sim)) {
+    virtuoso::SystemConfig config;
+    config.capture_dir = capture_dir;
+    system = std::make_unique<virtuoso::VirtuosoSystem>(sim, *tb.network, config);
+    // Add the daemons in reverse host order, so add order != host order.
+    std::vector<net::NodeId> hosts = tb.hosts();
+    for (auto it = hosts.rbegin(); it != hosts.rend(); ++it) {
+      system->add_daemon(*it, tb.network->node(*it).name, /*is_proxy=*/add_order.empty());
+      add_order.push_back(*it);
+    }
+    system->bootstrap(vnet::LinkProtocol::kTcp);
+    vm::VirtualMachine& a = system->create_vm("vm-a", tb.domain2_hosts[0]);
+    vm::VirtualMachine& b = system->create_vm("vm-b", tb.domain2_hosts[1]);
+    a.send_message(b.mac(), 2'000'000);
+    sim.run_until(seconds(3.0));
+  }
+};
+
+TEST(SystemCaptureTest, OneShardPerDaemonHoldsWhatItsFacilityCaptured) {
+  const std::string dir = temp_path("system-capture/nested");  // created by the system
+  CaptureSystemEnv env(dir);
+  const std::uint64_t total = env.system->finish_capture();
+  EXPECT_EQ(env.system->finish_capture(), total);  // idempotent
+
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < env.add_order.size(); ++i) {
+    const net::NodeId host = env.add_order[i];
+    const BinaryTrace shard =
+        read_trace_binary_file(dir + "/trace_host" + std::to_string(host) + ".vwtrace");
+    EXPECT_EQ(shard.header.host, host);
+    EXPECT_EQ(shard.header.shard, i) << "shard tags follow add order";
+    EXPECT_EQ(shard.header.record_count,
+              env.system->wren_on(host).trace().records_captured())
+        << "host " << host;
+    sum += shard.header.record_count;
+  }
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(sum, total);
+  EXPECT_EQ(env.system->metrics()->counter("wren.trace.writer.captured").value(), total);
+}
+
+TEST(SystemCaptureTest, NoShardNoWriterCounters) {
+  CaptureSystemEnv env("");
+  EXPECT_EQ(env.system->finish_capture(), 0u);
+  EXPECT_EQ(env.system->metrics()->snapshot("wren.trace.writer").metrics.size(), 0u);
+  EXPECT_GT(env.system->metrics()->snapshot("wren.trace.captured").metrics.size(), 0u);
 }
 
 // --- corpus operations -------------------------------------------------------
@@ -393,11 +514,13 @@ TEST(MatchTracesTest, SimulatedTwoPointLatencyRespectsPropagation) {
   CaptureEnv env;
   const std::string from_path = temp_path("match-from.vwtrace");
   const std::string to_path = temp_path("match-to.vwtrace");
-  TraceWriter at_sender(env.net, env.sender, from_path);
-  TraceWriter at_receiver(env.net, env.receiver, to_path);
+  TraceFacility at_sender(env.net, env.sender);
+  TraceFacility at_receiver(env.net, env.receiver);
+  at_sender.capture_to(from_path);
+  at_receiver.capture_to(to_path);
   env.run_transfer();
-  at_sender.finish();
-  at_receiver.finish();
+  at_sender.finish_capture();
+  at_receiver.finish_capture();
 
   const BinaryTrace from = read_trace_binary_file(from_path);
   const BinaryTrace to = read_trace_binary_file(to_path);
@@ -417,14 +540,9 @@ TEST(BinaryReplayDifferentialTest, EstimatesBitIdenticalToInProcessAnalysis) {
   CaptureEnv env;
   const std::string path = temp_path("differential.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriter writer(env.net, env.sender, path);
-
-  std::vector<transport::MessagePhase> phases{
-      {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
-  app.start();
-  env.sim.run_until(seconds(7.0));
-  writer.finish();
+  facility.capture_to(path);
+  env.run_long_transfer();
+  facility.finish_capture();
 
   const OfflineResult direct = analyze_offline(filter_useful(facility.collect()));
   const BinaryTrace shard = read_trace_binary_file(path);

@@ -86,11 +86,9 @@ RNG_HOME = {"util/rng.hpp", "util/rng.cpp"}
 # R4 scope: the event-engine / datapath hot path.
 HOT_PATH_DIRS = ("sim", "net")
 # Headers outside the hot-path dirs whose code still runs per packet: the
-# capture datapath (tap callback -> encode buffer -> shard file).
-HOT_PATH_EXTRA = {
-    "wren/trace_writer.hpp",
-    "wren/capture.hpp",
-}
+# trace facility's tap and its shard sink (tap -> ring + encode buffer ->
+# shard file).
+HOT_PATH_EXTRA = {"wren/trace.hpp"}
 
 ALL_RULES = ("hygiene", "R1", "R2", "R3", "R4", "R5")
 
