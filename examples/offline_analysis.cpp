@@ -4,7 +4,9 @@
 // the kernel trace is filtered for useful observations and shipped to a
 // repository; analysis replays it offline. This example records a
 // monitored transfer, writes the filtered records to a vw.trace.v1 archive,
-// reads it back, and reproduces the online estimate from the file alone.
+// reads it back, and reproduces the online analyzer from the file alone:
+// the replay runs the online collection step at its cadence, so it must
+// yield the online observation series and estimate bit for bit.
 //
 // It also runs the capture differential: the trace facility streams the
 // same records to a vw.trace.v1 shard while the run goes on (tap -> encode
@@ -51,7 +53,11 @@ int main(int argc, char** argv) {
   transport::TransportStack stack(net);
 
   wren::TraceFacility trace(net, sender, 1 << 20);
-  wren::OnlineAnalyzer online(net, sender);  // for comparison
+  wren::OnlineAnalyzer online(net, sender);  // what the replay must reproduce
+  std::vector<std::pair<net::NodeId, wren::SicObservation>> online_observations;
+  online.set_on_observation([&](net::NodeId peer, const wren::SicObservation& observation) {
+    online_observations.push_back({peer, observation});
+  });
 
   // The streamed path out of the same tap: every record also goes to a shard.
   trace.capture_to(shard_path);
@@ -83,8 +89,34 @@ int main(int argc, char** argv) {
     std::cout << "  flow to host " << flow.dst << ": " << bps / 1e6
               << " Mb/s available (truth: 65 Mb/s)\n";
   }
-  if (auto live = online.available_bandwidth_bps(receiver)) {
-    std::cout << "online analyzer said:   " << *live / 1e6 << " Mb/s\n";
+  const auto live = online.available_bandwidth_bps(receiver);
+  if (live) std::cout << "online analyzer said:   " << *live / 1e6 << " Mb/s\n";
+
+  int failures = 0;
+  // --- offline == online ----------------------------------------------------
+  // Same stable time-sort as analyze_offline's series.
+  std::stable_sort(online_observations.begin(), online_observations.end(),
+                   [](const auto& a, const auto& b) { return a.second.time < b.second.time; });
+  bool same_series = result.observations.size() == online_observations.size();
+  for (std::size_t i = 0; same_series && i < online_observations.size(); ++i) {
+    same_series = result.observations[i].first.dst == online_observations[i].first &&
+                  result.observations[i].second == online_observations[i].second;
+  }
+  if (!same_series) {
+    std::cerr << "OFFLINE/ONLINE FAIL: the replay's " << result.observations.size()
+              << " observations differ from the online analyzer's "
+              << online_observations.size() << "\n";
+    ++failures;
+  }
+  if (!live || result.estimates_bps.size() != 1 || result.estimates_bps[0].second != *live) {
+    std::fprintf(stderr, "OFFLINE/ONLINE FAIL: offline estimate %.17g vs online %.17g\n",
+                 result.estimates_bps.empty() ? 0.0 : result.estimates_bps[0].second,
+                 live.value_or(0.0));
+    ++failures;
+  }
+  if (failures == 0) {
+    std::cout << "offline replay == online analyzer: " << online_observations.size()
+              << " observations and the estimate bit-identical\n";
   }
 
   // --- capture differential -----------------------------------------------
@@ -97,7 +129,6 @@ int main(int argc, char** argv) {
   const auto shard_useful = wren::filter_useful(shard.records);
   const wren::OfflineResult from_shard = wren::analyze_offline(shard_useful);
 
-  int failures = 0;
   if (shard_useful != records) {
     std::cerr << "DIFFERENTIAL FAIL: shard holds " << shard_useful.size()
               << " useful records, the archive " << records.size()

@@ -661,7 +661,6 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
 }
 
 void VirtuosoSystem::on_migration_failed(net::NodeId source, net::NodeId target) {
-  ++migration_failures_;
   obs::add(c_migration_failures_);
   // Whatever Wren believed about this pair predates the failure; force the
   // planner to re-measure (or fall back) before trusting it again.

@@ -161,9 +161,6 @@ class VirtuosoSystem {
   /// Daemon hosts currently believed alive (the capacity_graph() host set).
   std::vector<net::NodeId> live_daemon_hosts() const;
 
-  /// Migrations that failed mid-flight (path down / deadline) and rolled
-  /// back to their source host.
-  std::uint64_t migration_failures() const { return migration_failures_; }
   /// Re-plans triggered by a failed migration (auto-adaptation only).
   std::uint64_t failure_replans() const { return failure_replans_; }
   std::uint64_t daemons_declared_dead() const { return daemons_declared_dead_; }
@@ -341,7 +338,6 @@ class VirtuosoSystem {
   std::set<net::NodeId> dead_daemons_;
   std::unique_ptr<sim::PeriodicTask> liveness_task_;
   bool replan_pending_ = false;
-  std::uint64_t migration_failures_ = 0;
   std::uint64_t failure_replans_ = 0;
   std::uint64_t daemons_declared_dead_ = 0;
   std::unique_ptr<FederationRuntime> federation_;

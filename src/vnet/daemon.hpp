@@ -45,19 +45,14 @@ class OverlayLink {
   virtual net::FlowKey wire_flow() const = 0;
 
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t frames_received() const { return frames_received_; }
 
  protected:
   void deliver(FramePtr frame) {
-    ++frames_received_;
     if (on_frame_) on_frame_(std::move(frame));
   }
-  std::uint64_t frames_sent_ = 0;
 
  private:
   FrameFn on_frame_;
-  std::uint64_t frames_received_ = 0;
 };
 
 class VnetDaemon {

@@ -13,7 +13,6 @@ TcpOverlayLink::TcpOverlayLink(transport::TcpConnection& conn) : conn_(conn) {
 TcpOverlayLink::~TcpOverlayLink() { conn_.set_on_message({}); }
 
 void TcpOverlayLink::send(FramePtr frame) {
-  ++frames_sent_;
   const std::uint64_t bytes = frame->wire_bytes() + kEncapsulationBytes;
   conn_.send(bytes, std::any(std::move(frame)));
 }
@@ -31,7 +30,6 @@ UdpOverlayLink::UdpOverlayLink(std::shared_ptr<transport::UdpSocket> socket,
 }
 
 void UdpOverlayLink::send(FramePtr frame) {
-  ++frames_sent_;
   const std::uint32_t bytes = frame->wire_bytes() + kEncapsulationBytes;
   socket_->send_to(peer_host_, peer_port_, bytes,
                    std::make_shared<std::any>(std::move(frame)));

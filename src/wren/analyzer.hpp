@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -12,10 +11,10 @@
 #include "wren/trace.hpp"
 #include "wren/train.hpp"
 
-// Wren's online user-level analysis: periodically drains the kernel trace,
-// feeds per-flow train extraction and SIC evaluation, and maintains
-// per-peer available-bandwidth and latency state that the SOAP service
-// (and VTTIF's nonblocking collect calls) read.
+// Wren's user-level analysis. FlowAnalyzer holds a host's per-flow train
+// extraction + SIC state and its collection step; OnlineAnalyzer runs that
+// step every kCollectPeriod over the kernel trace and keeps the per-peer
+// state Wren reports, and analyze_offline replays a trace through it.
 
 namespace vw::wren {
 
@@ -27,6 +26,54 @@ inline constexpr SimTime kFreshness = seconds(30.0);    ///< older bandwidth est
 struct WrenParams {
   TrainParams train;
   SicParams sic;
+};
+
+class FlowAnalyzer {
+ public:
+  /// (monitored flow, observation) stream callback.
+  using ObservationFn = std::function<void(const net::FlowKey&, const SicObservation&)>;
+  using TrainFn = std::function<void(const Train&)>;
+
+  /// One outgoing flow's analysis state. Lives in place in the flow table:
+  /// the extractor's callback points at the estimator beside it.
+  struct Flow {
+    Flow(const net::FlowKey& key, FlowAnalyzer& owner);
+    Flow(const Flow&) = delete;
+    Flow& operator=(const Flow&) = delete;
+    SicEstimator estimator;
+    TrainExtractor extractor;
+    SimTime last_outgoing = 0;
+  };
+
+  /// `on_train` sees every extracted train before SIC analysis queues it.
+  FlowAnalyzer(WrenParams params, ObservationFn on_observation, TrainFn on_train = nullptr);
+  FlowAnalyzer(const FlowAnalyzer&) = delete;  // flows point back at their owner
+  FlowAnalyzer& operator=(const FlowAnalyzer&) = delete;
+
+  /// Route one record: outgoing data to its flow (opening it), incoming
+  /// ACKs to the outgoing flow they acknowledge; anything else is ignored.
+  void add(const PacketRecord& record);
+
+  /// The collection step at `now`, per flow in flow order: flush a run idle
+  /// past max_gap, process(now), then per_flow(key, estimator).
+  template <class PerFlow>
+  void step(SimTime now, PerFlow&& per_flow) {
+    for (auto& [key, flow] : flows_) {
+      if (flow.last_outgoing != 0 && now - flow.last_outgoing > params_.train.max_gap) {
+        flow.extractor.flush();
+      }
+      flow.estimator.process(now);
+      per_flow(key, flow.estimator);
+    }
+  }
+
+  const std::map<net::FlowKey, Flow>& flows() const { return flows_; }
+
+ private:
+  WrenParams params_;
+  ObservationFn on_observation_;
+  TrainFn on_train_;
+  std::map<net::FlowKey, Flow> flows_;
 };
 
 class OnlineAnalyzer {
@@ -60,7 +107,6 @@ class OnlineAnalyzer {
   /// plus the wren.train.length histogram; forwards to the trace facility.
   void set_obs(const obs::Scope& scope);
 
-  net::NodeId host() const { return host_; }
   TraceFacility& trace() { return trace_; }
   const TraceFacility& trace() const { return trace_; }
   std::uint64_t observations_total() const { return observations_total_; }
@@ -69,11 +115,6 @@ class OnlineAnalyzer {
   void analyze_now();
 
  private:
-  struct FlowState {
-    std::unique_ptr<TrainExtractor> extractor;
-    std::unique_ptr<SicEstimator> estimator;
-    SimTime last_outgoing = 0;
-  };
   struct PeerState {
     std::optional<double> bandwidth_bps;
     SimTime bandwidth_at = 0;
@@ -81,13 +122,9 @@ class OnlineAnalyzer {
     std::optional<double> capacity_bps;
   };
 
-  FlowState& flow_state(const net::FlowKey& key);
-
   net::Network& network_;
-  net::NodeId host_;
-  WrenParams params_;
   TraceFacility trace_;
-  std::map<net::FlowKey, FlowState> flows_;
+  FlowAnalyzer flows_;
   std::map<net::NodeId, PeerState> peer_state_;
   ObservationFn on_observation_;
   std::uint64_t observations_total_ = 0;

@@ -50,8 +50,8 @@ inline constexpr RegionId kInvalidRegion = 0xffffffffu;
 
 // --- region assignment -------------------------------------------------------
 
-/// Host -> region assignment shared by every tier (and, through
-/// vnet::VnetDaemon::set_region, by the daemons themselves).
+/// Host -> region assignment shared by the regional proxies, the root and
+/// the system's routing of daemon reports.
 class RegionMap {
  public:
   void assign(net::NodeId host, RegionId region);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <memory>
+
+#include "wren/analyzer.hpp"
 
 namespace vw::wren {
 
@@ -145,56 +146,36 @@ double MatchResult::mean_latency_ns() const {
 
 OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
                               const TrainParams& train_params, const SicParams& sic_params) {
-  struct FlowState {
-    std::unique_ptr<TrainExtractor> extractor;
-    std::unique_ptr<SicEstimator> estimator;
-  };
-  std::map<net::FlowKey, FlowState> flows;
   OfflineResult result;
+  FlowAnalyzer flows(WrenParams{train_params, sic_params},
+                     [&result](const net::FlowKey& flow, const SicObservation& observation) {
+                       result.observations.push_back({flow, observation});
+                     });
 
-  auto flow_state = [&](const net::FlowKey& key) -> FlowState& {
-    auto it = flows.find(key);
-    if (it != flows.end()) return it->second;
-    FlowState state;
-    state.estimator = std::make_unique<SicEstimator>(sic_params);
-    SicEstimator* est = state.estimator.get();
-    est->set_on_observation([&result, key](const SicObservation& obs) {
-      result.observations.push_back({key, obs});
-    });
-    state.extractor = std::make_unique<TrainExtractor>(
-        key, train_params, [est](const Train& t) { est->add_train(t); });
-    return flows.emplace(key, std::move(state)).first->second;
+  // The online timer, replayed: an analyzer created at t = 0 steps at every
+  // multiple of kCollectPeriod, after collecting the records stamped by then.
+  SimTime tick = kCollectPeriod;
+  const auto step_before = [&](SimTime t) {
+    for (; tick < t; tick += kCollectPeriod) flows.step(tick, [](const auto&, const auto&) {});
   };
-
   SimTime last_time = 0;
   for (const PacketRecord& r : records) {
+    step_before(r.timestamp);
     last_time = std::max(last_time, r.timestamp);
-    if (is_outgoing_data(r)) {
-      flow_state(r.flow).extractor->add(r);
-      ++result.records_consumed;
-    } else if (is_incoming_ack(r)) {
-      auto it = flows.find(r.flow.reversed());
-      if (it != flows.end()) {
-        it->second.estimator->add_ack(r.timestamp, r.ack);
-        ++result.records_consumed;
-      }
-    }
-    // Periodic processing keeps pending-train matching bounded, as the
-    // online analyzer's timer would.
-    if (result.records_consumed % 256 == 0) {
-      for (auto& [key, fs] : flows) fs.estimator->process(r.timestamp);
-    }
+    flows.add(r);
+  }
+  // Step through the first multiple at or after last + max_gap +
+  // pending_timeout + one period (step_before stops short of its bound, hence
+  // the second period), so no run or train is left pending.
+  if (!records.empty()) {
+    step_before(last_time + train_params.max_gap + sic_params.pending_timeout +
+                2 * kCollectPeriod);
   }
 
-  // Final pass: flush pending runs and settle estimates.
-  for (auto& [key, fs] : flows) {
-    fs.extractor->flush();
-    fs.estimator->process(last_time + seconds(10.0));
-    if (auto est = fs.estimator->estimate_bps()) {
-      result.estimates_bps.push_back({key, *est});
-    }
+  for (const auto& [flow, state] : flows.flows()) {
+    if (auto est = state.estimator.estimate_bps()) result.estimates_bps.push_back({flow, *est});
   }
-  result.flows_analyzed = flows.size();
+  result.flows_analyzed = flows.flows().size();
 
   std::stable_sort(result.observations.begin(), result.observations.end(),
                    [](const auto& a, const auto& b) { return a.second.time < b.second.time; });

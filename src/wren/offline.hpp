@@ -16,8 +16,8 @@
 //
 // Filtered records travel in the one trace format, vw.trace.v1
 // (wren/trace_binary.hpp). analyze_offline replays a record vector through
-// the same train-extraction + SIC machinery the online analyzer uses and
-// emits the available-bandwidth observation series. merge_traces /
+// the online analyzer's collection step (wren::FlowAnalyzer) at its
+// cadence, reproducing that analyzer's observation series. merge_traces /
 // apply_filter / match_traces are the corpus operations behind the
 // vwcap-extract and vwcap-match tools.
 
@@ -86,10 +86,10 @@ struct OfflineResult {
   /// Final per-flow estimates.
   std::vector<std::pair<net::FlowKey, double>> estimates_bps;
   std::size_t flows_analyzed = 0;
-  std::size_t records_consumed = 0;
 };
 
-/// Replay a trace through train extraction + SIC evaluation.
+/// Replay a trace through the online collection step at its cadence;
+/// estimates_bps holds each flow's final estimate_bps().
 OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
                               const TrainParams& train_params = {},
                               const SicParams& sic_params = {});

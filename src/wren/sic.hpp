@@ -28,6 +28,7 @@ struct SicObservation {
   double ack_rate_bps = 0;   ///< rate at which the ACKs returned
   bool congested = false;    ///< increasing RTT trend detected
   std::size_t train_length = 0;
+  friend bool operator==(const SicObservation&, const SicObservation&) = default;
 };
 
 inline constexpr double kSmoothingAlpha = 0.3;  ///< EWMA on the reported estimate

@@ -102,7 +102,6 @@ void TrainExtractor::emit_if_valid() {
                             return a.sent_at < b.sent_at;
                           }),
            "TrainExtractor: emitted train not in departure order");
-  ++trains_;
   if (on_train_) on_train_(train);
 }
 

@@ -57,8 +57,6 @@ class TrainExtractor {
   /// Force evaluation of the currently pending run (e.g. at end of trace).
   void flush();
 
-  std::uint64_t trains_emitted() const { return trains_; }
-
  private:
   void emit_if_valid();
   static double compute_isr(const std::vector<TrainPacket>& pkts);
@@ -69,7 +67,6 @@ class TrainExtractor {
   std::vector<TrainPacket> current_;
   SimTime min_gap_ = 0;
   SimTime max_gap_seen_ = 0;
-  std::uint64_t trains_ = 0;
 };
 
 }  // namespace vw::wren

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/fault.hpp"
 #include "net/network.hpp"
@@ -19,6 +23,8 @@
 #include "vm/migration.hpp"
 #include "vnet/control.hpp"
 #include "vnet/overlay.hpp"
+#include "wren/offline.hpp"
+#include "wren/trace_binary.hpp"
 #include "wren/view.hpp"
 
 namespace vw {
@@ -434,11 +440,17 @@ struct ChaosResult {
   std::uint64_t reconnects = 0;
   std::uint64_t daemons_died = 0;
   std::uint64_t replans = 0;
+  /// Per daemon host: (peer, observation) as its online analyzer emitted them.
+  std::map<net::NodeId, std::vector<std::pair<net::NodeId, wren::SicObservation>>> observations;
 };
 
 // The examples/chaos_cluster scenario, compacted: cut the inter-domain link
-// while the first adaptation's migrations are crossing it.
-ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false) {
+// while the first adaptation's migrations are crossing it. A non-empty
+// capture_dir also writes every daemon's trace shard there.
+ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false,
+                               vnet::LinkProtocol overlay = vnet::LinkProtocol::kUdp,
+                               const std::string& capture_dir = "") {
+  ChaosResult r;
   sim::Simulator sim;
   topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
 
@@ -451,14 +463,20 @@ ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false) {
   config.daemon_timeout = seconds(5.0);
   config.control.send_timeout = seconds(4.0);
   config.control.backoff_initial = millis(250);
+  config.capture_dir = capture_dir;
   virtuoso::VirtuosoSystem system(sim, *tb.network, config);
 
   bool first = true;
   for (net::NodeId h : tb.hosts()) {
     system.add_daemon(h, tb.network->node(h).name, first);
     first = false;
+    auto& observed = r.observations[h];
+    system.wren_on(h).set_on_observation(
+        [&observed](net::NodeId peer, const wren::SicObservation& observation) {
+          observed.push_back({peer, observation});
+        });
   }
-  system.bootstrap(vnet::LinkProtocol::kUdp);
+  system.bootstrap(overlay);
 
   const std::uint64_t mem = 8ull << 20;
   vm::VirtualMachine& v0 = system.create_vm("vm-0", tb.domain1_hosts[0], mem);
@@ -498,8 +516,8 @@ ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false) {
 
   sim.run_until(seconds(60.0));
   app.stop();
+  system.finish_capture();
 
-  ChaosResult r;
   r.migrations_failed = system.migration().migrations_failed();
   r.reconnects = system.control_plane().reconnects();
   r.daemons_died = system.daemons_declared_dead();
@@ -794,6 +812,44 @@ TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
   EXPECT_GT(control.delivered_bytes("Report"), 0u);
   // Every hole was either replayed or healed; the stream kept flowing.
   EXPECT_GT(reports, 0u);
+}
+
+TEST(ChaosScenarioTest, CapturedShardsReplayToTheOnlineObservations) {
+  // Offline replay runs the online analyzer's collection step at its
+  // cadence: every daemon's shard replays to exactly the observation series
+  // its analyzer produced during the run. Over the UDP overlay Wren sees
+  // only the control and migration connections; over the TCP overlay it
+  // also sees the VM traffic.
+  for (const vnet::LinkProtocol overlay : {vnet::LinkProtocol::kUdp, vnet::LinkProtocol::kTcp}) {
+    const bool udp = overlay == vnet::LinkProtocol::kUdp;
+    const std::string dir =
+        ::testing::TempDir() + (udp ? "chaos-capture-udp" : "chaos-capture-tcp");
+    const ChaosResult r = run_chaos_scenario(42, /*warm_start=*/false, overlay, dir);
+    if (udp) {
+      EXPECT_EQ(r.signature, "6,7,5,2,4,1,3,8,3,6,158,843,3");  // capture only observes
+    }
+    ASSERT_EQ(r.observations.size(), 6u);  // one analyzer per daemon host
+
+    std::size_t total = 0;
+    for (const auto& [host, emitted] : r.observations) {
+      const wren::BinaryTrace shard =
+          wren::read_trace_binary_file(dir + "/trace_host" + std::to_string(host) + ".vwtrace");
+      const wren::OfflineResult offline = wren::analyze_offline(shard.records);
+      auto online = emitted;
+      std::stable_sort(online.begin(), online.end(), [](const auto& a, const auto& b) {
+        return a.second.time < b.second.time;
+      });
+      ASSERT_EQ(offline.observations.size(), online.size()) << dir << " host " << host;
+      for (std::size_t i = 0; i < online.size(); ++i) {
+        ASSERT_EQ(offline.observations[i].first.dst, online[i].first)
+            << dir << " host " << host << " #" << i;
+        ASSERT_EQ(offline.observations[i].second, online[i].second)
+            << dir << " host " << host << " #" << i;
+      }
+      total += online.size();
+    }
+    EXPECT_GT(total, udp ? 50u : 5000u) << dir;
+  }
 }
 
 TEST(ChaosScenarioTest, SecondSeedAlsoSurvives) {

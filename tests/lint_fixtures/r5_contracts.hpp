@@ -1,8 +1,8 @@
 #pragma once
 
-// R5 fixture: a public header with exactly two VW_REQUIRE/VW_ENSURE contract
-// sites; test_vwlint.py checks coverage counting and baseline regression
-// against this file.
+// R5 fixture: a file with exactly two VW_REQUIRE/VW_ENSURE contract sites;
+// test_vwlint.py places it in fixture modules to check per-module counting
+// and baseline regression.
 #define VW_REQUIRE(cond, ...) ((void)(cond))
 #define VW_ENSURE(cond, ...) ((void)(cond))
 

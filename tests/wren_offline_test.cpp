@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "net/network.hpp"
@@ -78,17 +79,34 @@ TEST(UsefulRecordTest, FilterUsefulDropsNoise) {
 
 // --- offline analysis -----------------------------------------------------------
 
-TEST(OfflineAnalysisTest, MatchesOnlineOnRecordedTraffic) {
-  // Record a monitored transfer with cross traffic, then analyze offline:
-  // the offline estimate must land near the online one (same machinery).
+// A monitored message transfer from the sender, with CBR cross traffic to
+// the same receiver, for 10 s.
+struct LanScenario {
+  const char* name;
+  double cross_bps;
+  std::uint32_t messages;
+  SimTime spacing;
+};
+
+// Offline replay runs the online analyzer's own collection step at its
+// cadence, so the recorded trace must replay to exactly the observation series
+// and the estimate the online analyzer produced.
+void expect_offline_matches_online(const LanScenario& scenario) {
   LanEnv env;
   TraceFacility trace(env.net, env.sender, 1 << 20);
   OnlineAnalyzer online(env.net, env.sender);
+  std::vector<std::pair<net::NodeId, SicObservation>> online_observations;
+  online.set_on_observation([&](net::NodeId peer, const SicObservation& observation) {
+    online_observations.push_back({peer, observation});
+  });
 
-  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, 40e6, 1000);
+  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, scenario.cross_bps,
+                              1000);
   cbr.start();
-  std::vector<transport::MessagePhase> phases{
-      {.count = 100, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
+  std::vector<transport::MessagePhase> phases{{.count = scenario.messages,
+                                               .message_bytes = 200'000,
+                                               .spacing = scenario.spacing,
+                                               .pause_after = 0}};
   transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
   app.start();
   env.sim.run_until(seconds(10.0));
@@ -101,8 +119,26 @@ TEST(OfflineAnalysisTest, MatchesOnlineOnRecordedTraffic) {
   const OfflineResult result = analyze_offline(records);
   ASSERT_EQ(result.flows_analyzed, 1u);
   ASSERT_EQ(result.estimates_bps.size(), 1u);
-  EXPECT_NEAR(result.estimates_bps[0].second, *online_bw, 0.25 * *online_bw);
-  EXPECT_GT(result.observations.size(), 10u);
+  EXPECT_EQ(result.estimates_bps[0].second, *online_bw);  // bit-identical doubles
+
+  // The same stable time-sort analyze_offline applies to its series.
+  std::stable_sort(online_observations.begin(), online_observations.end(),
+                   [](const auto& a, const auto& b) { return a.second.time < b.second.time; });
+  ASSERT_GT(online_observations.size(), 10u);
+  ASSERT_EQ(result.observations.size(), online_observations.size());
+  for (std::size_t i = 0; i < online_observations.size(); ++i) {
+    ASSERT_EQ(result.observations[i].first.dst, online_observations[i].first) << "#" << i;
+    ASSERT_EQ(result.observations[i].second, online_observations[i].second) << "#" << i;
+  }
+}
+
+TEST(OfflineAnalysisTest, MatchesOnlineOnRecordedTraffic) {
+  for (const LanScenario& scenario : {LanScenario{"spaced", 40e6, 100, millis(100)},
+                                      LanScenario{"dumbbell", 60e6, 200, millis(37)},
+                                      LanScenario{"bulk", 20e6, 100, 0}}) {
+    SCOPED_TRACE(scenario.name);
+    expect_offline_matches_online(scenario);
+  }
 }
 
 TEST(OfflineAnalysisTest, ArchiveRoundTripPreservesAnalysis) {

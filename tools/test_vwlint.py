@@ -108,34 +108,39 @@ def test_r4_scope_covers_capture_datapath_headers() -> None:
 
 # --- R5 contract coverage ----------------------------------------------------
 
-def r5_context() -> vwlint.FileContext:
+def r5_context(rel_src: str = "fixtures/r5_contracts.hpp") -> vwlint.FileContext:
+    """The R5 fixture, analyzed as if it lived at src/<rel_src>."""
     ctx = vwlint.make_context(FIXTURES / "r5_contracts.hpp")
     ctx.is_src = True
-    ctx.is_header = True
-    ctx.rel_src = "fixtures/r5_contracts.hpp"
+    ctx.rel_src = rel_src
+    ctx.path = vwlint.SRC / rel_src
     return ctx
 
 
-def test_r5_counts_contract_macros() -> None:
+def test_r5_counts_contract_macros_per_module() -> None:
     counts = vwlint.contract_counts([r5_context()])
-    assert counts == {"src/fixtures/r5_contracts.hpp": 2}, counts
+    assert counts == {"src/fixtures": 2}, counts
+    # Sources count as well as headers, summed over the module; files
+    # directly under src/ belong to no module.
+    counts = vwlint.contract_counts([r5_context(), r5_context("fixtures/r5_contracts.cpp"),
+                                     r5_context("other/r5_contracts.cpp"),
+                                     r5_context("r5_contracts.cpp")])
+    assert counts == {"src/fixtures": 4, "src/other": 2}, counts
 
 
 def test_r5_flags_coverage_regression_and_passes_at_baseline() -> None:
     ctx = r5_context()
     with tempfile.TemporaryDirectory() as tmp:
         baseline = Path(tmp) / "baseline.json"
-        baseline.write_text(json.dumps(
-            {"contracts": {"src/fixtures/r5_contracts.hpp": 3}}))
+        baseline.write_text(json.dumps({"contracts": {"src/fixtures": 3}}))
         regress = vwlint.check_r5_contracts([ctx], baseline)
         assert len(regress) == 1 and "regressed: 2 < baseline 3" in regress[0].message
 
-        baseline.write_text(json.dumps(
-            {"contracts": {"src/fixtures/r5_contracts.hpp": 2}}))
+        baseline.write_text(json.dumps({"contracts": {"src/fixtures": 2}}))
         assert vwlint.check_r5_contracts([ctx], baseline) == []
 
-        # A header that vanished without --update-baseline is a finding too.
-        baseline.write_text(json.dumps({"contracts": {"src/gone.hpp": 1}}))
+        # A module that vanished without --update-baseline is a finding too.
+        baseline.write_text(json.dumps({"contracts": {"src/gone": 1}}))
         gone = vwlint.check_r5_contracts([ctx], baseline)
         assert len(gone) == 1 and "no longer exists" in gone[0].message
 

@@ -22,8 +22,9 @@ reproduction's core claim, bit-identical runs per seed:
                              and no by-value std::shared_ptr parameters
                              there: per-packet signatures must not churn
                              refcounts.
-  R5 contract coverage       VW_REQUIRE/VW_ENSURE count per public header must
-                             not regress vs tools/vwlint_baseline.json.
+  R5 contract coverage       VW_REQUIRE/VW_ENSURE call sites per module
+                             (src/<module>/*.{hpp,cpp}) must not drop below
+                             tools/vwlint_baseline.json.
 
   hygiene                    the legacy checks: #pragma once, no `using
                              namespace` in headers, no raw assert(), no
@@ -405,14 +406,18 @@ def check_r4_alloc(ctx: FileContext) -> list[Finding]:
 
 
 def contract_counts(files: list[FileContext]) -> dict[str, int]:
+    """Contract call sites per module: headers and sources of src/<module>/."""
     counts: dict[str, int] = {}
     for ctx in files:
-        if ctx.is_src and ctx.is_header and ctx.rel_src:
-            # Skip #define lines so util/check.hpp's own macro definitions
-            # don't count as call sites.
-            code = "\n".join(l for l in ctx.code.splitlines()
-                             if not l.lstrip().startswith("#define"))
-            counts[f"src/{ctx.rel_src}"] = len(CONTRACT_MACRO.findall(code))
+        module, sep, _ = ctx.rel_src.partition("/")
+        if not (ctx.is_src and sep and ctx.path.suffix in HEADER_EXTS | SOURCE_EXTS):
+            continue
+        # Skip #define lines so util/check.hpp's own macro definitions
+        # don't count as call sites.
+        code = "\n".join(l for l in ctx.code.splitlines()
+                         if not l.lstrip().startswith("#define"))
+        key = f"src/{module}"
+        counts[key] = counts.get(key, 0) + len(CONTRACT_MACRO.findall(code))
     return dict(sorted(counts.items()))
 
 
@@ -690,11 +695,12 @@ def main(argv: list[str] | None = None) -> int:
     if opts.update_baseline:
         counts = contract_counts(files)
         opts.baseline.write_text(json.dumps(
-            {"comment": "VW_REQUIRE/VW_ENSURE count per public header; vwlint R5 "
-                        "fails when a header drops below its baseline. Regenerate "
-                        "with tools/vwlint.py --update-baseline.",
+            {"comment": "VW_REQUIRE/VW_ENSURE call sites per module (src/<module>/"
+                        "*.{hpp,cpp}); vwlint R5 fails when a module drops below "
+                        "its baseline. Regenerate with tools/vwlint.py "
+                        "--update-baseline.",
              "contracts": counts}, indent=2) + "\n", encoding="utf-8")
-        print(f"vwlint: baseline updated ({len(counts)} headers) -> "
+        print(f"vwlint: baseline updated ({len(counts)} modules) -> "
               f"{opts.baseline.relative_to(REPO)}")
         return 0
 
