@@ -27,9 +27,7 @@
 #include <string>
 
 #include "obs/export.hpp"
-#include "topo/testbed.hpp"
-#include "virtuoso/system.hpp"
-#include "vm/apps.hpp"
+#include "virtuoso/challenge.hpp"
 
 using namespace vw;
 
@@ -89,43 +87,22 @@ void write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
-  sim::Simulator sim;
-  topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
-
   virtuoso::SystemConfig config;
   config.annealing.iterations = 3000;
   config.multistart.chains = 4;  // chain 0 seeded with GH, 3 random restarts
   config.telemetry = opt.telemetry;
   config.capture_dir = opt.capture_dir;  // binary trace shards, one per host
-  virtuoso::VirtuosoSystem system(sim, *tb.network, config);
-
-  bool first = true;
-  for (net::NodeId h : tb.hosts()) {
-    system.add_daemon(h, tb.network->node(h).name, first);
-    first = false;
-  }
-  system.bootstrap(vnet::LinkProtocol::kUdp);
+  virtuoso::ChallengeCluster cluster(config);
+  sim::Simulator& sim = cluster.sim;
+  virtuoso::VirtuosoSystem& system = cluster.system;
 
   // Bad initial placement: the heavy trio (VMs 0-2) straddles the domains.
-  const std::uint64_t mem = 8ull << 20;  // small images keep migrations quick
-  vm::VirtualMachine& v0 = system.create_vm("vm-0", tb.domain1_hosts[0], mem);
-  vm::VirtualMachine& v1 = system.create_vm("vm-1", tb.domain1_hosts[1], mem);
-  vm::VirtualMachine& v2 = system.create_vm("vm-2", tb.domain2_hosts[0], mem);
-  vm::VirtualMachine& v3 = system.create_vm("vm-3", tb.domain2_hosts[1], mem);
-
-  vm::apps::DemandMatrix demands;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      if (i != j) demands[{i, j}] = 8e6;  // heavy all-to-all trio
-    }
-  }
-  demands[{0, 3}] = demands[{3, 0}] = 0.5e6;  // light chatter to VM 3
-  vm::apps::MatrixTrafficApp app(sim, {&v0, &v1, &v2, &v3}, demands, millis(100));
-  app.start();
+  const virtuoso::Fig10Workload workload(cluster);
 
   auto delivered = [&] {
-    return v0.bytes_received() + v1.bytes_received() + v2.bytes_received() +
-           v3.bytes_received();
+    std::uint64_t bytes = 0;
+    for (const vm::VirtualMachine* machine : workload.vms) bytes += machine->bytes_received();
+    return bytes;
   };
 
   // Phase 1: observe the badly placed application.
@@ -136,17 +113,7 @@ int main(int argc, char** argv) {
   std::cout << "VTTIF sees " << system.current_demands().size() << " VM flows\n";
 
   // Feed the Proxy's network view (Wren's role; ground truth here).
-  const topo::ChallengeScenario truth = topo::make_challenge_scenario();
-  const auto hosts = tb.hosts();
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    for (std::size_t j = 0; j < hosts.size(); ++j) {
-      if (i == j) continue;
-      system.network_view().update_bandwidth(hosts[i], hosts[j], truth.graph.bandwidth(i, j),
-                                             sim.now());
-      system.network_view().update_latency(hosts[i], hosts[j], truth.graph.latency(i, j),
-                                           sim.now());
-    }
-  }
+  cluster.feed_truth();
 
   // Phase 2: adapt (multi-start SA, chain 0 seeded with the greedy
   // heuristic) and let the migrations play out.
@@ -162,9 +129,9 @@ int main(int argc, char** argv) {
   const double after_mbps = static_cast<double>(delivered() - mid_bytes) * 8.0 / 20.0 / 1e6;
 
   std::cout << "after adaptation:  " << after_mbps << " Mb/s delivered\n";
-  for (auto [name, machine] :
-       {std::pair{"vm-0", &v0}, {"vm-1", &v1}, {"vm-2", &v2}, {"vm-3", &v3}}) {
-    std::cout << "  " << name << " on " << tb.network->node(machine->host()).name << "\n";
+  for (const vm::VirtualMachine* machine : workload.vms) {
+    std::cout << "  " << machine->name() << " on "
+              << cluster.tb.network->node(machine->host()).name << "\n";
   }
   std::cout << "speedup: " << after_mbps / before_mbps << "x\n";
 

@@ -37,11 +37,9 @@
 #include <iostream>
 #include <string>
 
-#include "net/fault.hpp"
+#include "cli_args.hpp"
 #include "obs/export.hpp"
-#include "topo/testbed.hpp"
-#include "virtuoso/system.hpp"
-#include "vm/apps.hpp"
+#include "virtuoso/challenge.hpp"
 
 using namespace vw;
 
@@ -59,16 +57,10 @@ struct Options {
 
 Options parse_options(int argc, char** argv) {
   Options opt;
-  auto need_value = [&](int i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << argv[i] << " requires an argument\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  };
+  auto need_value = [&](int i) -> std::string { return cli::need_value(argc, argv, i); };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = std::stoull(need_value(i++));
+      opt.seed = cli::uint_value<std::uint64_t>(argc, argv, i++);
     } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
       opt.metrics_json = need_value(i++);
     } else if (std::strcmp(argv[i], "--metrics-csv") == 0) {
@@ -104,79 +96,27 @@ void write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
-  sim::Simulator sim;
-  topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
-
   virtuoso::SystemConfig config;
   config.seed = opt.seed;
   config.telemetry = opt.telemetry;
-  // The failure model, all enabled:
-  config.view_staleness_horizon = seconds(10.0);
-  config.control_heartbeat_period = seconds(1.0);
-  config.daemon_timeout = seconds(5.0);
-  config.control.send_timeout = seconds(4.0);
-  config.control.backoff_initial = millis(250);
   config.capture_dir = opt.capture_dir;
-  virtuoso::VirtuosoSystem system(sim, *tb.network, config);
-
-  bool first = true;
-  for (net::NodeId h : tb.hosts()) {
-    system.add_daemon(h, tb.network->node(h).name, first);
-    first = false;
-  }
-  system.bootstrap(vnet::LinkProtocol::kUdp);
-
-  // Bad initial placement: the heavy trio (VMs 0-2) straddles the domains,
-  // so the first adaptation must migrate across the inter-domain link.
-  const std::uint64_t mem = 8ull << 20;
-  vm::VirtualMachine& v0 = system.create_vm("vm-0", tb.domain1_hosts[0], mem);
-  vm::VirtualMachine& v1 = system.create_vm("vm-1", tb.domain1_hosts[1], mem);
-  vm::VirtualMachine& v2 = system.create_vm("vm-2", tb.domain2_hosts[0], mem);
-  vm::VirtualMachine& v3 = system.create_vm("vm-3", tb.domain2_hosts[1], mem);
-  const std::vector<vm::VirtualMachine*> vms = {&v0, &v1, &v2, &v3};
-
-  vm::apps::DemandMatrix demands;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      if (i != j) demands[{i, j}] = 8e6;
-    }
-  }
-  demands[{0, 3}] = demands[{3, 0}] = 0.5e6;
-  vm::apps::MatrixTrafficApp app(sim, vms, demands, millis(100));
-  app.start();
-
-  // A measurement oracle standing in for Wren-over-UDP: refresh the Proxy's
-  // view every 2 s, but only for pairs whose physical path is actually up —
-  // during the outage the cross-domain entries go stale and expire.
-  const topo::ChallengeScenario truth = topo::make_challenge_scenario();
-  const auto hosts = tb.hosts();
-  sim::PeriodicTask oracle(sim, seconds(2.0), [&] {
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      for (std::size_t j = 0; j < hosts.size(); ++j) {
-        if (i == j || !tb.network->path_up(hosts[i], hosts[j])) continue;
-        system.network_view().update_bandwidth(hosts[i], hosts[j],
-                                               truth.graph.bandwidth(i, j), sim.now());
-        system.network_view().update_latency(hosts[i], hosts[j], truth.graph.latency(i, j),
-                                             sim.now());
-      }
-    }
-  });
-
-  system.enable_auto_adaptation(virtuoso::AdaptationAlgorithm::kGreedy, seconds(10.0));
-
-  // The chaos script: the first adaptation (t~2 s) sends three migrations
-  // across the inter-domain link (~10 s each); cut that link mid-flight and
-  // restore it 18 s later.
-  const SimTime outage_from = seconds(5.0);
-  const SimTime outage_until = seconds(23.0);
-  net::FaultPlan faults(sim, *tb.network);
-  faults.link_outage(outage_from, outage_until, tb.switch1, tb.switch2);
+  // The challenge cluster, the badly placed fig10 workload, the ground-truth
+  // feeder standing in for Wren-over-UDP (pairs whose path is down go stale
+  // and expire), greedy auto-adaptation, and the chaos script: the first
+  // adaptation (t~2 s) sends three migrations across the inter-domain link
+  // (~10 s each), which goes down mid-flight and returns 18 s later.
+  virtuoso::ChaosScenario run(config);
+  sim::Simulator& sim = run.sim;
+  const topo::ChallengeNetwork& tb = run.tb;
+  virtuoso::VirtuosoSystem& system = run.system;
+  const std::vector<vm::VirtualMachine*>& vms = run.workload.vms;
   std::cout << "fault schedule: link " << tb.network->node(tb.switch1).name << "<->"
-            << tb.network->node(tb.switch2).name << " DOWN at " << to_seconds(outage_from)
-            << " s, UP at " << to_seconds(outage_until) << " s\n";
+            << tb.network->node(tb.switch2).name << " DOWN at "
+            << to_seconds(virtuoso::ChaosScenario::kOutageFrom) << " s, UP at "
+            << to_seconds(virtuoso::ChaosScenario::kOutageUntil) << " s\n";
 
   sim.run_until(seconds(100.0));
-  app.stop();
+  run.workload.app.stop();
   const std::uint64_t captured = system.finish_capture();
   if (!opt.capture_dir.empty()) {
     std::cout << "capture: " << system.overlay().daemon_hosts().size() << " shard(s) in "
@@ -246,7 +186,7 @@ int main(int argc, char** argv) {
   check(control.reconnects() > 0, "no control connection reconnected");
   check(system.daemons_declared_dead() > 0, "no daemon was declared dead");
   check(system.failure_replans() > 0, "no re-plan followed the failed migrations");
-  for (net::NodeId h : hosts) {
+  for (net::NodeId h : tb.hosts()) {
     check(system.daemon_alive(h), "a daemon stayed dead after the link returned");
   }
   if (failures == 0) std::cout << "chaos scenario: all resilience invariants hold\n";

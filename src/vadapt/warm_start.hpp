@@ -11,7 +11,7 @@
 #include "vadapt/problem.hpp"
 #include "wren/delta.hpp"
 
-// Continuous warm-start VADAPT (ROADMAP item 4, DESIGN.md §5j).
+// Continuous warm-start VADAPT (DESIGN.md §5j).
 //
 // The from-scratch pipeline re-derives everything per adaptation: a fresh
 // CapacityGraph, a fresh IncrementalEvaluator (O(n²) residual prime), and a

@@ -77,7 +77,7 @@ struct SystemConfig {
   /// (warm_start.min_vms floor), or the delta touches more than a quarter
   /// of the host-pair space. An invalidated pair falls back to the adopted
   /// graph's defaults (default_bandwidth_bps and 1 ms).
-  /// Open (ROADMAP item 4): unlike capacity_graph(), the warm patch does
+  /// Open (DESIGN.md §5j): unlike capacity_graph(), the warm patch does
   /// not consult the federation's region aggregates.
   vadapt::WarmStartParams warm_start;
   vm::MigrationParams migration;

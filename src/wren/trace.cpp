@@ -22,10 +22,12 @@ struct TraceFacility::Shard {
   std::vector<unsigned char> buffer;
   obs::Counter* c_captured = nullptr;
   obs::Counter* c_bytes = nullptr;
+  obs::Counter* c_failed = nullptr;
 
   void set_obs(const obs::Scope& scope) {
     c_captured = scope.counter("wren.trace.writer.captured");
     c_bytes = scope.counter("wren.trace.writer.bytes");
+    c_failed = scope.counter("wren.trace.writer.failed");
   }
 
   void append(const PacketRecord& rec) {
@@ -50,15 +52,17 @@ struct TraceFacility::Shard {
               static_cast<std::streamsize>(image.size()));
   }
 
-  /// Writes the tail, patches the header and closes the file; false when
-  /// any write since open failed. The stream's error bits are sticky, so
-  /// one check after close() covers every buffer write, the tail and the
-  /// header patch.
+  /// Writes the tail, patches the header and closes the file; false, and
+  /// counted in wren.trace.writer.failed, when any write since open failed.
+  /// The stream's error bits are sticky, so one check after close() covers
+  /// every buffer write, the tail and the header patch.
   bool close() {
     flush();
     write_header();
     out.close();
-    return !out.fail();
+    if (!out.fail()) return true;
+    obs::add(c_failed);
+    return false;
   }
 };
 
@@ -70,7 +74,7 @@ TraceFacility::TraceFacility(net::Network& network, net::NodeId host, std::size_
 
 TraceFacility::~TraceFacility() {
   network_.remove_host_tap(host_, tap_id_);
-  if (shard_) shard_->close();  // an implicit finish never throws
+  if (shard_) shard_->close();  // an implicit finish never throws; a failure is counted
 }
 
 void TraceFacility::set_obs(const obs::Scope& scope) {

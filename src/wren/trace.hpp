@@ -93,13 +93,14 @@ class TraceFacility {
   /// this. Returns the records the shard holds (0 without capture_to).
   /// Idempotent; the destructor runs it too, but only this explicit call
   /// reports a failed write, by throwing std::runtime_error naming the path.
+  /// Either way a failed shard counts in wren.trace.writer.failed.
   std::uint64_t finish_capture();
 
   /// Attach telemetry (wren.trace.captured / wren.trace.dropped counters
   /// plus the wren.trace.buffered occupancy gauge, updated on every capture
   /// and drain so ring occupancy is observable between collect() calls).
-  /// A shard adds wren.trace.writer.captured/bytes, resolved only once one
-  /// is opened; per-shard numbers live in the shard headers.
+  /// A shard adds wren.trace.writer.captured/bytes/failed, resolved only
+  /// once one is opened; per-shard numbers live in the shard headers.
   void set_obs(const obs::Scope& scope);
 
   net::NodeId host() const { return host_; }

@@ -17,6 +17,7 @@
 #include "sim/simulator.hpp"
 #include "topo/testbed.hpp"
 #include "transport/stack.hpp"
+#include "virtuoso/challenge.hpp"
 #include "virtuoso/system.hpp"
 #include "vm/apps.hpp"
 #include "vm/machine.hpp"
@@ -444,78 +445,32 @@ struct ChaosResult {
   std::map<net::NodeId, std::vector<std::pair<net::NodeId, wren::SicObservation>>> observations;
 };
 
-// The examples/chaos_cluster scenario, compacted: cut the inter-domain link
-// while the first adaptation's migrations are crossing it. A non-empty
-// capture_dir also writes every daemon's trace shard there.
+// The examples/chaos_cluster scenario (virtuoso::ChaosScenario), run for
+// 60 s: the inter-domain link goes down while the first adaptation's
+// migrations are crossing it. A non-empty capture_dir also writes every
+// daemon's trace shard there.
 ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false,
                                vnet::LinkProtocol overlay = vnet::LinkProtocol::kUdp,
                                const std::string& capture_dir = "") {
   ChaosResult r;
-  sim::Simulator sim;
-  topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
-
   virtuoso::SystemConfig config;
   config.seed = seed;
   config.warm_start.enabled = warm_start;
   config.telemetry = false;
-  config.view_staleness_horizon = seconds(10.0);
-  config.control_heartbeat_period = seconds(1.0);
-  config.daemon_timeout = seconds(5.0);
-  config.control.send_timeout = seconds(4.0);
-  config.control.backoff_initial = millis(250);
   config.capture_dir = capture_dir;
-  virtuoso::VirtuosoSystem system(sim, *tb.network, config);
-
-  bool first = true;
+  virtuoso::ChaosScenario run(config, overlay);
+  virtuoso::VirtuosoSystem& system = run.system;
+  const topo::ChallengeNetwork& tb = run.tb;
   for (net::NodeId h : tb.hosts()) {
-    system.add_daemon(h, tb.network->node(h).name, first);
-    first = false;
     auto& observed = r.observations[h];
     system.wren_on(h).set_on_observation(
         [&observed](net::NodeId peer, const wren::SicObservation& observation) {
           observed.push_back({peer, observation});
         });
   }
-  system.bootstrap(overlay);
 
-  const std::uint64_t mem = 8ull << 20;
-  vm::VirtualMachine& v0 = system.create_vm("vm-0", tb.domain1_hosts[0], mem);
-  vm::VirtualMachine& v1 = system.create_vm("vm-1", tb.domain1_hosts[1], mem);
-  vm::VirtualMachine& v2 = system.create_vm("vm-2", tb.domain2_hosts[0], mem);
-  vm::VirtualMachine& v3 = system.create_vm("vm-3", tb.domain2_hosts[1], mem);
-  const std::vector<vm::VirtualMachine*> vms = {&v0, &v1, &v2, &v3};
-
-  vm::apps::DemandMatrix demands;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      if (i != j) demands[{i, j}] = 8e6;
-    }
-  }
-  demands[{0, 3}] = demands[{3, 0}] = 0.5e6;
-  vm::apps::MatrixTrafficApp app(sim, vms, demands, millis(100));
-  app.start();
-
-  const topo::ChallengeScenario truth = topo::make_challenge_scenario();
-  const auto hosts = tb.hosts();
-  sim::PeriodicTask oracle(sim, seconds(2.0), [&] {
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      for (std::size_t j = 0; j < hosts.size(); ++j) {
-        if (i == j || !tb.network->path_up(hosts[i], hosts[j])) continue;
-        system.network_view().update_bandwidth(hosts[i], hosts[j],
-                                               truth.graph.bandwidth(i, j), sim.now());
-        system.network_view().update_latency(hosts[i], hosts[j], truth.graph.latency(i, j),
-                                             sim.now());
-      }
-    }
-  });
-
-  system.enable_auto_adaptation(virtuoso::AdaptationAlgorithm::kGreedy, seconds(10.0));
-
-  net::FaultPlan faults(sim, *tb.network);
-  faults.link_outage(seconds(5.0), seconds(23.0), tb.switch1, tb.switch2);
-
-  sim.run_until(seconds(60.0));
-  app.stop();
+  run.sim.run_until(seconds(60.0));
+  run.workload.app.stop();
   system.finish_capture();
 
   r.migrations_failed = system.migration().migrations_failed();
@@ -526,7 +481,8 @@ ChaosResult run_chaos_scenario(std::uint64_t seed, bool warm_start = false,
     return m.attached() && (m.host() == tb.domain2_hosts[0] || m.host() == tb.domain2_hosts[1] ||
                             m.host() == tb.domain2_hosts[2]);
   };
-  r.trio_on_fast_cluster = on_fast(v0) && on_fast(v1) && on_fast(v2);
+  const std::vector<vm::VirtualMachine*>& vms = run.workload.vms;
+  r.trio_on_fast_cluster = on_fast(*vms[0]) && on_fast(*vms[1]) && on_fast(*vms[2]);
   std::ostringstream sig;
   for (const vm::VirtualMachine* m : vms) {
     r.all_attached = r.all_attached && m->attached();
@@ -596,52 +552,18 @@ TEST(WarmStartGoldenTest, SystemRoutesSecondAdaptationThroughWarmPath) {
   // End-to-end wiring check: with the min_vms floor lowered, the first
   // adaptation is a cold solve that seeds the incumbent, and a subsequent
   // single-pair measurement shift re-adapts through the warm optimizer.
-  sim::Simulator sim;
-  topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
-
   virtuoso::SystemConfig config;
   config.seed = 42;
   config.telemetry = false;
   config.view_staleness_horizon = seconds(60.0);
   config.warm_start.enabled = true;
   config.warm_start.min_vms = 1;
-  virtuoso::VirtuosoSystem system(sim, *tb.network, config);
-
-  bool first = true;
-  for (net::NodeId h : tb.hosts()) {
-    system.add_daemon(h, tb.network->node(h).name, first);
-    first = false;
-  }
-  system.bootstrap(vnet::LinkProtocol::kUdp);
-
-  const std::uint64_t mem = 8ull << 20;
-  vm::VirtualMachine& v0 = system.create_vm("vm-0", tb.domain1_hosts[0], mem);
-  vm::VirtualMachine& v1 = system.create_vm("vm-1", tb.domain1_hosts[1], mem);
-  vm::VirtualMachine& v2 = system.create_vm("vm-2", tb.domain2_hosts[0], mem);
-  vm::VirtualMachine& v3 = system.create_vm("vm-3", tb.domain2_hosts[1], mem);
-  const std::vector<vm::VirtualMachine*> vms = {&v0, &v1, &v2, &v3};
-
-  vm::apps::DemandMatrix matrix;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      if (i != j) matrix[{i, j}] = 8e6;
-    }
-  }
-  matrix[{0, 3}] = matrix[{3, 0}] = 0.5e6;
-  vm::apps::MatrixTrafficApp app(sim, vms, matrix, millis(100));
-  app.start();
-
-  const topo::ChallengeScenario truth = topo::make_challenge_scenario();
-  const auto hosts = tb.hosts();
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    for (std::size_t j = 0; j < hosts.size(); ++j) {
-      if (i == j) continue;
-      system.network_view().update_bandwidth(hosts[i], hosts[j], truth.graph.bandwidth(i, j),
-                                             sim.now());
-      system.network_view().update_latency(hosts[i], hosts[j], truth.graph.latency(i, j),
-                                           sim.now());
-    }
-  }
+  virtuoso::ChallengeCluster env(config);
+  virtuoso::Fig10Workload workload(env);
+  env.feed_truth();
+  sim::Simulator& sim = env.sim;
+  virtuoso::VirtuosoSystem& system = env.system;
+  const auto hosts = env.tb.hosts();
 
   sim.run_until(seconds(5.0));
   system.adapt_now(virtuoso::AdaptationAlgorithm::kGreedy);
@@ -649,14 +571,13 @@ TEST(WarmStartGoldenTest, SystemRoutesSecondAdaptationThroughWarmPath) {
   EXPECT_EQ(system.warm_starts(), 0u);
 
   // A single measurement shift: exactly the streaming-delta case the warm
-  // optimizer exists for.
+  // optimizer exists for: d1[0] -> d1[1] drops to half its 100 Mb/s truth.
   sim.run_until(seconds(10.0));
-  system.network_view().update_bandwidth(hosts[0], hosts[1], truth.graph.bandwidth(0, 1) * 0.5,
-                                         sim.now());
+  system.network_view().update_bandwidth(hosts[0], hosts[1], 50e6, sim.now());
   system.adapt_now(virtuoso::AdaptationAlgorithm::kGreedy);
   EXPECT_EQ(system.warm_starts(), 1u);
   EXPECT_EQ(system.cold_starts(), 1u);
-  app.stop();
+  workload.app.stop();
 }
 
 // --- liveness-sweep -> replan ordering ---------------------------------------
@@ -670,23 +591,16 @@ TEST(WarmStartGoldenTest, SystemRoutesSecondAdaptationThroughWarmPath) {
 // is alive and the view still holds (fresh-looking) entries for its paths.
 // adapt_now() must refresh liveness + expiry itself before snapshotting.
 TEST(PlanOrderingTest, AdaptRefreshesLivenessAndExpiryBeforeSnapshotting) {
-  sim::Simulator sim;
-  topo::ChallengeNetwork tb = topo::make_challenge_network(sim);
-
   virtuoso::SystemConfig config;
   config.telemetry = false;
   config.control_heartbeat_period = seconds(1.0);
   config.daemon_timeout = seconds(60.0);  // periodic sweep every 30 s
   config.view_staleness_horizon = seconds(30.0);
   config.default_bandwidth_bps = 10e6;
-  virtuoso::VirtuosoSystem system(sim, *tb.network, config);
-
-  bool first = true;
-  for (net::NodeId h : tb.hosts()) {
-    system.add_daemon(h, tb.network->node(h).name, first);
-    first = false;
-  }
-  system.bootstrap(vnet::LinkProtocol::kUdp);
+  virtuoso::ChallengeCluster env(config);
+  sim::Simulator& sim = env.sim;
+  const topo::ChallengeNetwork& tb = env.tb;
+  virtuoso::VirtuosoSystem& system = env.system;
 
   vm::VirtualMachine& a = system.create_vm("vm-a", tb.domain1_hosts[0], 8ull << 20);
   vm::VirtualMachine& b = system.create_vm("vm-b", tb.domain1_hosts[1], 8ull << 20);

@@ -248,12 +248,13 @@ TEST(ShardSinkTest, CapturesExactlyWhatTheRingSees) {
   }
   EXPECT_TRUE(independent.collect() == expected);
 
-  // Telemetry: the sink accounted every record and byte.
+  // Telemetry: the sink accounted every record and byte, and no failure.
   const obs::MetricsSnapshot snap = reg.snapshot("wren.trace.writer");
-  ASSERT_EQ(snap.metrics.size(), 2u);
+  ASSERT_EQ(snap.metrics.size(), 3u);
   EXPECT_EQ(reg.counter("wren.trace.writer.captured").value(), expected.size());
   EXPECT_EQ(reg.counter("wren.trace.writer.bytes").value(),
             expected.size() * kTraceRecordSize);
+  EXPECT_EQ(reg.counter("wren.trace.writer.failed").value(), 0u);
 }
 
 TEST(ShardSinkTest, ShardSpansManyBufferFlushes) {
@@ -346,12 +347,16 @@ TEST(ShardSinkTest, FailedWriteThrowsOnExplicitFinishOnly) {
       EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
     }
   }
-  // The implicit finish in the destructor swallows the same failure.
+  // The implicit finish in the destructor does not throw, but counts the
+  // same failure.
+  obs::MetricsRegistry reg;
   EXPECT_NO_THROW({
     TraceFacility facility(env.net, env.sender);
+    facility.set_obs(obs::Scope{&reg, nullptr});
     facility.capture_to("/dev/full");
     env.run_transfer(2.0);
   });
+  EXPECT_EQ(reg.counter("wren.trace.writer.failed").value(), 1u);
 }
 
 TEST(ShardSinkTest, OneShardPerHostMergesTimeOrdered) {
