@@ -13,10 +13,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
-#include "transport/sources.hpp"
-#include "transport/stack.hpp"
+#include "topo/lan_measurement.hpp"
 #include "util/csv.hpp"
 #include "wren/analyzer.hpp"
 
@@ -31,34 +28,14 @@ struct CaseResult {
 };
 
 CaseResult run_case(double cross_bps, const wren::WrenParams& params, bool delayed_ack) {
-  sim::Simulator sim;
-  net::Network net(sim);
-  const net::NodeId sender = net.add_host("s");
-  const net::NodeId receiver = net.add_host("r");
-  const net::NodeId cross = net.add_host("c");
-  const net::NodeId sw = net.add_router("sw");
-  net::LinkConfig cfg;
-  cfg.bits_per_sec = 100e6;
-  cfg.prop_delay = micros(50);
-  net.add_link(sender, sw, cfg);
-  net.add_link(cross, sw, cfg);
-  net.add_link(sw, receiver, cfg);
-  net.compute_routes();
-  transport::TransportStack stack(net);
-  stack.set_delayed_ack(delayed_ack);
-
-  wren::OnlineAnalyzer analyzer(net, sender, params);
-  transport::CbrUdpSource cbr(stack, cross, receiver, 7000, cross_bps, 1000);
-  if (cross_bps > 0) cbr.start();
-  std::vector<transport::MessagePhase> phases{
-      {.count = 150, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(stack, sender, receiver, 9000, phases);
-  app.start();
-  sim.run_until(seconds(12.0));
+  topo::LanMeasurement run(cross_bps, params);
+  run.stack.set_delayed_ack(delayed_ack);
+  run.send({{.count = 150, .message_bytes = 200'000, .spacing = millis(100)}});
+  run.sim.run_until(seconds(12.0));
 
   CaseResult result;
-  result.truth_mbps = (100e6 - cross_bps) / 1e6;
-  if (auto bw = analyzer.available_bandwidth_bps(receiver)) {
+  result.truth_mbps = run.truth_bps() / 1e6;
+  if (auto bw = run.analyzer.available_bandwidth_bps(run.tb.receiver)) {
     result.estimate_mbps = *bw / 1e6;
     result.has_estimate = true;
   }

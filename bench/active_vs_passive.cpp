@@ -13,10 +13,7 @@
 
 #include <iostream>
 
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
-#include "transport/sources.hpp"
-#include "transport/stack.hpp"
+#include "topo/lan_measurement.hpp"
 #include "util/csv.hpp"
 #include "wren/active.hpp"
 #include "wren/analyzer.hpp"
@@ -31,40 +28,12 @@ struct ToolResult {
   bool ok = false;
 };
 
-struct LanEnv {
-  sim::Simulator sim;
-  net::Network net{sim};
-  net::NodeId sender, receiver, cross, sw;
-  std::unique_ptr<transport::TransportStack> stack;
-
-  LanEnv() {
-    sender = net.add_host("s");
-    receiver = net.add_host("r");
-    cross = net.add_host("c");
-    sw = net.add_router("sw");
-    net::LinkConfig cfg;
-    cfg.bits_per_sec = 100e6;
-    cfg.prop_delay = micros(50);
-    net.add_link(sender, sw, cfg);
-    net.add_link(cross, sw, cfg);
-    net.add_link(sw, receiver, cfg);
-    net.compute_routes();
-    stack = std::make_unique<transport::TransportStack>(net);
-  }
-};
-
 ToolResult run_passive(double cross_rate) {
-  LanEnv env;
-  wren::OnlineAnalyzer analyzer(env.net, env.sender);
-  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, cross_rate, 1000);
-  if (cross_rate > 0) cbr.start();
-  std::vector<transport::MessagePhase> phases{
-      {.count = 120, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
-  app.start();
-  env.sim.run_until(seconds(12.0));
+  topo::LanMeasurement run(cross_rate);
+  run.send({{.count = 120, .message_bytes = 200'000, .spacing = millis(100)}});
+  run.sim.run_until(seconds(12.0));
   ToolResult r;
-  if (auto bw = analyzer.available_bandwidth_bps(env.receiver)) {
+  if (auto bw = run.analyzer.available_bandwidth_bps(run.tb.receiver)) {
     r.estimate_mbps = *bw / 1e6;
     r.ok = true;
   }
@@ -73,16 +42,14 @@ ToolResult run_passive(double cross_rate) {
 }
 
 ToolResult run_active(double cross_rate) {
-  LanEnv env;
-  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, cross_rate, 1000);
-  if (cross_rate > 0) cbr.start();
-  wren::ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
+  topo::LanMeasurement run(cross_rate);
+  wren::ActiveProber prober(run.stack, run.tb.sender, run.tb.receiver, 8800, 100e6);
   ToolResult r;
   prober.start([&](double bps) {
     r.estimate_mbps = bps / 1e6;
     r.ok = true;
   });
-  env.sim.run_until(seconds(20.0));
+  run.sim.run_until(seconds(20.0));
   r.probe_mb = static_cast<double>(prober.bytes_injected()) / 1e6;
   return r;
 }

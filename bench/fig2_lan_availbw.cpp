@@ -13,25 +13,17 @@
 
 #include <iostream>
 
-#include "net/probe.hpp"
-#include "topo/testbed.hpp"
-#include "transport/sources.hpp"
-#include "transport/stack.hpp"
+#include "topo/lan_measurement.hpp"
 #include "util/csv.hpp"
-#include "wren/analyzer.hpp"
 
 using namespace vw;
 
 int main() {
-  sim::Simulator sim;
-  topo::LanTestbed tb = topo::make_lan_testbed(sim, 100e6);
-  transport::TransportStack stack(*tb.network);
-
   // Cross traffic: 25 Mbps initially, 60 Mbps at t=20 s, off at t=40 s.
-  transport::CbrUdpSource cross(stack, tb.cross_source, tb.receiver, 7000, 25e6, 1000);
-  cross.start();
-  sim.schedule_at(seconds(20.0), [&cross] { cross.set_rate_bps(60e6); });
-  sim.schedule_at(seconds(40.0), [&cross] { cross.set_rate_bps(0); });
+  topo::LanMeasurement run(25e6);
+  sim::Simulator& sim = run.sim;
+  sim.schedule_at(seconds(20.0), [&run] { run.cross.set_rate_bps(60e6); });
+  sim.schedule_at(seconds(40.0), [&run] { run.cross.set_rate_bps(0); });
 
   // The monitored application (sizes per the paper's script).
   std::vector<transport::MessagePhase> phases{
@@ -41,27 +33,18 @@ int main() {
        .pause_after = seconds(2.0)},
   };
   // Pattern repeated twice, then 500 KB messages with random spacings.
-  transport::MessageSource app(stack, tb.sender, tb.receiver, 9000, phases, /*repeat=*/2,
-                               Rng(1234));
-  app.start();
+  const transport::MessageSource& app = run.send(phases, /*repeat=*/2, Rng(1234));
 
-  wren::OnlineAnalyzer analyzer(*tb.network, tb.sender);
-
-  // Ground truth from the switch -> receiver bottleneck (SNMP-style).
-  auto cross_rate_at = [](SimTime t) {
-    if (t < seconds(20.0)) return 25e6;
-    if (t < seconds(40.0)) return 60e6;
-    return 0.0;
-  };
-
+  // Ground truth from the switch -> receiver bottleneck (SNMP-style). The
+  // rate changes were queued at t=0, so at 20 s and 40 s they run before
+  // the sample taken at the same instant.
   struct Sample {
     double t, wren, truth;
   };
   std::vector<Sample> samples;
   sim::PeriodicTask sampler(sim, millis(500), [&] {
-    const auto bw = analyzer.available_bandwidth_bps(tb.receiver);
-    samples.push_back(Sample{to_seconds(sim.now()), bw.value_or(0) / 1e6,
-                             (100e6 - cross_rate_at(sim.now())) / 1e6});
+    const auto bw = run.analyzer.available_bandwidth_bps(run.tb.receiver);
+    samples.push_back(Sample{to_seconds(sim.now()), bw.value_or(0) / 1e6, run.truth_bps() / 1e6});
   });
 
   const SimTime horizon = seconds(70.0);
@@ -83,6 +66,6 @@ int main() {
 
   std::cerr << "fig2: " << samples.size() << " samples, app delivered "
             << app.sink().bytes_received() / 1e6 << " MB, trains observed -> "
-            << analyzer.observations_total() << " observations\n";
+            << run.analyzer.observations_total() << " observations\n";
   return 0;
 }

@@ -22,10 +22,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
-#include "transport/sources.hpp"
-#include "transport/stack.hpp"
+#include "topo/lan_measurement.hpp"
 #include "wren/analyzer.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace_binary.hpp"
@@ -37,38 +34,22 @@ int main(int argc, char** argv) {
   const std::string shard_path = argc > 2 ? argv[2] : "/tmp/wren-shard.vwtrace";
 
   // --- capture phase -----------------------------------------------------
-  sim::Simulator sim;
-  net::Network net(sim);
-  const net::NodeId sender = net.add_host("sender");
-  const net::NodeId receiver = net.add_host("receiver");
-  const net::NodeId cross = net.add_host("cross");
-  const net::NodeId sw = net.add_router("switch");
-  net::LinkConfig cfg;
-  cfg.bits_per_sec = 100e6;
-  cfg.prop_delay = micros(50);
-  net.add_link(sender, sw, cfg);
-  net.add_link(cross, sw, cfg);
-  net.add_link(sw, receiver, cfg);
-  net.compute_routes();
-  transport::TransportStack stack(net);
-
-  wren::TraceFacility trace(net, sender, 1 << 20);
-  wren::OnlineAnalyzer online(net, sender);  // what the replay must reproduce
+  // The Figure 2 LAN with 35 Mb/s of CBR cross traffic; its online analyzer
+  // is what the replay must reproduce.
+  topo::LanMeasurement run(35e6);
+  const net::NodeId sender = run.tb.sender;
+  const net::NodeId receiver = run.tb.receiver;
+  wren::TraceFacility trace(*run.tb.network, sender, 1 << 20);
   std::vector<std::pair<net::NodeId, wren::SicObservation>> online_observations;
-  online.set_on_observation([&](net::NodeId peer, const wren::SicObservation& observation) {
+  run.analyzer.set_on_observation([&](net::NodeId peer, const wren::SicObservation& observation) {
     online_observations.push_back({peer, observation});
   });
 
   // The streamed path out of the same tap: every record also goes to a shard.
   trace.capture_to(shard_path);
 
-  transport::CbrUdpSource cbr(stack, cross, receiver, 7000, 35e6, 1000);
-  cbr.start();
-  std::vector<transport::MessagePhase> phases{
-      {.count = 100, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(stack, sender, receiver, 9000, phases);
-  app.start();
-  sim.run_until(seconds(10.0));
+  run.send({{.count = 100, .message_bytes = 200'000, .spacing = millis(100)}});
+  run.sim.run_until(seconds(10.0));
 
   const auto records = wren::filter_useful(trace.collect());
   {
@@ -87,9 +68,9 @@ int main(int argc, char** argv) {
             << result.observations.size() << " observations\n";
   for (const auto& [flow, bps] : result.estimates_bps) {
     std::cout << "  flow to host " << flow.dst << ": " << bps / 1e6
-              << " Mb/s available (truth: 65 Mb/s)\n";
+              << " Mb/s available (truth: " << run.truth_bps() / 1e6 << " Mb/s)\n";
   }
-  const auto live = online.available_bandwidth_bps(receiver);
+  const auto live = run.analyzer.available_bandwidth_bps(receiver);
   if (live) std::cout << "online analyzer said:   " << *live / 1e6 << " Mb/s\n";
 
   int failures = 0;

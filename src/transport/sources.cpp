@@ -9,7 +9,6 @@ namespace vw::transport {
 TcpSink::TcpSink(TransportStack& stack, net::NodeId host, std::uint16_t port)
     : stack_(stack), host_(host), port_(port) {
   stack_.tcp_listen(host, port, [this](TcpConnection& conn) {
-    accepted_.push_back(&conn);
     conn.set_on_message([this](std::uint64_t, const std::any&) { ++messages_; });
     conn.set_on_delivered([this, &conn](std::uint64_t total) {
       // Meter the per-connection delta; connections are independent streams.
@@ -94,6 +93,11 @@ OnOffTcpSource::OnOffTcpSource(TransportStack& stack, net::NodeId src, net::Node
   conn_ = &stack_.tcp_connect(src, dst, dst_port);
 }
 
+OnOffTcpSource::~OnOffTcpSource() {
+  stop();
+  stack_.tcp_close(*conn_);
+}
+
 void OnOffTcpSource::start() {
   if (running_) return;
   running_ = true;
@@ -150,6 +154,11 @@ MessageSource::MessageSource(TransportStack& stack, net::NodeId src, net::NodeId
   conn_ = &stack_.tcp_connect(src, dst, dst_port);
 }
 
+MessageSource::~MessageSource() {
+  sim_.cancel(pending_);
+  stack_.tcp_close(*conn_);
+}
+
 void MessageSource::start() {
   if (conn_->established()) {
     send_next();
@@ -183,7 +192,7 @@ void MessageSource::send_next() {
   } else {
     delay = phase.spacing;
   }
-  sim_.schedule_in(delay, [this] { send_next(); });
+  pending_ = sim_.schedule_in(delay, [this] { send_next(); });
 }
 
 // --- BulkTcpSource ----------------------------------------------------------
@@ -195,13 +204,21 @@ BulkTcpSource::BulkTcpSource(TransportStack& stack, net::NodeId src, net::NodeId
   conn_ = &stack_.tcp_connect(src, dst, dst_port);
 }
 
+BulkTcpSource::~BulkTcpSource() {
+  stop();
+  stack_.tcp_close(*conn_);
+}
+
 void BulkTcpSource::start() {
   if (running_) return;
   running_ = true;
   top_up();
 }
 
-void BulkTcpSource::stop() { running_ = false; }
+void BulkTcpSource::stop() {
+  running_ = false;
+  sim_.cancel(pending_);
+}
 
 void BulkTcpSource::top_up() {
   if (!running_) return;
@@ -210,7 +227,7 @@ void BulkTcpSource::top_up() {
   while (conn_->bytes_buffered() < conn_->bytes_acked() + 4 * kWriteChunk) {
     conn_->send(kWriteChunk);
   }
-  sim_.schedule_in(millis(10), [this] { top_up(); });
+  pending_ = sim_.schedule_in(millis(10), [this] { top_up(); });
 }
 
 }  // namespace vw::transport

@@ -12,7 +12,10 @@
 #include "transport/udp.hpp"
 #include "util/rng.hpp"
 
-// Workload generators reproducing the paper's traffic:
+// Workload generators reproducing the paper's traffic. Each generator may be
+// destroyed while the simulator keeps running: it cancels its pending event
+// and closes the connection pair it opened.
+//
 //  * CbrUdpSource — iperf-style constant-bit-rate UDP (Figure 2 cross traffic)
 //  * OnOffTcpSource — bursty on/off TCP (Figure 3 cross traffic)
 //  * MessageSource — the monitored application: scripted message sizes with
@@ -23,6 +26,8 @@
 namespace vw::transport {
 
 /// Listens on (host, port), accepts any number of connections, meters bytes.
+/// The accepted connections call back into the sink, so whoever opened
+/// them closes them (TransportStack::tcp_close) before the sink goes.
 class TcpSink {
  public:
   TcpSink(TransportStack& stack, net::NodeId host, std::uint16_t port);
@@ -44,7 +49,6 @@ class TcpSink {
   RateMeter meter_;
   std::uint64_t messages_ = 0;
   std::unordered_map<TcpConnection*, std::uint64_t> last_delivered_;
-  std::vector<TcpConnection*> accepted_;
 };
 
 /// iperf-style UDP constant bit rate generator. Departures carry a small
@@ -90,6 +94,7 @@ class OnOffTcpSource {
  public:
   OnOffTcpSource(TransportStack& stack, net::NodeId src, net::NodeId dst, std::uint16_t dst_port,
                  double peak_rate_bps, SimTime mean_on, SimTime mean_off, Rng rng);
+  ~OnOffTcpSource();
 
   void start();
   void stop();
@@ -133,6 +138,7 @@ class MessageSource {
   MessageSource(TransportStack& stack, net::NodeId src, net::NodeId dst, std::uint16_t dst_port,
                 std::vector<MessagePhase> phases, std::uint32_t repeat = 1,
                 Rng rng = Rng(0));
+  ~MessageSource();
 
   void start();
   bool finished() const { return finished_; }
@@ -154,6 +160,7 @@ class MessageSource {
   std::uint32_t in_phase_ = 0;
   std::uint32_t rep_ = 0;
   std::uint64_t sent_ = 0;
+  sim::EventHandle pending_;
   bool finished_ = false;
 };
 
@@ -162,6 +169,7 @@ class MessageSource {
 class BulkTcpSource {
  public:
   BulkTcpSource(TransportStack& stack, net::NodeId src, net::NodeId dst, std::uint16_t dst_port);
+  ~BulkTcpSource();
 
   void start();
   void stop();
@@ -176,6 +184,7 @@ class BulkTcpSource {
   sim::Simulator& sim_;
   std::unique_ptr<TcpSink> sink_;
   TcpConnection* conn_ = nullptr;
+  sim::EventHandle pending_;
   bool running_ = false;
   static constexpr std::uint64_t kWriteChunk = 256 * 1024;
 };

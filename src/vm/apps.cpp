@@ -102,6 +102,13 @@ BspNeighborApp::BspNeighborApp(sim::Simulator& sim, std::vector<VirtualMachine*>
   }
 }
 
+BspNeighborApp::~BspNeighborApp() {
+  for (std::size_t i = 0; i < vms_.size(); ++i) {
+    sim_.cancel(state_[i].compute_done);
+    vms_[i]->set_on_message(nullptr);
+  }
+}
+
 std::vector<std::vector<std::size_t>> BspNeighborApp::ring_neighbors(std::size_t n) {
   std::vector<std::vector<std::size_t>> out(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -166,7 +173,7 @@ void BspNeighborApp::maybe_advance(std::size_t vm_idx) {
   for (const PerVm& s : state_) global_min = std::min(global_min, s.step);
   min_step_completed_ = global_min;
 
-  sim_.schedule_in(compute_time_, [this, vm_idx] { begin_step(vm_idx); });
+  st.compute_done = sim_.schedule_in(compute_time_, [this, vm_idx] { begin_step(vm_idx); });
 }
 
 }  // namespace vw::vm::apps

@@ -59,12 +59,14 @@ class MatrixTrafficApp {
 
 /// Bulk-synchronous neighbor exchange: each superstep every VM sends one
 /// message to each neighbor, waits for all neighbors' messages, "computes"
-/// for a fixed time, then starts the next superstep.
+/// for a fixed time, then starts the next superstep. The VMs must outlive
+/// the app, which detaches from them when destroyed.
 class BspNeighborApp {
  public:
   BspNeighborApp(sim::Simulator& sim, std::vector<VirtualMachine*> vms,
                  std::vector<std::vector<std::size_t>> neighbors, std::uint64_t message_bytes,
                  SimTime compute_time);
+  ~BspNeighborApp();
 
   BspNeighborApp(const BspNeighborApp&) = delete;
   BspNeighborApp& operator=(const BspNeighborApp&) = delete;
@@ -84,6 +86,7 @@ class BspNeighborApp {
     std::uint64_t step = 0;                          ///< current superstep
     std::map<std::uint64_t, std::size_t> received;   ///< step -> messages seen
     bool computing = false;
+    sim::EventHandle compute_done;                   ///< pending begin_step
   };
 
   void begin_step(std::size_t vm_idx);

@@ -23,6 +23,10 @@ ActiveProber::ActiveProber(transport::TransportStack& stack, net::NodeId src, ne
   });
 }
 
+ActiveProber::~ActiveProber() {
+  for (sim::EventHandle h : pending_) sim_.cancel(h);
+}
+
 void ActiveProber::start(DoneFn on_done) {
   on_done_ = std::move(on_done);
   iteration_ = 0;
@@ -42,15 +46,17 @@ void ActiveProber::send_train() {
 
   const double gap_s =
       static_cast<double>(kProbePacketBytes) * 8.0 / current_rate_;
+  pending_.clear();
   for (std::uint32_t i = 0; i < kProbeTrainLength; ++i) {
-    sim_.schedule_in(seconds(gap_s * i), [this, i] {
+    pending_.push_back(sim_.schedule_in(seconds(gap_s * i), [this, i] {
       send_times_[i] = sim_.now();
       tx_->send_to(dst_, dst_port_, kProbePacketBytes);
       bytes_injected_ += kProbePacketBytes + 28;  // + IP/UDP headers
-    });
+    }));
   }
   const SimTime train_duration = seconds(gap_s * kProbeTrainLength);
-  sim_.schedule_in(train_duration + kProbeSettleAfterTrain, [this] { evaluate_train(); });
+  pending_.push_back(
+      sim_.schedule_in(train_duration + kProbeSettleAfterTrain, [this] { evaluate_train(); }));
 }
 
 void ActiveProber::evaluate_train() {
@@ -61,7 +67,7 @@ void ActiveProber::evaluate_train() {
   }
 
   if (++train_in_iteration_ < kProbeTrainsPerRate) {
-    sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); });
+    pending_.assign(1, sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); }));
     return;
   }
 
@@ -79,7 +85,7 @@ void ActiveProber::evaluate_train() {
     if (on_done_) on_done_(estimate_bps());
     return;
   }
-  sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); });
+  pending_.assign(1, sim_.schedule_in(kProbeInterTrainGap, [this] { send_train(); }));
 }
 
 }  // namespace vw::wren

@@ -42,6 +42,7 @@ class ActiveProber {
   /// runs between kProbeMinRateBps and `max_rate_bps` (the access line rate).
   ActiveProber(transport::TransportStack& stack, net::NodeId src, net::NodeId dst,
                std::uint16_t dst_port, double max_rate_bps = 1e9);
+  ~ActiveProber();
 
   ActiveProber(const ActiveProber&) = delete;
   ActiveProber& operator=(const ActiveProber&) = delete;
@@ -79,6 +80,9 @@ class ActiveProber {
   std::vector<double> owd_s_;  ///< one-way delays of the current train
   std::uint64_t bytes_injected_ = 0;
   std::size_t trains_sent_ = 0;
+  /// Live events: the current train's sends and its evaluation, or the
+  /// next train.
+  std::vector<sim::EventHandle> pending_;
   bool finished_ = false;
   DoneFn on_done_;
 };

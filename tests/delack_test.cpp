@@ -6,10 +6,9 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "transport/sources.hpp"
+#include "topo/lan_measurement.hpp"
 #include "transport/stack.hpp"
 #include "transport/tcp.hpp"
-#include "wren/analyzer.hpp"
 
 namespace vw::transport {
 namespace {
@@ -106,32 +105,12 @@ TEST(DelayedAckTest, WrenStillMeasuresWithDelayedAcks) {
   // The ablation the paper's design invites: Wren's ACK matching works on
   // cumulative coverage, so halving the feedback density must not break the
   // estimate — only coarsen it.
-  sim::Simulator sim;
-  net::Network net(sim);
-  const net::NodeId sender = net.add_host("s");
-  const net::NodeId receiver = net.add_host("r");
-  const net::NodeId cross = net.add_host("c");
-  const net::NodeId sw = net.add_router("sw");
-  net::LinkConfig cfg;
-  cfg.bits_per_sec = 100e6;
-  cfg.prop_delay = micros(50);
-  net.add_link(sender, sw, cfg);
-  net.add_link(cross, sw, cfg);
-  net.add_link(sw, receiver, cfg);
-  net.compute_routes();
-  TransportStack stack(net);
-  stack.set_delayed_ack(true);
+  topo::LanMeasurement run(40e6);
+  run.stack.set_delayed_ack(true);
+  run.send({{.count = 150, .message_bytes = 200'000, .spacing = millis(100)}});
+  run.sim.run_until(seconds(12.0));
 
-  wren::OnlineAnalyzer analyzer(net, sender);
-  CbrUdpSource cbr(stack, cross, receiver, 7000, 40e6, 1000);
-  cbr.start();
-  std::vector<MessagePhase> phases{
-      {.count = 150, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  MessageSource app(stack, sender, receiver, 9000, phases);
-  app.start();
-  sim.run_until(seconds(12.0));
-
-  const auto bw = analyzer.available_bandwidth_bps(receiver);
+  const auto bw = run.analyzer.available_bandwidth_bps(run.tb.receiver);
   ASSERT_TRUE(bw.has_value());
   // Truth is 60 Mb/s; accept a wider band than the per-segment-ACK case.
   EXPECT_GT(*bw, 30e6);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+#include <vector>
+
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/meter.hpp"
@@ -411,6 +415,43 @@ TEST(BulkTest, SaturatesLink) {
   const double tput = bulk.throughput_bps(seconds(2.0), seconds(10.0));
   EXPECT_GT(tput, 0.8 * 10e6);
   EXPECT_LT(tput, 10e6);
+}
+
+// --- generator lifetime ---------------------------------------------------------
+
+// Destroy a running generator at 1 s and run on to 3 s: no event or
+// connection callback may still point at it, and once the wire drains
+// nothing of it is left scheduled.
+template <class Source>
+void expect_clean_destruction(Env& env, std::unique_ptr<Source> source) {
+  source->start();
+  env.sim.run_until(seconds(1.0));
+  ASSERT_GT(source->sink().bytes_received(), 0u);
+  // A stopped bulk source still has a megabyte buffered toward its sink.
+  if constexpr (std::is_same_v<Source, BulkTcpSource>) source->stop();
+  source.reset();
+  env.sim.run_until(seconds(3.0));
+  EXPECT_FALSE(env.sim.has_pending());
+}
+
+TEST(SourceLifetimeTest, MessageSourceDestroyedMidRun) {
+  Env env;
+  const std::vector<MessagePhase> phases{
+      {.count = 100, .message_bytes = 50'000, .spacing = millis(100)}};
+  expect_clean_destruction(
+      env, std::make_unique<MessageSource>(*env.stack, env.a, env.b, 9000, phases));
+}
+
+TEST(SourceLifetimeTest, OnOffSourceDestroyedMidRun) {
+  Env env(10e6, millis(2));
+  expect_clean_destruction(env, std::make_unique<OnOffTcpSource>(*env.stack, env.a, env.b, 9100,
+                                                                 4e6, seconds(0.5), seconds(0.5),
+                                                                 Rng(99)));
+}
+
+TEST(SourceLifetimeTest, StoppedBulkSourceDestroyedMidRun) {
+  Env env(10e6, millis(5));
+  expect_clean_destruction(env, std::make_unique<BulkTcpSource>(*env.stack, env.a, env.b, 9200));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/stack.hpp"
@@ -255,6 +258,26 @@ TEST(BspAppTest, SuperstepsAdvanceInLockstep) {
   app.stop();
   EXPECT_GT(app.supersteps_completed(), 5u);
   EXPECT_GT(app.messages_sent(), 3 * app.supersteps_completed());
+}
+
+// Destroyed mid-superstep, the app leaves neither a compute timer nor a VM
+// message callback pointing at it, and no VM sends for it any more.
+TEST(BspAppTest, DestroyedMidRun) {
+  VmEnv env(4);
+  std::vector<VirtualMachine*> vms{&env.vm(1, env.hosts[1]), &env.vm(2, env.hosts[2]),
+                                   &env.vm(3, env.hosts[1])};
+  auto app = std::make_unique<apps::BspNeighborApp>(
+      env.sim, vms, apps::BspNeighborApp::ring_neighbors(3), 20'000, millis(10));
+  app->start();
+  env.sim.run_until(seconds(1.0));
+  ASSERT_GT(app->supersteps_completed(), 0u);
+  app.reset();
+  const auto sent = [&vms] {
+    return vms[0]->messages_sent() + vms[1]->messages_sent() + vms[2]->messages_sent();
+  };
+  const std::uint64_t at_destruction = sent();
+  env.sim.run_until(seconds(3.0));
+  EXPECT_EQ(sent(), at_destruction);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "transport/sources.hpp"
+#include "topo/lan_measurement.hpp"
+#include "topo/testbed.hpp"
 #include "transport/stack.hpp"
 #include "wren/active.hpp"
 #include "wren/analyzer.hpp"
@@ -18,28 +20,6 @@
 
 namespace vw::wren {
 namespace {
-
-struct LanEnv {
-  sim::Simulator sim;
-  net::Network net{sim};
-  net::NodeId sender, receiver, cross, sw;
-  std::unique_ptr<transport::TransportStack> stack;
-
-  LanEnv() {
-    sender = net.add_host("s");
-    receiver = net.add_host("r");
-    cross = net.add_host("c");
-    sw = net.add_router("sw");
-    net::LinkConfig cfg;
-    cfg.bits_per_sec = 100e6;
-    cfg.prop_delay = micros(50);
-    net.add_link(sender, sw, cfg);
-    net.add_link(cross, sw, cfg);
-    net.add_link(sw, receiver, cfg);
-    net.compute_routes();
-    stack = std::make_unique<transport::TransportStack>(net);
-  }
-};
 
 PacketRecord sample_record() {
   PacketRecord r;
@@ -92,26 +72,16 @@ struct LanScenario {
 // cadence, so the recorded trace must replay to exactly the observation series
 // and the estimate the online analyzer produced.
 void expect_offline_matches_online(const LanScenario& scenario) {
-  LanEnv env;
-  TraceFacility trace(env.net, env.sender, 1 << 20);
-  OnlineAnalyzer online(env.net, env.sender);
+  topo::LanMeasurement run(scenario.cross_bps);
+  TraceFacility trace(*run.tb.network, run.tb.sender, 1 << 20);
   std::vector<std::pair<net::NodeId, SicObservation>> online_observations;
-  online.set_on_observation([&](net::NodeId peer, const SicObservation& observation) {
+  run.analyzer.set_on_observation([&](net::NodeId peer, const SicObservation& observation) {
     online_observations.push_back({peer, observation});
   });
+  run.send({{.count = scenario.messages, .message_bytes = 200'000, .spacing = scenario.spacing}});
+  run.sim.run_until(seconds(10.0));
 
-  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, scenario.cross_bps,
-                              1000);
-  cbr.start();
-  std::vector<transport::MessagePhase> phases{{.count = scenario.messages,
-                                               .message_bytes = 200'000,
-                                               .spacing = scenario.spacing,
-                                               .pause_after = 0}};
-  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
-  app.start();
-  env.sim.run_until(seconds(10.0));
-
-  const auto online_bw = online.available_bandwidth_bps(env.receiver);
+  const auto online_bw = run.analyzer.available_bandwidth_bps(run.tb.receiver);
   ASSERT_TRUE(online_bw.has_value());
 
   const auto records = filter_useful(trace.collect());
@@ -142,13 +112,10 @@ TEST(OfflineAnalysisTest, MatchesOnlineOnRecordedTraffic) {
 }
 
 TEST(OfflineAnalysisTest, ArchiveRoundTripPreservesAnalysis) {
-  LanEnv env;
-  TraceFacility trace(env.net, env.sender, 1 << 20);
-  std::vector<transport::MessagePhase> phases{
-      {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};
-  transport::MessageSource app(*env.stack, env.sender, env.receiver, 9000, phases);
-  app.start();
-  env.sim.run_until(seconds(7.0));
+  topo::LanMeasurement run;
+  TraceFacility trace(*run.tb.network, run.tb.sender, 1 << 20);
+  run.send({{.count = 60, .message_bytes = 200'000, .spacing = millis(100)}});
+  run.sim.run_until(seconds(7.0));
 
   const auto records = filter_useful(trace.collect());
   std::stringstream ss;
@@ -179,17 +146,14 @@ class ActiveProberSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ActiveProberSweepTest, BinarySearchFindsResidual) {
   const double cross_rate = GetParam();
-  LanEnv env;
-  transport::CbrUdpSource cbr(*env.stack, env.cross, env.receiver, 7000, cross_rate, 1000);
-  if (cross_rate > 0) cbr.start();
-
-  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
+  topo::LanMeasurement run(cross_rate);
+  ActiveProber prober(run.stack, run.tb.sender, run.tb.receiver, 8800, 100e6);
   double estimate = 0;
   prober.start([&](double bps) { estimate = bps; });
-  env.sim.run_until(seconds(20.0));
+  run.sim.run_until(seconds(20.0));
 
   ASSERT_TRUE(prober.finished());
-  const double truth = 100e6 - cross_rate;
+  const double truth = run.truth_bps();
   EXPECT_NEAR(estimate, truth, 0.25 * truth) << "cross " << cross_rate;
   EXPECT_GT(prober.bytes_injected(), 0u);  // the cost Wren avoids
   EXPECT_EQ(prober.trains_sent(), kProbeIterations * kProbeTrainsPerRate);
@@ -199,12 +163,28 @@ INSTANTIATE_TEST_SUITE_P(CrossRates, ActiveProberSweepTest,
                          ::testing::Values(0.0, 30e6, 60e6));
 
 TEST(ActiveProberTest, InjectsSubstantialProbeTraffic) {
-  LanEnv env;
-  ActiveProber prober(*env.stack, env.sender, env.receiver, 8800, 100e6);
+  topo::LanMeasurement run;
+  ActiveProber prober(run.stack, run.tb.sender, run.tb.receiver, 8800, 100e6);
   prober.start(nullptr);
-  env.sim.run_until(seconds(20.0));
+  run.sim.run_until(seconds(20.0));
   // 10 trains x 24 packets x ~1228B.
   EXPECT_GT(prober.bytes_injected(), 250'000u);
+}
+
+// Destroyed mid-search, the prober leaves no probe or evaluation event
+// behind: once the last probes drain, nothing is scheduled.
+TEST(ActiveProberTest, DestroyedMidSearch) {
+  sim::Simulator sim;
+  const topo::LanTestbed tb = topo::make_lan_testbed(sim);
+  transport::TransportStack stack(*tb.network);
+  auto prober = std::make_unique<ActiveProber>(stack, tb.sender, tb.receiver, 8800, 100e6);
+  prober->start(nullptr);
+  sim.run_until(seconds(1.0));
+  ASSERT_FALSE(prober->finished());
+  ASSERT_GT(prober->trains_sent(), 0u);
+  prober.reset();
+  sim.run_until(seconds(3.0));
+  EXPECT_FALSE(sim.has_pending());
 }
 
 }  // namespace
