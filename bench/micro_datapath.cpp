@@ -171,11 +171,14 @@ BENCHMARK(BM_SchedulerChurn_arena);
 // --- packet datapath: fig4-style star ----------------------------------------
 // The BSP-transfer shape of fig4: N hosts on a switch, every host streams
 // UDP datagrams to its ring neighbor through the full network datapath
-// (routing, per-hop channel resolution, serialization/propagation events,
-// taps off). items_per_second = packets delivered end to end (each crosses
+// (routing, per-hop channel resolution, one arrival event per hop, taps
+// off). Arguments: host count and wire size in bytes (40 B, an ACK; 576 B;
+// 1500 B). items_per_second = packets delivered end to end (each crosses
 // two channels: host -> switch -> host).
 void BM_StarForwarding(benchmark::State& state) {
   const int n_hosts = static_cast<int>(state.range(0));
+  constexpr std::uint32_t kUdpHeaderBytes = 28;  // IP + UDP, as UdpSocket stamps it
+  const auto payload = static_cast<std::uint32_t>(state.range(1)) - kUdpHeaderBytes;
   sim::Simulator sim;
   net::Network network(sim);
   const net::NodeId sw = network.add_router("switch");
@@ -206,9 +209,9 @@ void BM_StarForwarding(benchmark::State& state) {
         // 1.2 us apart: the senders interleave, so the switch's per-hop
         // forwarding path (channel resolution + enqueue) stays hot.
         sim.schedule_at(sim.now() + static_cast<SimTime>(k) * 1'200,
-                        [&socks, i, dst] {
+                        [&socks, i, dst, payload] {
                           socks[static_cast<std::size_t>(i)]->send_to(
-                              socks[dst]->host(), 4000, 1'000);
+                              socks[dst]->host(), 4000, payload);
                         });
       }
     }
@@ -218,7 +221,7 @@ void BM_StarForwarding(benchmark::State& state) {
   VW_REQUIRE(received == sent, "star forwarding lost packets (", received, " of ", sent, ")");
   state.SetItemsProcessed(static_cast<std::int64_t>(received));
 }
-BENCHMARK(BM_StarForwarding)->Arg(8)->Arg(32);
+BENCHMARK(BM_StarForwarding)->ArgsProduct({{8, 32}, {40, 576, 1500}});
 
 // --- route computation: fig11-style BRITE networks ----------------------------
 // N Waxman routers (out-degree 2) with one single-link host each, the shape

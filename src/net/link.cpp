@@ -23,7 +23,12 @@ Channel::Channel(sim::Simulator& sim, ChannelId id, NodeId from, NodeId to, doub
 
 void Channel::set_capacity_bps(double bps) {
   VW_REQUIRE(bps > 0, "Channel: capacity must be positive, got ", bps);
+  settle();
   bits_per_sec_ = bps;
+  // The first queued packet has started (its predecessor departed by now,
+  // or it arrived at an idle channel) and keeps its departure; the rest
+  // have not and serialize at the new rate.
+  if (departed_ + 1 < queue_.size()) retime_from(departed_ + 1);
 }
 
 void Channel::set_loss(double p, Rng rng) {
@@ -33,26 +38,17 @@ void Channel::set_loss(double p, Rng rng) {
 }
 
 void Channel::set_down(bool down) {
+  settle();
   down_ = down;
   if (!down) return;
-  // Flush both queues: the link carries nothing while down, including the
-  // packet currently serializing. Deliveries already in propagation are
-  // past this link and still arrive.
-  stats_.packets_down_dropped +=
-      priority_queue_.size() + best_effort_queue_.size();
-  priority_queue_.clear();
-  best_effort_queue_.clear();
+  // Drop everything not yet departed: the link carries nothing while down,
+  // including the packet currently serializing. Deliveries already in
+  // propagation are past this link and still arrive.
+  if (departed_ == 0) sim_.cancel(arrival_);  // the front itself is dropped
+  stats_.packets_down_dropped += queue_.size() - departed_;
+  queue_.resize(departed_);
   prio_bytes_ = 0;
   be_bytes_ = 0;
-  if (serving_) {
-    sim_.cancel(service_event_);
-    service_event_ = sim::EventHandle{};
-    serving_ = false;
-  }
-}
-
-SimTime Channel::current_queue_delay() const {
-  return transmission_time(queued_bytes(), bits_per_sec_);
 }
 
 double Channel::reserved_bps() const {
@@ -86,7 +82,14 @@ bool Channel::add_reservation(const FlowKey& flow, double rate_bps, std::int64_t
 
 void Channel::remove_reservation(const FlowKey& flow) { reservations_.erase(flow); }
 
+const ChannelStats& Channel::stats() {
+  settle();
+  return stats_;
+}
+
 bool Channel::enqueue(Packet pkt) {
+  // Admission sees the backlog of bytes that have not departed by now.
+  settle();
   if (down_) {
     ++stats_.packets_down_dropped;
     return false;
@@ -98,7 +101,7 @@ bool Channel::enqueue(Packet pkt) {
   const std::int64_t size = pkt.size_bytes();
 
   // Classify first: reserved flows with available tokens ride the priority
-  // queue, which has its own buffer — a best-effort flood must not be able
+  // class, which has its own buffer — a best-effort flood must not be able
   // to starve reserved admissions at the drop-tail stage.
   bool priority = false;
   if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
@@ -119,47 +122,71 @@ bool Channel::enqueue(Packet pkt) {
   }
   class_bytes += size;
   ++stats_.packets_sent;
-  (priority ? priority_queue_ : best_effort_queue_).push_back(std::move(pkt));
-  if (!serving_) start_service();
+
+  // Strict priority without preemption: a reserved packet goes behind the
+  // packet serializing now and behind the reserved packets queued before it,
+  // ahead of every best-effort packet that has not started.
+  std::size_t at = queue_.size();
+  if (priority) {
+    while (at > departed_ + 1 && !queue_[at - 1].priority) --at;
+  }
+  if (at == queue_.size()) {
+    // Serialization starts now, or when the packet ahead departs.
+    const SimTime start =
+        queue_.empty() ? sim_.now() : std::max(sim_.now(), queue_.back().departure);
+    queue_.emplace_back(std::move(pkt), priority, start + transmission_time(size, bits_per_sec_));
+  } else {
+    queue_.emplace(queue_.begin() + static_cast<std::ptrdiff_t>(at), std::move(pkt), priority);
+    retime_from(at);
+  }
+  if (queue_.size() == 1) arm();
   return true;
 }
 
-void Channel::start_service() {
-  serving_priority_ = !priority_queue_.empty();
-  std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
-  if (queue.empty()) return;
-  serving_ = true;
-  const SimTime done = sim_.now() + transmission_time(queue.front().size_bytes(), bits_per_sec_);
-  service_event_ = sim_.schedule_at(done, [this] { finish_service(); });
+void Channel::retime_from(std::size_t first) {
+  SimTime at = queue_[first - 1].departure;
+  for (auto it = queue_.begin() + static_cast<std::ptrdiff_t>(first); it != queue_.end(); ++it) {
+    it->departure = at + transmission_time(it->pkt.size_bytes(), bits_per_sec_);
+    at = it->departure;
+  }
 }
 
-void Channel::finish_service() {
-  std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
-  VW_ASSERT(!queue.empty(), "Channel::finish_service: serving an empty queue");
-  Packet pkt = std::move(queue.front());
-  queue.pop_front();
-  const std::int64_t size = pkt.size_bytes();
-  (serving_priority_ ? prio_bytes_ : be_bytes_) -= size;
-  VW_ASSERT(prio_bytes_ >= 0 && be_bytes_ >= 0,
-            "Channel: queued-byte accounting went negative");
-  stats_.bytes_serialized += static_cast<std::uint64_t>(size);
-  if (serving_priority_) ++stats_.priority_packets;
+void Channel::arm() {
+  arrival_ = sim_.schedule_at(queue_.front().departure + prop_delay_, [this] { deliver(); });
+}
 
-  // serving_ stays true through the callbacks: a zero-propagation delivery
-  // can recursively enqueue onto this very channel, and must not start a
-  // second concurrent service. The serialized hook sees the packet mutable
-  // so the network can stamp wire_time before the outgoing tap fires.
-  if (on_serialized_) on_serialized_(pkt, sim_.now());
-  if (prop_delay_ == 0) {
-    if (on_delivered_) on_delivered_(std::move(pkt));
-  } else {
-    sim_.schedule_in(prop_delay_, [this, pkt = std::move(pkt)]() mutable {
-      if (on_delivered_) on_delivered_(std::move(pkt));
-    });
+void Channel::settle(SimTime until) {
+  VW_ASSERT(until <= sim_.now(), "Channel::settle: ", until, " is after now ", sim_.now());
+  while (departed_ < queue_.size() && queue_[departed_].departure <= until) {
+    Entry& e = queue_[departed_++];
+    VW_ASSERT(e.departure >= last_departure_, "Channel ", id_, ": departure ", e.departure,
+              " before the previous one at ", last_departure_);
+    last_departure_ = e.departure;
+    const std::int64_t size = e.pkt.size_bytes();
+    (e.priority ? prio_bytes_ : be_bytes_) -= size;
+    VW_ASSERT(prio_bytes_ >= 0 && be_bytes_ >= 0, "Channel ", id_,
+              ": queued-byte accounting went negative");
+    stats_.bytes_serialized += static_cast<std::uint64_t>(size);
+    if (e.priority) ++stats_.priority_packets;
+    // The serialized hook sees the packet mutable so the network can stamp
+    // wire_time before the outgoing tap fires.
+    if (on_serialized_) on_serialized_(e.pkt, e.departure);
   }
+}
 
-  serving_ = false;
-  if (!priority_queue_.empty() || !best_effort_queue_.empty()) start_service();
+void Channel::deliver() {
+  arrival_ = sim::EventHandle{};
+  settle();
+  VW_ASSERT(departed_ > 0 && queue_.front().departure + prop_delay_ == sim_.now(), "Channel ",
+            id_, ": delivery at ", sim_.now(), " is not the front packet's arrival");
+  Packet pkt = std::move(queue_.front().pkt);
+  queue_.pop_front();
+  --departed_;
+  // Popped before the hook runs: delivery can enqueue onto this very
+  // channel (a zero-propagation echo), and an enqueue onto the emptied
+  // channel arms its own arrival.
+  if (on_delivered_) on_delivered_(std::move(pkt));
+  if (!queue_.empty() && !arrival_.valid()) arm();
 }
 
 }  // namespace vw::net

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 
@@ -16,10 +17,23 @@
 // faster than the residual capacity build queueing delay, which shows up as
 // an increasing RTT trend in the ACKs.
 //
+// The queue is analytic (DESIGN.md §5e). A packet's serialization start and
+// departure are known when it is admitted — departure = max(now, previous
+// departure) + serialization time — so each packet-hop schedules exactly
+// one event: its arrival at the far end, at departure + propagation delay.
+// Arrivals leave in departure order, so only the front packet's arrival is
+// pending; delivering it schedules the next one. Departures are applied
+// lazily by settle(): every reader of channel state (enqueue, stats,
+// set_down, set_capacity_bps, the delivery itself, and the network's host
+// taps) settles first, so it sees exactly what a channel that had run each
+// departure as it happened would show.
+//
 // Reservations (paper opportunity 4): a flow may reserve a guaranteed rate.
-// Reserved traffic is policed by a token bucket and served from a strict
-// priority queue ahead of best effort — the IntServ guaranteed-service
-// shape of the optical-reservation substrate the paper cites.
+// Reserved traffic is policed by a token bucket and served with strict
+// priority ahead of best effort — the IntServ guaranteed-service shape of
+// the optical-reservation substrate the paper cites. Service is not
+// preemptive: a reserved packet overtakes only the best-effort packets that
+// have not started serializing.
 
 namespace vw::net {
 
@@ -36,15 +50,22 @@ struct ChannelStats {
 
 class Channel {
  public:
-  /// `on_serialized` fires when a packet finishes serializing onto the wire
-  /// (used for source-host outgoing taps); the packet is mutable so the
-  /// network can stamp `wire_time` without const_cast before taps observe
-  /// it. `on_delivered` fires when it arrives at the receiving end.
+  /// `on_serialized` reports each packet that has finished serializing onto
+  /// the wire, with its departure time (used for source-host outgoing taps).
+  /// It runs when the departure is settled, which may be later than the
+  /// departure itself but never later than the next read of this channel's
+  /// state or the packet's delivery; departures are reported in departure
+  /// order. The packet is mutable so the network can stamp `wire_time`
+  /// before taps observe it. `on_delivered` fires when the packet arrives at
+  /// the receiving end.
   using SerializedFn = SmallFn<void(Packet&, SimTime)>;
   using DeliveredFn = SmallFn<void(Packet&&)>;
 
   Channel(sim::Simulator& sim, ChannelId id, NodeId from, NodeId to, double bits_per_sec,
           SimTime prop_delay, std::int64_t queue_limit_bytes);
+
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Enqueue for transmission; drops (returning false) when the queue is full.
   bool enqueue(Packet pkt);
@@ -55,11 +76,24 @@ class Channel {
   double capacity_bps() const { return bits_per_sec_; }
   SimTime prop_delay() const { return prop_delay_; }
   std::int64_t queue_limit_bytes() const { return queue_limit_bytes_; }
-  std::int64_t queued_bytes() const { return be_bytes_ + prio_bytes_; }
-  const ChannelStats& stats() const { return stats_; }
+  /// Counters as of now() (settles first).
+  const ChannelStats& stats();
 
-  /// Change capacity at runtime (takes effect for subsequently serialized
-  /// packets); used by scenario scripts.
+  /// Apply every departure at or before `until` (<= now()): count it and
+  /// report it through `on_serialized`.
+  void settle(SimTime until);
+  void settle() { settle(sim_.now()); }
+
+  /// Departure time of the oldest packet whose departure is not settled
+  /// yet; kNever when there is none.
+  SimTime next_departure() const {
+    return departed_ < queue_.size() ? queue_[departed_].departure : kNever;
+  }
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  /// Change capacity at runtime. The packet serializing now keeps its
+  /// departure; every packet that has not started is re-timed at the new
+  /// rate. Used by scenario scripts.
   void set_capacity_bps(double bps);
 
   // --- failure injection ------------------------------------------------------
@@ -69,9 +103,10 @@ class Channel {
   double loss_probability() const { return loss_p_; }
 
   /// Take the link down or back up. Taking the link down drops every
-  /// queued packet (both classes) into `packets_down_dropped` and cancels
-  /// the in-flight serialization, so upper layers see a genuine outage;
-  /// packets already past serialization (in propagation) still arrive.
+  /// packet that has not departed (both classes, the one serializing
+  /// included) into `packets_down_dropped`, so upper layers see a genuine
+  /// outage; packets already past serialization (in propagation) still
+  /// arrive.
   void set_down(bool down);
   bool is_down() const { return down_; }
 
@@ -85,10 +120,6 @@ class Channel {
   double reserved_bps() const;
   bool has_reservation(const FlowKey& flow) const { return reservations_.contains(flow); }
 
-  /// Instantaneous queueing delay a newly arriving best-effort packet would
-  /// see (total backlog over capacity).
-  SimTime current_queue_delay() const;
-
   void set_on_serialized(SerializedFn fn) { on_serialized_ = std::move(fn); }
   void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
 
@@ -100,8 +131,21 @@ class Channel {
     SimTime last_refill = 0;
   };
 
-  void start_service();
-  void finish_service();
+  /// An admitted packet that has not arrived yet.
+  struct Entry {
+    Packet pkt;
+    bool priority = false;  ///< admitted to the reserved class
+    SimTime departure = 0;  ///< serialization end
+  };
+
+  /// Re-time queue_[first, end) (first >= 1), none of which has started,
+  /// back to back after queue_[first - 1], which has not departed. The
+  /// front has started, so its arrival never moves.
+  void retime_from(std::size_t first);
+  /// Schedule the front packet's arrival, at departure + prop_delay_.
+  void arm();
+  /// The arrival event: delivers the front packet and arms the next one.
+  void deliver();
 
   sim::Simulator& sim_;
   ChannelId id_;
@@ -110,13 +154,15 @@ class Channel {
   double bits_per_sec_;
   SimTime prop_delay_;
   std::int64_t queue_limit_bytes_;
-  std::int64_t be_bytes_ = 0;    ///< best-effort backlog
+  std::int64_t be_bytes_ = 0;    ///< best-effort backlog (not yet departed)
   std::int64_t prio_bytes_ = 0;  ///< reserved-class backlog (own buffer)
-  std::deque<Packet> priority_queue_;
-  std::deque<Packet> best_effort_queue_;
-  bool serving_ = false;
-  bool serving_priority_ = false;
-  sim::EventHandle service_event_;  ///< pending finish_service (cancelled on down)
+  // Admitted packets in departure (hence arrival) order: [0, departed_) have
+  // departed and are propagating; the rest are queued, the first of them
+  // serializing.
+  std::deque<Entry> queue_;
+  std::size_t departed_ = 0;
+  sim::EventHandle arrival_;  ///< the front packet's arrival; one event per hop
+  SimTime last_departure_ = 0;  ///< most recent settled departure
   double loss_p_ = 0;
   std::optional<Rng> loss_rng_;
   bool down_ = false;

@@ -240,7 +240,7 @@ void Network::send(Packet pkt) {
     // Loopback: deliver asynchronously to preserve event ordering semantics.
     sim_.schedule_in(0, [this, pkt = std::move(pkt)]() mutable {
       pkt.wire_time = sim_.now();
-      fire_taps(pkt.flow.src, TapDirection::kOutgoing, sim_.now(), pkt);
+      tap_now(pkt.flow.src, TapDirection::kOutgoing, pkt);
       deliver_to_host(std::move(pkt));
     });
     return;
@@ -275,7 +275,7 @@ void Network::handle_arrival(Packet&& pkt, NodeId at) {
 
 void Network::deliver_to_host(Packet&& pkt) {
   ++packets_delivered_;
-  fire_taps(pkt.flow.dst, TapDirection::kIncoming, sim_.now(), pkt);
+  tap_now(pkt.flow.dst, TapDirection::kIncoming, pkt);
   auto& stack = host_stacks_[pkt.flow.dst];
   if (stack) stack(std::move(pkt));
 }
@@ -293,6 +293,33 @@ TapId Network::add_host_tap(NodeId host, TapFn fn) {
 void Network::remove_host_tap(NodeId host, TapId id) {
   auto& list = taps_.at(host);
   std::erase_if(list, [id](const auto& entry) { return entry.first == id; });
+}
+
+void Network::settle_host(NodeId host) {
+  if (routes_valid_ && uplink_[host] != kNoChannel) {
+    channels_[uplink_[host]]->settle();
+    return;
+  }
+  // A core host may have several links: settle them in departure order so
+  // its outgoing records stay in time order across links.
+  const auto first = channel_by_pair_.lower_bound({host, NodeId{0}});
+  for (;;) {
+    Channel* next = nullptr;
+    for (auto it = first; it != channel_by_pair_.end() && it->first.first == host; ++it) {
+      if (next == nullptr || it->second->next_departure() < next->next_departure()) {
+        next = it->second;
+      }
+    }
+    if (next == nullptr || next->next_departure() > sim_.now()) return;
+    next->settle(next->next_departure());
+  }
+}
+
+void Network::tap_now(NodeId host, TapDirection dir, const Packet& pkt) {
+  if (taps_[host].empty()) return;
+  // Every packet the host finished sending by now reaches its taps first.
+  settle_host(host);
+  fire_taps(host, dir, sim_.now(), pkt);
 }
 
 void Network::fire_taps(NodeId host, TapDirection dir, SimTime t, const Packet& pkt) {

@@ -60,9 +60,17 @@ class Network {
   void set_host_stack(NodeId host, HostStackFn stack);
 
   /// Register a Wren-style tap on a host; sees outgoing packets at NIC
-  /// serialization completion and incoming packets at delivery.
+  /// serialization completion and incoming packets at delivery, in time
+  /// order. Outgoing records are reported when the host's links settle
+  /// (link.hpp): at the latest when the host next receives a packet or
+  /// settle_host() runs.
   TapId add_host_tap(NodeId host, TapFn fn);
   void remove_host_tap(NodeId host, TapId id);
+
+  /// Settle every link leaving `host`: each packet it finished serializing
+  /// by now() has reached its outgoing taps. Readers of tap-fed state call
+  /// this first.
+  void settle_host(NodeId host);
 
   /// NistNet-style emulation: adds a fixed extra one-way delay to packets
   /// delivered from `a` to `b` (and b->a when bidirectional).
@@ -106,6 +114,9 @@ class Network {
   void handle_arrival(Packet&& pkt, NodeId at);
   void deliver_to_host(Packet&& pkt);
   void forward(Packet&& pkt, NodeId at);
+  /// Fires `host`'s taps for `pkt` at now(), after settling the host's
+  /// links so the taps see records in time order.
+  void tap_now(NodeId host, TapDirection dir, const Packet& pkt);
   void fire_taps(NodeId host, TapDirection dir, SimTime t, const Packet& pkt);
 
   /// The channel a packet at `at` bound for `dst` leaves on; kNoChannel when

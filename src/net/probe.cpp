@@ -4,7 +4,7 @@
 
 namespace vw::net {
 
-LinkProbe::LinkProbe(sim::Simulator& sim, const Channel& channel, SimTime period)
+LinkProbe::LinkProbe(sim::Simulator& sim, Channel& channel, SimTime period)
     : sim_(sim),
       channel_(channel),
       period_(period),

@@ -19,7 +19,7 @@ struct ProbeSample {
 
 class LinkProbe {
  public:
-  LinkProbe(sim::Simulator& sim, const Channel& channel, SimTime period);
+  LinkProbe(sim::Simulator& sim, Channel& channel, SimTime period);
 
   const std::vector<ProbeSample>& samples() const { return samples_; }
   const Channel& channel() const { return channel_; }
@@ -34,7 +34,7 @@ class LinkProbe {
   void sample();
 
   sim::Simulator& sim_;
-  const Channel& channel_;
+  Channel& channel_;
   SimTime period_;
   std::uint64_t last_bytes_ = 0;
   std::vector<ProbeSample> samples_;

@@ -17,8 +17,10 @@
 //  * the engine is purely single-threaded; "processes" are callbacks.
 //
 // Hot-path design (see DESIGN.md §5e): callbacks are small-buffer-optimized
-// (`SmallFn`, 120 inline bytes — enough for `this` + a Packet capture), so
-// the steady state never heap-allocates per event. Live events are tracked
+// (`SmallFn`, 120 inline bytes — enough for `this` + a Packet capture, which
+// the network's loopback and endpoint-delay continuations carry; a link's
+// per-hop arrival event captures only its channel), so the steady state
+// never heap-allocates per event. Live events are tracked
 // in a generation-stamped slot arena with an intrusive free list instead of
 // hash sets: the binary heap holds 24-byte POD entries referencing a slot,
 // and a cancel simply bumps the slot's generation, which orphans the heap
@@ -45,8 +47,9 @@ class EventHandle {
 
 class Simulator {
  public:
-  /// Inline capture capacity: a propagation-delay continuation captures
-  /// `this` plus a moved Packet (~96 bytes) and must not allocate.
+  /// Inline capture capacity: the network's loopback and endpoint-delay
+  /// continuations capture `this` plus a moved Packet (~96 bytes) and must
+  /// not allocate. Per-hop arrivals capture only the channel.
   using Callback = SmallFn<void(), 120>;
 
   /// Current virtual time.

@@ -8,13 +8,13 @@
 // Small-buffer-optimized move-only callable, the event-engine replacement
 // for std::function on the packet datapath.
 //
-// Why not std::function: libstdc++'s inline buffer is two words, so the
-// capture lists the datapath actually schedules (a `this` pointer plus a
-// Packet, ~96 bytes) heap-allocate on every hop, and the copyability
-// requirement forbids move-only captures. SmallFn stores any callable whose
-// size fits `InlineBytes` directly in the object (no allocation, ever, on
-// the steady-state path) and falls back to the heap only for oversized
-// captures. It is move-only, so move-only captures work and no accidental
+// Why not std::function: libstdc++'s inline buffer is two words, so a
+// capture of a `this` pointer plus a Packet (~96 bytes, what the network's
+// loopback and endpoint-delay deliveries schedule) heap-allocates, and the
+// copyability requirement forbids move-only captures. SmallFn stores any
+// callable whose size fits `InlineBytes` directly in the object (no
+// allocation, ever, on the steady-state path) and falls back to the heap
+// only for oversized captures. It is move-only, so move-only captures work and no accidental
 // deep copies can sneak into the hot path.
 
 namespace vw {

@@ -73,6 +73,7 @@ TraceFacility::TraceFacility(net::Network& network, net::NodeId host, std::size_
 }
 
 TraceFacility::~TraceFacility() {
+  if (shard_) network_.settle_host(host_);  // the shard holds every record up to now
   network_.remove_host_tap(host_, tap_id_);
   if (shard_) shard_->close();  // an implicit finish never throws; a failure is counted
 }
@@ -102,6 +103,7 @@ void TraceFacility::capture_to(const std::string& path, std::uint32_t shard) {
 
 std::uint64_t TraceFacility::finish_capture() {
   if (!shard_) return shard_records_;
+  network_.settle_host(host_);
   const std::unique_ptr<Shard> shard = std::move(shard_);
   shard_records_ = shard->header.record_count;
   if (!shard->close()) {
@@ -145,6 +147,7 @@ void TraceFacility::on_tap(const net::TapEvent& ev) {
 }
 
 std::vector<PacketRecord> TraceFacility::collect() {
+  network_.settle_host(host_);
   // Oldest first: [head_, end) then [0, head_); head_ is 0 unless full.
   const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
   std::vector<PacketRecord> out;

@@ -78,7 +78,8 @@ class TraceFacility {
   static constexpr std::size_t kShardBufferBytes =
       256 * 1024 / kTraceRecordSize * kTraceRecordSize;
 
-  /// Drain all records accumulated since the previous collect().
+  /// Drain all records accumulated since the previous collect(): every
+  /// packet the host sent or received up to now(), in time order.
   std::vector<PacketRecord> collect();
 
   /// Also persist every record captured from now on to a vw.trace.v1 shard
@@ -103,10 +104,21 @@ class TraceFacility {
   /// once one is opened; per-shard numbers live in the shard headers.
   void set_obs(const obs::Scope& scope);
 
+  // The readers below settle the host's links first (net::Network::
+  // settle_host), so they count every packet that left the host by now.
   net::NodeId host() const { return host_; }
-  std::uint64_t records_captured() const { return captured_; }
-  std::uint64_t records_dropped() const { return dropped_; }
-  std::size_t buffered() const { return ring_.size(); }
+  std::uint64_t records_captured() const {
+    network_.settle_host(host_);
+    return captured_;
+  }
+  std::uint64_t records_dropped() const {
+    network_.settle_host(host_);
+    return dropped_;
+  }
+  std::size_t buffered() const {
+    network_.settle_host(host_);
+    return ring_.size();
+  }
 
  private:
   struct Shard;

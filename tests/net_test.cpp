@@ -1,11 +1,13 @@
 // Unit tests for the physical network substrate: link serialization and
-// propagation timing, drop-tail queueing, routing (with a differential test
+// propagation timing, drop-tail queueing (with a differential test against
+// the two-event channel reference), routing (with a differential test
 // against the all-node Dijkstra reference), taps, endpoint delay emulation
 // and the SNMP-style link probe.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -583,6 +585,343 @@ TEST(RouteDifferentialTest, BriteFleetShapeMatchesReference) {
   ASSERT_EQ(rc.links.size(), 2 * (brite.edges().size() + bn.hosts.size()));
   Rng rng(11);
   expect_routes_match_reference(rc, rng, 4);
+}
+
+// --- channel differential: analytic queue vs the two-event reference -------
+
+// Reference oracle: the drop-tail channel with two events per packet-hop, a
+// serialization-completion event and then a propagation event carrying the
+// packet. net::Channel computes departures instead and must reproduce every
+// departure, arrival, drop and counter of it.
+class ReferenceChannel {
+ public:
+  using SerializedFn = std::function<void(Packet&, SimTime)>;
+  using DeliveredFn = std::function<void(Packet&&)>;
+
+  ReferenceChannel(sim::Simulator& sim, ChannelId, NodeId, NodeId, double bits_per_sec,
+                   SimTime prop_delay, std::int64_t queue_limit_bytes)
+      : sim_(sim),
+        bits_per_sec_(bits_per_sec),
+        prop_delay_(prop_delay),
+        queue_limit_bytes_(queue_limit_bytes) {}
+
+  const ChannelStats& stats() const { return stats_; }
+  void set_capacity_bps(double bps) { bits_per_sec_ = bps; }
+  void set_on_serialized(SerializedFn fn) { on_serialized_ = std::move(fn); }
+  void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
+
+  bool add_reservation(const FlowKey& flow, double rate_bps, std::int64_t burst_bytes) {
+    double reserved = 0;  // summed in flow order, like Channel::reserved_bps
+    for (const auto& [key, r] : reservations_) reserved += r.rate_bps;
+    const double existing = reservations_.contains(flow) ? reservations_.at(flow).rate_bps : 0;
+    if (reserved - existing + rate_bps > bits_per_sec_) return false;
+    reservations_[flow] =
+        Reservation{rate_bps, burst_bytes, static_cast<double>(burst_bytes), sim_.now()};
+    return true;
+  }
+
+  void set_down(bool down) {
+    down_ = down;
+    if (!down) return;
+    stats_.packets_down_dropped += priority_queue_.size() + best_effort_queue_.size();
+    priority_queue_.clear();
+    best_effort_queue_.clear();
+    prio_bytes_ = 0;
+    be_bytes_ = 0;
+    if (serving_) {
+      sim_.cancel(service_event_);
+      serving_ = false;
+    }
+  }
+
+  bool enqueue(Packet pkt) {
+    if (down_) {
+      ++stats_.packets_down_dropped;
+      return false;
+    }
+    const std::int64_t size = pkt.size_bytes();
+    bool priority = false;
+    if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
+      Reservation& r = it->second;
+      r.tokens = std::min(static_cast<double>(r.burst_bytes),
+                          r.tokens + r.rate_bps / 8.0 * to_seconds(sim_.now() - r.last_refill));
+      r.last_refill = sim_.now();
+      if (r.tokens >= static_cast<double>(size)) {
+        r.tokens -= static_cast<double>(size);
+        priority = true;
+      }
+    }
+    std::int64_t& class_bytes = priority ? prio_bytes_ : be_bytes_;
+    if (class_bytes + size > queue_limit_bytes_) {
+      ++stats_.packets_dropped;
+      return false;
+    }
+    class_bytes += size;
+    ++stats_.packets_sent;
+    (priority ? priority_queue_ : best_effort_queue_).push_back(std::move(pkt));
+    if (!serving_) start_service();
+    return true;
+  }
+
+ private:
+  struct Reservation {
+    double rate_bps;
+    std::int64_t burst_bytes;
+    double tokens;
+    SimTime last_refill;
+  };
+
+  void start_service() {
+    serving_priority_ = !priority_queue_.empty();
+    std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
+    if (queue.empty()) return;
+    serving_ = true;
+    const SimTime done = sim_.now() + transmission_time(queue.front().size_bytes(), bits_per_sec_);
+    service_event_ = sim_.schedule_at(done, [this] { finish_service(); });
+  }
+
+  void finish_service() {
+    std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
+    Packet pkt = std::move(queue.front());
+    queue.pop_front();
+    const std::int64_t size = pkt.size_bytes();
+    (serving_priority_ ? prio_bytes_ : be_bytes_) -= size;
+    stats_.bytes_serialized += static_cast<std::uint64_t>(size);
+    if (serving_priority_) ++stats_.priority_packets;
+    if (on_serialized_) on_serialized_(pkt, sim_.now());
+    if (prop_delay_ == 0) {
+      if (on_delivered_) on_delivered_(std::move(pkt));
+    } else {
+      sim_.schedule_in(prop_delay_, [this, pkt = std::move(pkt)]() mutable {
+        if (on_delivered_) on_delivered_(std::move(pkt));
+      });
+    }
+    serving_ = false;
+    if (!priority_queue_.empty() || !best_effort_queue_.empty()) start_service();
+  }
+
+  sim::Simulator& sim_;
+  double bits_per_sec_;
+  SimTime prop_delay_;
+  std::int64_t queue_limit_bytes_;
+  std::int64_t be_bytes_ = 0;
+  std::int64_t prio_bytes_ = 0;
+  std::deque<Packet> priority_queue_;
+  std::deque<Packet> best_effort_queue_;
+  bool serving_ = false;
+  bool serving_priority_ = false;
+  sim::EventHandle service_event_;
+  bool down_ = false;
+  std::map<FlowKey, Reservation> reservations_;
+  ChannelStats stats_;
+  SerializedFn on_serialized_;
+  DeliveredFn on_delivered_;
+};
+
+struct ChannelStep {
+  enum class Kind { kEnqueue, kDown, kUp, kCapacity, kReserve, kProbe };
+  Kind kind = Kind::kProbe;
+  SimTime at = 0;
+  std::uint32_t bytes = 0;  ///< kEnqueue: wire size
+  std::uint16_t flow = 0;   ///< kEnqueue / kReserve: destination port of the flow
+  double value = 0;         ///< kCapacity: bits/s; kReserve: rate
+  std::int64_t burst = 0;   ///< kReserve
+};
+
+struct ChannelScript {
+  double bits_per_sec = 10e6;
+  SimTime prop_delay = 0;
+  std::int64_t queue_limit_bytes = 16'000;
+  std::vector<ChannelStep> steps;
+};
+
+FlowKey script_flow(std::uint16_t port) { return FlowKey{0, 1, 1000, port, Protocol::kUdp}; }
+
+// One channel driven by a script, with everything observable about it
+// logged: (packet id, time) at each departure and each arrival, and each
+// admission verdict.
+template <class C>
+struct ChannelRun {
+  sim::Simulator sim;
+  C channel;
+  std::vector<std::pair<std::uint64_t, SimTime>> serialized;
+  std::vector<std::pair<std::uint64_t, SimTime>> delivered;
+  std::vector<bool> admitted;
+
+  explicit ChannelRun(const ChannelScript& script)
+      : channel(sim, 0, 0, 1, script.bits_per_sec, script.prop_delay, script.queue_limit_bytes) {
+    channel.set_on_serialized(
+        [this](Packet& pkt, SimTime t) { serialized.emplace_back(pkt.id, t); });
+    channel.set_on_delivered([this](Packet&& pkt) { delivered.emplace_back(pkt.id, sim.now()); });
+  }
+
+  // Steps run between events, after every event at or before their time:
+  // a departure at the step's instant has happened.
+  void apply(const ChannelStep& step, std::uint64_t id) {
+    sim.run_until(step.at);
+    switch (step.kind) {
+      case ChannelStep::Kind::kEnqueue: {
+        Packet pkt;
+        pkt.flow = script_flow(step.flow);
+        pkt.header_bytes = 40;
+        pkt.payload_bytes = step.bytes - 40;
+        pkt.id = id;
+        admitted.push_back(channel.enqueue(std::move(pkt)));
+        break;
+      }
+      case ChannelStep::Kind::kDown:
+        channel.set_down(true);
+        break;
+      case ChannelStep::Kind::kUp:
+        channel.set_down(false);
+        break;
+      case ChannelStep::Kind::kCapacity:
+        channel.set_capacity_bps(step.value);
+        break;
+      case ChannelStep::Kind::kReserve:
+        channel.add_reservation(script_flow(step.flow), step.value, step.burst);
+        break;
+      case ChannelStep::Kind::kProbe:
+        break;
+    }
+  }
+};
+
+void expect_same_stats(const ChannelStats& want, const ChannelStats& got) {
+  EXPECT_EQ(got.packets_sent, want.packets_sent);
+  EXPECT_EQ(got.packets_dropped, want.packets_dropped);
+  EXPECT_EQ(got.packets_lost, want.packets_lost);
+  EXPECT_EQ(got.packets_down_dropped, want.packets_down_dropped);
+  EXPECT_EQ(got.bytes_serialized, want.bytes_serialized);
+  EXPECT_EQ(got.priority_packets, want.priority_packets);
+}
+
+/// Runs `script` on both channels; counters must agree after every step
+/// and the departure, arrival and admission logs at the end. Returns the
+/// reference's final counters.
+ChannelStats expect_channel_matches_reference(const ChannelScript& script) {
+  ChannelRun<ReferenceChannel> want(script);
+  ChannelRun<Channel> got(script);
+  for (std::size_t i = 0; i < script.steps.size(); ++i) {
+    want.apply(script.steps[i], i);
+    got.apply(script.steps[i], i);
+    SCOPED_TRACE("step " + std::to_string(i) + " at " + std::to_string(script.steps[i].at));
+    expect_same_stats(want.channel.stats(), got.channel.stats());
+    if (::testing::Test::HasFailure()) return want.channel.stats();
+  }
+  want.sim.run();
+  got.sim.run();
+  expect_same_stats(want.channel.stats(), got.channel.stats());
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.serialized, want.serialized);
+  EXPECT_EQ(got.delivered, want.delivered);
+  return want.channel.stats();
+}
+
+ChannelScript random_channel_script(Rng& rng) {
+  const double rates[] = {1e6, 10e6, 100e6};
+  ChannelScript script;
+  script.bits_per_sec = rates[rng.uniform_int(0, 2)];
+  script.prop_delay = rng.chance(0.5) ? 0 : micros(rng.uniform_int(1, 500));
+  script.queue_limit_bytes = rng.uniform_int(3, 24) * 1000;
+  double rate = script.bits_per_sec;
+  bool down = false;
+  SimTime at = 0;
+  for (int i = 0; i < 600; ++i) {
+    // Gaps are whole byte times at the current rate, so steps often land on
+    // a departure instant; a quarter of the steps share the previous
+    // step's nanosecond.
+    if (!rng.chance(0.25)) at += transmission_time(rng.uniform_int(1, 1200), rate);
+    ChannelStep step;
+    step.at = at;
+    const double pick = rng.uniform(0, 1);
+    if (pick < 0.8) {
+      step.kind = ChannelStep::Kind::kEnqueue;
+      step.bytes = rng.chance(0.3) ? 40 : static_cast<std::uint32_t>(rng.uniform_int(40, 1500));
+      step.flow = static_cast<std::uint16_t>(rng.uniform_int(0, 2));
+    } else if (pick < 0.85) {
+      step.kind = ChannelStep::Kind::kCapacity;
+      rate = step.value = rates[rng.uniform_int(0, 2)];
+    } else if (pick < 0.89) {
+      step.kind = down ? ChannelStep::Kind::kUp : ChannelStep::Kind::kDown;
+      down = !down;
+    } else if (pick < 0.92) {
+      step.kind = ChannelStep::Kind::kReserve;
+      step.flow = static_cast<std::uint16_t>(rng.uniform_int(0, 1));
+      step.value = rate * rng.uniform(0.05, 0.4);
+      step.burst = rng.uniform_int(1500, 8000);
+    }
+    script.steps.push_back(step);
+  }
+  return script;
+}
+
+TEST(ChannelDifferentialTest, RandomScriptsMatchReference) {
+  ChannelStats seen;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const ChannelStats stats = expect_channel_matches_reference(random_channel_script(rng));
+    if (HasFailure()) return;
+    seen.packets_dropped += stats.packets_dropped;
+    seen.packets_down_dropped += stats.packets_down_dropped;
+    seen.priority_packets += stats.priority_packets;
+  }
+  // The scripts reach every path: overflow, outage and the reserved class.
+  EXPECT_GT(seen.packets_dropped, 100u);
+  EXPECT_GT(seen.packets_down_dropped, 100u);
+  EXPECT_GT(seen.priority_packets, 100u);
+}
+
+TEST(ChannelDifferentialTest, DownAtADepartureInstant) {
+  // Three 1000 B packets at 10 Mb/s (800 us each): the first departs at
+  // exactly 800 us, when the link goes down, so it is in propagation and
+  // arrives; the other two are dropped.
+  using Kind = ChannelStep::Kind;
+  for (const SimTime prop : {SimTime{0}, millis(1)}) {
+    SCOPED_TRACE("prop " + std::to_string(prop));
+    ChannelScript script;
+    script.prop_delay = prop;
+    for (int i = 0; i < 3; ++i) script.steps.push_back({.kind = Kind::kEnqueue, .bytes = 1000});
+    script.steps.push_back({.kind = Kind::kDown, .at = micros(800)});
+    script.steps.push_back({.kind = Kind::kUp, .at = micros(900)});
+    script.steps.push_back({.kind = Kind::kEnqueue, .at = micros(900), .bytes = 1000});
+    expect_channel_matches_reference(script);
+    ChannelRun<Channel> run(script);
+    for (std::size_t i = 0; i < script.steps.size(); ++i) run.apply(script.steps[i], i);
+    run.sim.run();
+    EXPECT_EQ(run.channel.stats().packets_down_dropped, 2u);
+    const std::vector<std::pair<std::uint64_t, SimTime>> arrivals{
+        {0, micros(800) + prop}, {5, micros(1700) + prop}};
+    EXPECT_EQ(run.delivered, arrivals);
+  }
+}
+
+TEST(ChannelDifferentialTest, CapacityChangeWhileAPacketSerializes) {
+  // Two 1250 B packets at 10 Mb/s (1 ms each); at 0.25 ms the rate doubles.
+  // The first keeps its 1 ms departure; the second, not yet started,
+  // serializes at 20 Mb/s and departs at 1.5 ms. A priority packet
+  // admitted at the first departure instant does not overtake the packet
+  // that starts then.
+  using Kind = ChannelStep::Kind;
+  ChannelScript script;
+  script.prop_delay = micros(100);
+  script.steps = {
+      {.kind = Kind::kReserve, .flow = 1, .value = 5e6, .burst = 4000},
+      {.kind = Kind::kEnqueue, .bytes = 1250},
+      {.kind = Kind::kEnqueue, .bytes = 1250},
+      {.kind = Kind::kCapacity, .at = micros(250), .value = 20e6},
+      {.kind = Kind::kEnqueue, .at = millis(1), .bytes = 1250},
+      {.kind = Kind::kEnqueue, .at = millis(1), .bytes = 1250, .flow = 1},
+  };
+  expect_channel_matches_reference(script);
+  ChannelRun<Channel> run(script);
+  for (std::size_t i = 0; i < script.steps.size(); ++i) run.apply(script.steps[i], i);
+  run.sim.run();
+  const std::vector<std::pair<std::uint64_t, SimTime>> departures{
+      {1, millis(1)}, {2, micros(1500)}, {5, millis(2)}, {4, micros(2500)}};
+  EXPECT_EQ(run.serialized, departures);
+  EXPECT_EQ(run.channel.stats().priority_packets, 1u);
 }
 
 }  // namespace

@@ -361,6 +361,29 @@ TEST(WrenEndToEndTest, BoundedTraceKeepsTheNewestRecords) {
   }
 }
 
+// The sender's link applies departures lazily, yet at every drain point
+// collect() returns records in time order, none stamped after now, and its
+// outgoing records account for every byte the link has serialized.
+TEST(WrenEndToEndTest, CollectSeesEveryDepartureUpToNow) {
+  topo::LanMeasurement run;
+  TraceFacility trace(*run.tb.network, run.tb.sender);
+  net::Channel& uplink = run.tb.network->channel(run.tb.sender, run.tb.switch_node);
+  run.send({{.count = 20, .message_bytes = 200'000, .spacing = millis(20)}});
+  std::uint64_t out_bytes = 0;
+  SimTime last = 0;
+  for (int i = 0; run.sim.now() < millis(400); ++i) {
+    run.sim.run_until(run.sim.now() + micros(37 + 290 * (i % 7)));
+    for (const PacketRecord& r : trace.collect()) {
+      ASSERT_LE(r.timestamp, run.sim.now());
+      ASSERT_GE(r.timestamp, last);
+      last = r.timestamp;
+      if (r.direction == net::TapDirection::kOutgoing) out_bytes += r.wire_bytes;
+    }
+    ASSERT_EQ(out_bytes, uplink.stats().bytes_serialized) << "at " << run.sim.now();
+  }
+  EXPECT_GT(out_bytes, 1'000'000u);
+}
+
 TEST(WrenEndToEndTest, AnalyzerMeasuresIdleLinkBandwidth) {
   topo::LanMeasurement run;  // no cross traffic
   run.send({{.count = 100, .message_bytes = 200'000, .spacing = millis(100)}});

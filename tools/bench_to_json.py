@@ -15,7 +15,8 @@ Three suites:
     scheduler ops/sec on the churn workload for the pre-overhaul baseline
     replica (std::function + hash-set cancellation, compiled into the same
     binary) and the slot-arena engine, their speedup, end-to-end star
-    packets/sec, and a ``routes`` block: milliseconds per
+    packets/sec and ns per packet at 8 and 32 hosts for 40 B (an ACK),
+    576 B and 1500 B packets, and a ``routes`` block: milliseconds per
     Network::compute_routes on BRITE networks of 64, 256 and 1000 routers
     with one single-link host each. ``--gate`` (default 3.0 for this suite)
     makes the script exit nonzero when the scheduler speedup falls below the
@@ -93,15 +94,24 @@ def vadapt_summary(benchmarks: list) -> dict:
     }
 
 
+STAR_HOSTS = (8, 32)
+STAR_BYTES = (40, 576, 1500)
+
+
 def datapath_summary(benchmarks: list) -> dict:
     baseline = items_per_second(benchmarks, "BM_SchedulerChurn_baseline")
     arena = items_per_second(benchmarks, "BM_SchedulerChurn_arena")
+    star = {
+        f"hosts_{n}_bytes_{b}": items_per_second(benchmarks, f"BM_StarForwarding/{n}/{b}")
+        for n in STAR_HOSTS
+        for b in STAR_BYTES
+    }
     return {
         "workload": {
             "scheduler_churn": "1024-timer batches, 2/3 cancelled before firing, "
             "Packet-sized (96 B) captures",
             "star_forwarding": "fig4-style star, UDP ring traffic, "
-            "packets delivered end to end",
+            "packets delivered end to end, by host count and wire size",
             "routes": "BRITE Waxman routers (out-degree 2) plus one single-link "
             "host each; one Network::compute_routes",
         },
@@ -113,9 +123,9 @@ def datapath_summary(benchmarks: list) -> dict:
             "arena_ops_per_sec": arena,
             "speedup": arena / baseline if baseline > 0 else None,
         },
-        "star_forwarding_packets_per_sec": {
-            "hosts_8": items_per_second(benchmarks, "BM_StarForwarding/8"),
-            "hosts_32": items_per_second(benchmarks, "BM_StarForwarding/32"),
+        "star_forwarding_packets_per_sec": star,
+        "star_forwarding_ns_per_packet": {
+            key: 1e9 / pps if pps > 0 else None for key, pps in star.items()
         },
         "routes": {
             "compute_ms": {
@@ -263,11 +273,10 @@ def main() -> int:
             f"arena={churn['arena_ops_per_sec']:.3g} ops/s, "
             f"speedup={speedup:.2f}x"
         )
-        star = result["star_forwarding_packets_per_sec"]
-        print(
-            f"star_forwarding: 8 hosts={star['hosts_8']:.3g} pkt/s, "
-            f"32 hosts={star['hosts_32']:.3g} pkt/s"
-        )
+        ns = result["star_forwarding_ns_per_packet"]
+        for n in STAR_HOSTS:
+            print(f"star_forwarding {n} hosts: " + ", ".join(
+                f"{b} B={ns[f'hosts_{n}_bytes_{b}']:.0f} ns/pkt" for b in STAR_BYTES))
         routes = result["routes"]["compute_ms"]
         print("compute_routes: " + ", ".join(
             f"{key.split('_')[1]} routers={ms:.3g} ms" for key, ms in routes.items()))
