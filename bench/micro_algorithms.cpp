@@ -6,11 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include "soap/xml.hpp"
-#include "topo/brite.hpp"
 #include "util/rng.hpp"
 #include "vadapt/annealing.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/widest_path.hpp"
+#include "vadapt_problems.hpp"
 #include "wren/train.hpp"
 
 namespace {
@@ -18,26 +18,8 @@ namespace {
 using namespace vw;
 using namespace vw::vadapt;
 
-CapacityGraph random_graph(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<net::NodeId> hosts(n);
-  for (std::size_t i = 0; i < n; ++i) hosts[i] = static_cast<net::NodeId>(i);
-  CapacityGraph g(hosts);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      g.set_bandwidth(i, j, rng.uniform(10e6, 1000e6));
-      g.set_latency(i, j, rng.uniform(0.0001, 0.05));
-    }
-  }
-  return g;
-}
-
-std::vector<Demand> ring_demands(std::size_t n_vms, double rate) {
-  std::vector<Demand> d;
-  for (std::size_t i = 0; i < n_vms; ++i) d.push_back({i, (i + 1) % n_vms, rate});
-  return d;
-}
+using bench::random_graph;
+using bench::ring_demands;
 
 void BM_WidestPaths(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

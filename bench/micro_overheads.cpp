@@ -94,8 +94,7 @@ void BM_VttifFrameAccounting(benchmark::State& state) {
   vnet::Overlay overlay(stack);
   vnet::VnetDaemon& daemon = overlay.create_daemon(h, "d", true);
   daemon.attach_vm(2, [](vnet::FramePtr) {});
-  vttif::LocalVttif local(sim, daemon, vw::seconds(1.0),
-                          [](net::NodeId, const vttif::TrafficMatrix&) {});
+  vttif::LocalVttif local(sim, daemon, [](net::NodeId, const vttif::TrafficMatrix&) {});
   vnet::EthernetFrame frame;
   frame.src_mac = 1;
   frame.dst_mac = 2;

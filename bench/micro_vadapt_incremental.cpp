@@ -23,6 +23,7 @@
 #include "vadapt/greedy.hpp"
 #include "vadapt/incremental.hpp"
 #include "vadapt/widest_path.hpp"
+#include "vadapt_problems.hpp"
 
 namespace {
 
@@ -32,26 +33,8 @@ using namespace vw::vadapt;
 constexpr std::size_t kHosts = 32;
 constexpr std::size_t kVms = 8;
 
-CapacityGraph random_graph(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<net::NodeId> hosts(n);
-  for (std::size_t i = 0; i < n; ++i) hosts[i] = static_cast<net::NodeId>(i);
-  CapacityGraph g(hosts);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      g.set_bandwidth(i, j, rng.uniform(10e6, 1000e6));
-      g.set_latency(i, j, rng.uniform(0.0001, 0.05));
-    }
-  }
-  return g;
-}
-
-std::vector<Demand> ring_demands(std::size_t n_vms, double rate) {
-  std::vector<Demand> d;
-  for (std::size_t i = 0; i < n_vms; ++i) d.push_back({i, (i + 1) % n_vms, rate});
-  return d;
-}
+using bench::random_graph;
+using bench::ring_demands;
 
 // --- SA iteration throughput: full rescore vs incremental ------------------
 // items_per_second = SA iterations per second; the acceptance criterion is

@@ -1,16 +1,15 @@
-// Warm-start re-adaptation micro benchmarks (the PR's acceptance gate):
+// Warm-start re-adaptation micro benchmarks:
 // streaming single-link re-adaptation through WarmStartOptimizer vs the
 // from-scratch multi-start pipeline the cold path runs, on BRITE overlay
 // graphs at 256 and 1024 daemons.
 //
-// Two derived numbers gate the PR (tools/bench_to_json.py --suite
-// vadapt_warm):
-//   - speedup: warm single-link re-adapt at 1024 VMs must be >= 10x faster
-//     than a from-scratch solve of the same problem.
-//   - scaling: warm time must grow with the *delta*, not the problem — the
-//     warm 1024/256 time ratio must stay below the cold 1024/256 ratio,
-//     and the delta-size sweep (1/4/16/64 changed pairs at 1024 VMs) shows
-//     the cost tracking the touched set.
+// The gate (tools/bench_to_json.py --suite vadapt_warm, full length): a
+// warm single-link re-adapt at 1024 VMs must be >= 10x faster than a
+// from-scratch solve of the same problem; full runs measure ~20-35x. A warm
+// adapt still does O(D) work in the demand count D (compatibility check,
+// rate drift, gain scan, canonical resum), so its time grows with the
+// problem too; the delta-size sweep (1/4/16/64 changed pairs at 1024 VMs)
+// shows what the touched set adds on top.
 //
 // The cold series deliberately starts from random configurations (no greedy
 // seed): on a complete 1024-host overlay the greedy heuristic's widest-path
@@ -25,12 +24,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "topo/brite.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "vadapt/multistart.hpp"
 #include "vadapt/problem.hpp"
 #include "vadapt/warm_start.hpp"
+#include "vadapt_problems.hpp"
 #include "wren/delta.hpp"
 
 namespace {
@@ -38,20 +37,8 @@ namespace {
 using namespace vw;
 using namespace vw::vadapt;
 
-CapacityGraph brite_overlay(std::size_t n, std::uint64_t seed) {
-  topo::BriteParams params;
-  params.nodes = n;
-  topo::BriteTopology topo(params, Rng(seed));
-  Rng pick(seed + 1);
-  return topo.overlay_capacity_graph(n, pick);
-}
-
-std::vector<Demand> ring_demands(std::size_t n_vms, double rate) {
-  std::vector<Demand> d;
-  for (std::size_t i = 0; i < n_vms; ++i)
-    d.push_back({static_cast<VmIndex>(i), static_cast<VmIndex>((i + 1) % n_vms), rate});
-  return d;
-}
+using bench::brite_overlay;
+using bench::ring_demands;
 
 // The system's cold kMultiStartAnnealing path with its default solver
 // parameters (4 chains x 5000 iterations), run serially so the gate

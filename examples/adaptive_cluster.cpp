@@ -11,81 +11,24 @@
 //   5. migrates the VMs and re-routes the overlay,
 // and the application's delivered throughput improves.
 //
-//   $ ./examples/adaptive_cluster [options]
+//   $ ./examples/adaptive_cluster [--metrics-json FILE] [--metrics-csv FILE]
+//     [--trace FILE] [--events-jsonl FILE] [--no-telemetry] [--capture DIR]
 //
-// Telemetry options (the system-wide metrics registry + event tracer):
-//   --metrics-json FILE    export the final metrics snapshot as JSON
-//   --metrics-csv FILE     export the final metrics snapshot as CSV
-//   --trace FILE           export Chrome trace_event JSON (about:tracing)
-//   --events-jsonl FILE    export the trace events as JSONL
-//   --no-telemetry         disable the observability subsystem entirely
-//   --capture DIR          persist per-host vw.trace.v1 packet-trace shards
+// The telemetry options (the system-wide metrics registry + event tracer)
+// are described in telemetry_cli.hpp.
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <string>
 
-#include "obs/export.hpp"
+#include "telemetry_cli.hpp"
 #include "virtuoso/challenge.hpp"
 
 using namespace vw;
 
-namespace {
-
-struct Options {
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string trace;
-  std::string events_jsonl;
-  std::string capture_dir;
-  bool telemetry = true;
-};
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  auto need_value = [&](int i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << argv[i] << " requires a file argument\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      opt.metrics_json = need_value(i++);
-    } else if (std::strcmp(argv[i], "--metrics-csv") == 0) {
-      opt.metrics_csv = need_value(i++);
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      opt.trace = need_value(i++);
-    } else if (std::strcmp(argv[i], "--events-jsonl") == 0) {
-      opt.events_jsonl = need_value(i++);
-    } else if (std::strcmp(argv[i], "--capture") == 0) {
-      opt.capture_dir = need_value(i++);
-    } else if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-      opt.telemetry = false;
-    } else {
-      std::cerr << "unknown option: " << argv[i] << "\n";
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    std::exit(1);
-  }
-  out << content;
-  std::cout << "wrote " << path << "\n";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
+  examples::TelemetryOptions opt;
+  for (int i = 1; i < argc; ++i) {
+    if (!opt.parse(argc, argv, i)) examples::unknown_option(argv[i]);
+  }
 
   virtuoso::SystemConfig config;
   config.annealing.iterations = 3000;
@@ -141,21 +84,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     obs::write_text_table(std::cout, system.metrics()->snapshot("vadapt"));
     obs::write_text_table(std::cout, system.metrics()->snapshot("virtuoso"));
-
-    const obs::MetricsSnapshot full = system.metrics()->snapshot();
-    if (!opt.metrics_json.empty()) write_file(opt.metrics_json, obs::metrics_json(full));
-    if (!opt.metrics_csv.empty()) {
-      std::ofstream out(opt.metrics_csv);
-      obs::write_csv(out, full);
-      std::cout << "wrote " << opt.metrics_csv << "\n";
-    }
-    if (!opt.trace.empty()) {
-      write_file(opt.trace, obs::chrome_trace_json(system.tracer()->events()));
-    }
-    if (!opt.events_jsonl.empty()) {
-      write_file(opt.events_jsonl, obs::events_jsonl(system.tracer()->events()));
-    }
   }
+  examples::export_telemetry(opt, system);
   const std::uint64_t captured = system.finish_capture();
   if (!opt.capture_dir.empty()) {
     std::cout << "capture: " << system.overlay().daemon_hosts().size() << " shard(s) in "

@@ -25,6 +25,8 @@
 //     [--metrics-csv FILE] [--trace FILE] [--events-jsonl FILE]
 //     [--no-telemetry] [--capture DIR]
 //
+// The telemetry options are described in telemetry_cli.hpp.
+//
 // --capture DIR persists every daemon host's packet-header trace as a
 // vw.trace.v1 binary shard under DIR (one file per host, encoded and
 // written on the simulation thread), turning each chaos run
@@ -32,72 +34,29 @@
 // replay. Capture only observes — the run signature is bit-identical with
 // and without it.
 
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <string>
 
 #include "cli_args.hpp"
-#include "obs/export.hpp"
+#include "telemetry_cli.hpp"
 #include "virtuoso/challenge.hpp"
 
 using namespace vw;
 
-namespace {
-
-struct Options {
+int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string trace;
-  std::string events_jsonl;
-  std::string capture_dir;
-  bool telemetry = true;
-};
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  auto need_value = [&](int i) -> std::string { return cli::need_value(argc, argv, i); };
+  examples::TelemetryOptions opt;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = cli::uint_value<std::uint64_t>(argc, argv, i++);
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      opt.metrics_json = need_value(i++);
-    } else if (std::strcmp(argv[i], "--metrics-csv") == 0) {
-      opt.metrics_csv = need_value(i++);
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      opt.trace = need_value(i++);
-    } else if (std::strcmp(argv[i], "--events-jsonl") == 0) {
-      opt.events_jsonl = need_value(i++);
-    } else if (std::strcmp(argv[i], "--capture") == 0) {
-      opt.capture_dir = need_value(i++);
-    } else if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-      opt.telemetry = false;
-    } else {
-      std::cerr << "unknown option: " << argv[i] << "\n";
-      std::exit(2);
+      seed = cli::uint_value<std::uint64_t>(argc, argv, i++);
+    } else if (!opt.parse(argc, argv, i)) {
+      examples::unknown_option(argv[i]);
     }
   }
-  return opt;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    std::exit(1);
-  }
-  out << content;
-  std::cout << "wrote " << path << "\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
 
   virtuoso::SystemConfig config;
-  config.seed = opt.seed;
+  config.seed = seed;
   config.telemetry = opt.telemetry;
   config.capture_dir = opt.capture_dir;
   // The challenge cluster, the badly placed fig10 workload, the ground-truth
@@ -145,7 +104,7 @@ int main(int argc, char** argv) {
             << "control resends:     " << control.messages_resent() << "\n";
 
   // One-line run signature: equal seeds must reproduce it bit-for-bit.
-  std::cout << "signature: seed=" << opt.seed;
+  std::cout << "signature: seed=" << seed;
   for (std::size_t i = 0; i < vms.size(); ++i) {
     std::cout << " vm-" << i << "="
               << (vms[i]->attached() ? tb.network->node(vms[i]->host()).name : "DETACHED");
@@ -154,21 +113,7 @@ int main(int argc, char** argv) {
             << system.failure_replans() << " failed=" << migration.migrations_failed()
             << " reconnects=" << control.reconnects() << "\n";
 
-  if (opt.telemetry) {
-    const obs::MetricsSnapshot full = system.metrics()->snapshot();
-    if (!opt.metrics_json.empty()) write_file(opt.metrics_json, obs::metrics_json(full));
-    if (!opt.metrics_csv.empty()) {
-      std::ofstream out(opt.metrics_csv);
-      obs::write_csv(out, full);
-      std::cout << "wrote " << opt.metrics_csv << "\n";
-    }
-    if (!opt.trace.empty()) {
-      write_file(opt.trace, obs::chrome_trace_json(system.tracer()->events()));
-    }
-    if (!opt.events_jsonl.empty()) {
-      write_file(opt.events_jsonl, obs::events_jsonl(system.tracer()->events()));
-    }
-  }
+  examples::export_telemetry(opt, system);
 
   // --- resilience invariants (CI smoke) -------------------------------------
   int failures = 0;

@@ -279,8 +279,8 @@ WarmAdaptStats WarmStartOptimizer::adapt(const wren::ViewDelta& delta,
   stats.target_demands = targets.size();
   stats.burst_iterations = run_burst(
       targets,
-      std::clamp(targets.size() * kBurstIterationsPerTarget, params_.min_burst_iterations,
-                 params_.max_burst_iterations),
+      std::clamp(targets.size() * kBurstIterationsPerTarget, kMinBurstIterations,
+                 kMaxBurstIterations),
       rng);
   eval_->set_deferred_cost(false);
   stats.cost_after = eval_->evaluation().cost;

@@ -44,17 +44,19 @@
 
 namespace vw::vadapt {
 
+/// Problems smaller than this many VMs always re-solve from scratch — a
+/// full multi-start is already cheap there, and it keeps small golden
+/// scenarios (chaos suite) on the exact cold decision sequence.
+inline constexpr std::size_t kWarmMinVms = 16;
+/// Burst length: 200 iterations per target demand, clamped to
+/// [kMinBurstIterations, kMaxBurstIterations].
+inline constexpr std::size_t kMinBurstIterations = 500;
+inline constexpr std::size_t kMaxBurstIterations = 20000;
+
 struct WarmStartParams {
   /// Master switch (SystemConfig::warm_start.enabled). Off by default: the
   /// cold path must stay byte-identical for existing golden scenarios.
   bool enabled = false;
-  /// Problems smaller than this many VMs always re-solve from scratch — a
-  /// full multi-start is already cheap there, and it keeps small golden
-  /// scenarios (chaos suite) on the exact cold decision sequence.
-  std::size_t min_vms = 16;
-  /// Burst length: 200 iterations per target demand, clamped to this range.
-  std::size_t min_burst_iterations = 500;
-  std::size_t max_burst_iterations = 20000;
   /// Telemetry (vadapt.warm.* counters/histograms); disabled by default.
   obs::Scope obs;
 };

@@ -84,8 +84,8 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
       stack_(network),
       overlay_(stack_),
       reservation_manager_(network),
-      global_vttif_(std::make_unique<vttif::GlobalVttif>(sim, config.vttif)),
-      migration_(sim, network, config.migration) {
+      global_vttif_(std::make_unique<vttif::GlobalVttif>(sim)),
+      migration_(sim, network) {
   // Measurements age against the virtual clock; with a horizon configured,
   // entries stop answering queries once they outlive it.
   view_.set_clock([this] { return sim_.now(); });
@@ -130,7 +130,7 @@ std::uint64_t VirtuosoSystem::finish_capture() {
 vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name, bool is_proxy) {
   vnet::VnetDaemon& daemon = overlay_.create_daemon(host, name, is_proxy);
   DaemonRuntime rt;
-  rt.analyzer = std::make_unique<wren::OnlineAnalyzer>(network_, host, config_.wren);
+  rt.analyzer = std::make_unique<wren::OnlineAnalyzer>(network_, host);
   rt.analyzer->set_obs(scope());
   if (!config_.capture_dir.empty()) {
     rt.analyzer->trace().capture_to(
@@ -140,8 +140,7 @@ vnet::VnetDaemon& VirtuosoSystem::add_daemon(net::NodeId host, std::string name,
         static_cast<std::uint32_t>(runtimes_.size()));
   }
   rt.local_vttif = std::make_unique<vttif::LocalVttif>(
-      sim_, daemon, kVttifLocalPeriod,
-      [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
+      sim_, daemon, [this](net::NodeId reporter, const vttif::TrafficMatrix& m) {
         // Ship the local matrix to the Proxy through the control plane
         // (the paper: "VTTIF uses VNET to periodically send the local
         // matrices to the Proxy machine"). Before bootstrap, apply locally.
@@ -584,7 +583,7 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
   // so they all ride the streaming path when the incumbent still fits.
   if (warm_ != nullptr) {
     wren::ViewDelta delta = view_.drain_delta();
-    if (n_vms >= config_.warm_start.min_vms &&
+    if (n_vms >= vadapt::kWarmMinVms &&
         warm_->compatible(live_daemon_hosts(), demands, n_vms) &&
         warm_->delta_acceptable(delta)) {
       ++warm_starts_;

@@ -54,17 +54,19 @@ enum class AdaptationAlgorithm {
   kMultiStartAnnealing,
 };
 
-inline constexpr SimTime kVttifLocalPeriod = seconds(1.0);  ///< local matrix push period
 inline constexpr SimTime kWrenReportPeriod = seconds(1.0);  ///< daemon Wren report period
 
-/// What a deployment chooses. The daemons' reporting cadence is fixed
-/// (kVttifLocalPeriod, kWrenReportPeriod), as are Wren's collection period
-/// and freshness window (wren::kCollectPeriod, wren::kFreshness) and the
-/// control plane's health-check poll and backoff ceiling and growth
-/// (vnet::kHealthCheckPeriod, kBackoffMax, kBackoffFactor).
+/// What a deployment chooses. Every daemon's analyzer runs Wren's default
+/// train and SIC settings, and its cadences are fixed: Wren's collection
+/// period and freshness window (wren::kCollectPeriod, wren::kFreshness),
+/// the report and local VTTIF push periods (kWrenReportPeriod,
+/// vttif::kLocalPeriod), the Proxy's VTTIF window and damping
+/// (vttif::kAggregationPeriod, kWindowSlots, kReactionCooldown), the
+/// migration path poll (vm::kPathCheckPeriod) and the control plane's
+/// health-check poll, connect timeout, resend window and backoff ceiling
+/// and growth (vnet::kHealthCheckPeriod, kConnectTimeout, kResendWindow,
+/// kBackoffMax, kBackoffFactor).
 struct SystemConfig {
-  wren::WrenParams wren;
-  vttif::GlobalVttifParams vttif;
   vadapt::Objective objective;
   vadapt::AnnealingParams annealing;
   /// kMultiStartAnnealing settings; `annealing` above and a seed derived
@@ -74,15 +76,14 @@ struct SystemConfig {
   /// view tracks deltas and adapt_now() patches + burst-anneals the live
   /// incumbent instead of re-solving from scratch, falling back to the cold
   /// algorithm when the incumbent is missing/stale, the problem is small
-  /// (warm_start.min_vms floor), or the delta touches more than a quarter
-  /// of the host-pair space. An invalidated pair falls back to the adopted
-  /// graph's defaults (default_bandwidth_bps and 1 ms).
+  /// (fewer than vadapt::kWarmMinVms VMs), or the delta touches more than a
+  /// quarter of the host-pair space. An invalidated pair falls back to the
+  /// adopted graph's defaults (default_bandwidth_bps and 1 ms).
   /// Open (DESIGN.md §5j): unlike capacity_graph(), the warm patch does
   /// not consult the federation's region aggregates.
   vadapt::WarmStartParams warm_start;
-  vm::MigrationParams migration;
-  /// Control-plane delivery robustness (stall and connect timeouts, first
-  /// reconnect delay, resend window).
+  /// Control-plane delivery robustness (stall timeout, first reconnect
+  /// delay).
   vnet::ControlPlaneParams control;
   /// Wren-view entries older than this are invisible to queries and to
   /// capacity_graph(); 0 = entries never go stale (pre-failure behavior).

@@ -18,9 +18,8 @@ const char* to_string(MigrationStatus status) {
   return "?";
 }
 
-MigrationEngine::MigrationEngine(sim::Simulator& sim, net::Network& network,
-                                 MigrationParams params)
-    : sim_(sim), network_(network), params_(params) {}
+MigrationEngine::MigrationEngine(sim::Simulator& sim, net::Network& network)
+    : sim_(sim), network_(network) {}
 
 void MigrationEngine::set_obs(const obs::Scope& scope) {
   obs_ = scope;
@@ -58,14 +57,11 @@ void MigrationEngine::schedule_completion(VirtualMachine& machine, Pending& pend
 }
 
 void MigrationEngine::arm_path_check(VirtualMachine& machine, Pending& pending) {
-  if (params_.path_check_period <= 0) return;
-  pending.check = sim_.schedule_in(params_.path_check_period, [this, &machine] {
+  pending.check = sim_.schedule_in(kPathCheckPeriod, [this, &machine] {
     auto it = inflight_.find(&machine);
     if (it == inflight_.end()) return;
     Pending& p = it->second;
-    const bool path_dead = p.source.has_value() && !network_.path_up(*p.source, p.target);
-    const bool deadline_blown = p.deadline_at > 0 && sim_.now() > p.deadline_at;
-    if (path_dead || deadline_blown) {
+    if (p.source.has_value() && !network_.path_up(*p.source, p.target)) {
       finish(machine, MigrationStatus::kFailed);
       return;
     }
@@ -89,11 +85,6 @@ void MigrationEngine::migrate(VirtualMachine& machine, net::NodeId target_host, 
     if (pending.source.has_value()) {
       const SimTime new_total = estimate_duration(machine, *pending.source, target_host);
       remaining = std::max<SimTime>(0, new_total - elapsed);
-      if (params_.deadline_factor > 0) {
-        pending.deadline_at =
-            pending.started_at +
-            static_cast<SimTime>(params_.deadline_factor * static_cast<double>(new_total));
-      }
     }
     schedule_completion(machine, pending, remaining);
     if (old_done) old_done(machine, MigrationStatus::kSuperseded);
@@ -111,11 +102,6 @@ void MigrationEngine::migrate(VirtualMachine& machine, net::NodeId target_host, 
   if (machine.attached()) {
     pending.source = machine.host();
     duration = estimate_duration(machine, machine.host(), target_host);
-    if (params_.deadline_factor > 0) {
-      pending.deadline_at =
-          pending.started_at +
-          static_cast<SimTime>(params_.deadline_factor * static_cast<double>(duration));
-    }
     machine.detach();
   }
   ++started_;

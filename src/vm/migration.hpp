@@ -15,19 +15,19 @@
 // the destination and update the Proxy's MAC registry.
 //
 // Failure semantics: a migration is not a promise. While the transfer is in
-// flight the engine polls the routed source->target path; if the path goes
-// down, or the transfer blows through its deadline (a multiple of the
-// initial estimate), the migration FAILS: the VM re-attaches at its source
-// host and the completion callback fires with MigrationStatus::kFailed so
-// the adaptation layer can re-plan around the dead pair. Migrations can
-// also be aborted explicitly.
+// flight the engine polls the routed source->target path every
+// kPathCheckPeriod; if the path goes down (or is down when the transfer
+// would land), the migration FAILS: the VM re-attaches at its source host
+// and the completion callback fires with MigrationStatus::kFailed so the
+// adaptation layer can re-plan around the dead pair. Migrations can also be
+// aborted explicitly.
 
 namespace vw::vm {
 
 enum class MigrationStatus {
   kCompleted,   ///< VM attached at the requested target
   kSuperseded,  ///< a re-target replaced this request (VM still in flight)
-  kFailed,      ///< path died or deadline blown; VM re-attached at source
+  kFailed,      ///< path died; VM re-attached at source
   kAborted,     ///< abort() cancelled it; VM re-attached at source
 };
 
@@ -36,20 +36,13 @@ const char* to_string(MigrationStatus status);
 inline constexpr SimTime kMigrationOverhead = millis(500);  ///< pause/resume/bookkeeping cost
 inline constexpr double kMigrationEfficiency = 0.7;  ///< fraction of path bottleneck usable
 inline constexpr double kMigrationFallbackBps = 100e6;  ///< used when the path is unknown
-
-struct MigrationParams {
-  /// In-flight path liveness poll period; 0 disables path-failure checks.
-  SimTime path_check_period = millis(250);
-  /// Fail when elapsed time exceeds `deadline_factor` x the initial
-  /// estimate; 0 disables the deadline.
-  double deadline_factor = 4.0;
-};
+inline constexpr SimTime kPathCheckPeriod = millis(250);  ///< in-flight path liveness poll
 
 class MigrationEngine {
  public:
   using DoneFn = std::function<void(VirtualMachine&, MigrationStatus)>;
 
-  MigrationEngine(sim::Simulator& sim, net::Network& network, MigrationParams params = {});
+  MigrationEngine(sim::Simulator& sim, net::Network& network);
 
   /// Start migrating `machine` to `target_host`. The VM detaches immediately
   /// (frames to it drop while in flight) and re-attaches when the transfer
@@ -88,7 +81,6 @@ class MigrationEngine {
     DoneFn on_done;
     SimTime started_at = 0;  ///< for the duration histogram / trace span
     std::optional<net::NodeId> source;  ///< absent when the VM started detached
-    SimTime deadline_at = 0;            ///< 0 = no deadline
     sim::EventHandle completion;
     sim::EventHandle check;
   };
@@ -99,7 +91,6 @@ class MigrationEngine {
 
   sim::Simulator& sim_;
   net::Network& network_;
-  MigrationParams params_;
   std::map<const VirtualMachine*, Pending> inflight_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

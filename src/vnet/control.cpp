@@ -10,7 +10,6 @@ namespace vw::vnet {
 ControlPlane::ControlPlane(transport::TransportStack& stack, net::NodeId proxy_host,
                            std::uint16_t port, ControlPlaneParams params)
     : stack_(stack), proxy_host_(proxy_host), port_(port), params_(params) {
-  VW_REQUIRE(params_.resend_window >= 1, "ControlPlane: resend window must hold >= 1 message");
   stack_.tcp_listen(proxy_host_, port_, [this](transport::TcpConnection& conn) {
     conn.set_on_message([this](std::uint64_t, const std::any& tag) {
       if (const auto* doc = std::any_cast<std::string>(&tag)) dispatch(*doc);
@@ -113,7 +112,7 @@ void ControlPlane::send(net::NodeId host, const soap::XmlNode& message) {
   }
   ClientState& state = clients_[host];
   bool gap = false;
-  if (state.window.size() >= params_.resend_window) {
+  if (state.window.size() >= kResendWindow) {
     // Oldest report gives way. If it was already acknowledged this is pure
     // housekeeping; if not, its state never reached the Proxy and the
     // replay window will never contain it again — a permanent hole unless
@@ -220,7 +219,7 @@ void ControlPlane::health_tick() {
       continue;
     }
     if (!state.conn->established()) {
-      if (now - state.attempt_started > params_.connect_timeout) {
+      if (now - state.attempt_started > kConnectTimeout) {
         fail_connection(host, state);
       }
       continue;

@@ -42,15 +42,17 @@ inline constexpr SimTime kHealthCheckPeriod = millis(500);  ///< connection-heal
 inline constexpr SimTime kBackoffMax = seconds(30.0);        ///< reconnect backoff ceiling
 inline constexpr double kBackoffFactor = 2.0;                ///< exponential backoff growth
 static_assert(kBackoffFactor >= 1.0, "ControlPlane: backoff factor must be >= 1");
+inline constexpr SimTime kConnectTimeout = seconds(10.0);  ///< handshake must finish by then
+inline constexpr std::size_t kResendWindow = 64;  ///< per-daemon messages kept for resend
+static_assert(kResendWindow >= 1, "ControlPlane: resend window must hold >= 1 message");
 
-/// Delivery robustness settings; the health-check poll and the backoff
-/// ceiling and growth are the fixed kHealthCheckPeriod, kBackoffMax and
+/// Delivery robustness settings; the health-check poll, connect timeout,
+/// resend window and the backoff ceiling and growth are the fixed
+/// kHealthCheckPeriod, kConnectTimeout, kResendWindow, kBackoffMax and
 /// kBackoffFactor.
 struct ControlPlaneParams {
-  SimTime send_timeout = seconds(5.0);      ///< unacked data w/o progress => stall
-  SimTime connect_timeout = seconds(10.0);  ///< handshake must finish by then
-  SimTime backoff_initial = millis(500);    ///< first reconnect delay
-  std::size_t resend_window = 64;  ///< per-daemon messages kept for resend
+  SimTime send_timeout = seconds(5.0);    ///< unacked data w/o progress => stall
+  SimTime backoff_initial = millis(500);  ///< first reconnect delay
 };
 
 class ControlPlane {

@@ -5,8 +5,8 @@
 
 namespace vw::vttif {
 
-GlobalVttif::GlobalVttif(sim::Simulator& sim, GlobalVttifParams params)
-    : sim_(sim), params_(params), task_(sim, params.aggregation_period, [this] { close_slot(); }) {}
+GlobalVttif::GlobalVttif(sim::Simulator& sim)
+    : sim_(sim), task_(sim, kAggregationPeriod, [this] { close_slot(); }) {}
 
 void GlobalVttif::set_obs(const obs::Scope& scope) {
   obs_ = scope;
@@ -24,7 +24,7 @@ void GlobalVttif::update_from(net::NodeId, const TrafficMatrix& bytes) {
 void GlobalVttif::close_slot() {
   window_.push_back(std::move(current_slot_));
   current_slot_ = TrafficMatrix{};
-  while (window_.size() > params_.window_slots) window_.pop_front();
+  while (window_.size() > kWindowSlots) window_.pop_front();
 
   const Topology topo = current_topology();
   if (topo.edges.empty()) return;
@@ -35,7 +35,7 @@ void GlobalVttif::close_slot() {
   if (!interesting) return;
 
   const SimTime now = sim_.now();
-  if (last_reported_ && now - last_report_time_ < params_.reaction_cooldown) {
+  if (last_reported_ && now - last_report_time_ < kReactionCooldown) {
     return;  // damping: swallow rapid-fire changes to avoid oscillation
   }
   last_reported_ = topo;
@@ -52,8 +52,8 @@ TrafficMatrix GlobalVttif::smoothed_rate_matrix() const {
   TrafficMatrix sum;
   for (const TrafficMatrix& slot : window_) sum.merge(slot);
   const double window_seconds =
-      to_seconds(params_.aggregation_period) * static_cast<double>(std::max<std::size_t>(window_.size(), 1));
-  if (window_seconds > 0) sum.scale(1.0 / window_seconds);
+      to_seconds(kAggregationPeriod) * static_cast<double>(std::max<std::size_t>(window_.size(), 1));
+  sum.scale(1.0 / window_seconds);
   return sum;
 }
 

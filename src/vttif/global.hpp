@@ -19,18 +19,15 @@ namespace vw::vttif {
 
 /// Relative rate change that makes a same-shape topology "interesting".
 inline constexpr double kChangeThreshold = 0.5;
-
-struct GlobalVttifParams {
-  SimTime aggregation_period = seconds(1.0);  ///< window slot width
-  std::size_t window_slots = 10;              ///< sliding window length
-  SimTime reaction_cooldown = seconds(5.0);   ///< min spacing of change callbacks
-};
+inline constexpr SimTime kAggregationPeriod = seconds(1.0);  ///< window slot width
+inline constexpr std::size_t kWindowSlots = 10;              ///< sliding window length
+inline constexpr SimTime kReactionCooldown = seconds(5.0);   ///< min spacing of change callbacks
 
 class GlobalVttif {
  public:
   using ChangeFn = std::function<void(const Topology&)>;
 
-  GlobalVttif(sim::Simulator& sim, GlobalVttifParams params = {});
+  explicit GlobalVttif(sim::Simulator& sim);
 
   GlobalVttif(const GlobalVttif&) = delete;
   GlobalVttif& operator=(const GlobalVttif&) = delete;
@@ -58,7 +55,6 @@ class GlobalVttif {
   void close_slot();
 
   sim::Simulator& sim_;
-  GlobalVttifParams params_;
   TrafficMatrix current_slot_;
   std::deque<TrafficMatrix> window_;
   std::optional<Topology> last_reported_;

@@ -2,11 +2,8 @@
 
 namespace vw::vttif {
 
-LocalVttif::LocalVttif(sim::Simulator& sim, vnet::VnetDaemon& daemon, SimTime update_period,
-                       PushFn push)
-    : daemon_(daemon),
-      push_(std::move(push)),
-      task_(sim, update_period, [this] { push_update(); }) {
+LocalVttif::LocalVttif(sim::Simulator& sim, vnet::VnetDaemon& daemon, PushFn push)
+    : daemon_(daemon), push_(std::move(push)), task_(sim, kLocalPeriod, [this] { push_update(); }) {
   daemon_.set_frame_observer([this](const vnet::EthernetFrame& frame) {
     // Accumulate bits so the aggregated sliding-window matrix reads in
     // bits/sec, matching the demand units VADAPT consumes.

@@ -12,12 +12,15 @@
 
 namespace vw::vttif {
 
+inline constexpr SimTime kLocalPeriod = seconds(1.0);  ///< local matrix push period
+
 class LocalVttif {
  public:
   /// Receives (reporting daemon's host, bytes accumulated this interval).
   using PushFn = std::function<void(net::NodeId, const TrafficMatrix&)>;
 
-  LocalVttif(sim::Simulator& sim, vnet::VnetDaemon& daemon, SimTime update_period, PushFn push);
+  /// Pushes the accumulated matrix every kLocalPeriod.
+  LocalVttif(sim::Simulator& sim, vnet::VnetDaemon& daemon, PushFn push);
 
   LocalVttif(const LocalVttif&) = delete;
   LocalVttif& operator=(const LocalVttif&) = delete;

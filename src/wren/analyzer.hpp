@@ -21,8 +21,10 @@ namespace vw::wren {
 inline constexpr SimTime kCollectPeriod = millis(100);  ///< user-level collection interval
 inline constexpr SimTime kFreshness = seconds(30.0);    ///< older bandwidth estimates are stale
 
-/// Train extraction and SIC settings; the collection period and the
-/// estimate freshness window are the fixed kCollectPeriod and kFreshness.
+/// Train extraction and SIC settings; the collection period, the estimate
+/// freshness window, the train-breaking gap and the SIC window age and
+/// pending timeout are the fixed kCollectPeriod, kFreshness, kMaxTrainGap,
+/// kWindowAge and kPendingTimeout.
 struct WrenParams {
   TrainParams train;
   SicParams sic;
@@ -55,11 +57,11 @@ class FlowAnalyzer {
   void add(const PacketRecord& record);
 
   /// The collection step at `now`, per flow in flow order: flush a run idle
-  /// past max_gap, process(now), then per_flow(key, estimator).
+  /// past kMaxTrainGap, process(now), then per_flow(key, estimator).
   template <class PerFlow>
   void step(SimTime now, PerFlow&& per_flow) {
     for (auto& [key, flow] : flows_) {
-      if (flow.last_outgoing != 0 && now - flow.last_outgoing > params_.train.max_gap) {
+      if (flow.last_outgoing != 0 && now - flow.last_outgoing > kMaxTrainGap) {
         flow.extractor.flush();
       }
       flow.estimator.process(now);

@@ -144,10 +144,9 @@ double MatchResult::mean_latency_ns() const {
   return sum / static_cast<double>(matched.size());
 }
 
-OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
-                              const TrainParams& train_params, const SicParams& sic_params) {
+OfflineResult analyze_offline(const std::vector<PacketRecord>& records) {
   OfflineResult result;
-  FlowAnalyzer flows(WrenParams{train_params, sic_params},
+  FlowAnalyzer flows(WrenParams{},
                      [&result](const net::FlowKey& flow, const SicObservation& observation) {
                        result.observations.push_back({flow, observation});
                      });
@@ -164,12 +163,11 @@ OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
     last_time = std::max(last_time, r.timestamp);
     flows.add(r);
   }
-  // Step through the first multiple at or after last + max_gap +
-  // pending_timeout + one period (step_before stops short of its bound, hence
+  // Step through the first multiple at or after last + kMaxTrainGap +
+  // kPendingTimeout + one period (step_before stops short of its bound, hence
   // the second period), so no run or train is left pending.
   if (!records.empty()) {
-    step_before(last_time + train_params.max_gap + sic_params.pending_timeout +
-                2 * kCollectPeriod);
+    step_before(last_time + kMaxTrainGap + kPendingTimeout + 2 * kCollectPeriod);
   }
 
   for (const auto& [flow, state] : flows.flows()) {

@@ -88,10 +88,9 @@ struct OfflineResult {
   std::size_t flows_analyzed = 0;
 };
 
-/// Replay a trace through the online collection step at its cadence;
-/// estimates_bps holds each flow's final estimate_bps().
-OfflineResult analyze_offline(const std::vector<PacketRecord>& records,
-                              const TrainParams& train_params = {},
-                              const SicParams& sic_params = {});
+/// Replay a trace through the online collection step at its cadence, with
+/// the default train and SIC settings; estimates_bps holds each flow's final
+/// estimate_bps().
+OfflineResult analyze_offline(const std::vector<PacketRecord>& records);
 
 }  // namespace vw::wren

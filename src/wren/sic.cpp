@@ -50,7 +50,7 @@ void SicEstimator::process(SimTime now) {
     const std::uint64_t last_seq = train.packets.back().seq_end;
     const bool coverable = !acks_.empty() && acks_.back().ack >= last_seq;
     if (!coverable) {
-      if (now - train.end_time > params_.pending_timeout) {
+      if (now - train.end_time > kPendingTimeout) {
         ++trains_dropped_;
         pending_.pop_front();
         continue;
@@ -62,7 +62,7 @@ void SicEstimator::process(SimTime now) {
   }
 
   // Trim ancient ACK records (nothing pending can reach back that far).
-  const SimTime horizon = now - 2 * params_.pending_timeout;
+  const SimTime horizon = now - 2 * kPendingTimeout;
   while (acks_.size() > 2 && acks_.front().time < horizon) acks_.pop_front();
 
   prune_window(now);
@@ -166,7 +166,7 @@ void SicEstimator::evaluate(const Train& train) {
 
 void SicEstimator::prune_window(SimTime now) {
   while (window_.size() > params_.window_observations) window_.pop_front();
-  while (!window_.empty() && now - window_.front().time > params_.window_age) {
+  while (!window_.empty() && now - window_.front().time > kWindowAge) {
     window_.pop_front();
   }
   VW_ENSURE(window_.size() <= params_.window_observations,

@@ -38,10 +38,11 @@ inline constexpr double kSmoothingAlpha = 0.3;  ///< EWMA on the reported estima
 /// and the pure trend test would misread the train as uncongested.
 inline constexpr double kSaturatedRttFactor = 2.5;
 
+inline constexpr SimTime kWindowAge = seconds(3.0);      ///< fusion window max age
+inline constexpr SimTime kPendingTimeout = seconds(3.0);  ///< drop trains whose ACKs never arrive
+
 struct SicParams {
-  std::size_t window_observations = 20;    ///< fusion window size
-  SimTime window_age = seconds(3.0);       ///< fusion window max age
-  SimTime pending_timeout = seconds(3.0);  ///< drop trains whose ACKs never arrive
+  std::size_t window_observations = 20;  ///< fusion window size
 };
 
 class SicEstimator {

@@ -11,7 +11,6 @@ TrainExtractor::TrainExtractor(net::FlowKey flow, TrainParams params, TrainFn on
   VW_REQUIRE(params_.min_length >= 3, "TrainExtractor: min_length < 3, got ", params_.min_length);
   VW_REQUIRE(params_.spacing_tolerance >= 1.0, "TrainExtractor: spacing_tolerance < 1, got ",
              params_.spacing_tolerance);
-  VW_REQUIRE(params_.max_gap > 0, "TrainExtractor: max_gap must be positive");
 }
 
 double TrainExtractor::compute_isr(const std::vector<TrainPacket>& pkts) {
@@ -44,7 +43,7 @@ void TrainExtractor::add(const PacketRecord& record) {
              "TrainExtractor: record timestamps regressed (", pkt.sent_at, " < ",
              current_.back().sent_at, ")");
   const SimTime gap = pkt.sent_at - current_.back().sent_at;
-  if (gap > params_.max_gap) {
+  if (gap > kMaxTrainGap) {
     // Long silence: the run ends here.
     emit_if_valid();
     current_.clear();

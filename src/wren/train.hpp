@@ -35,10 +35,12 @@ struct Train {
   std::size_t length() const { return packets.size(); }
 };
 
+inline constexpr SimTime kMaxTrainGap = millis(20);  ///< larger inter-departure gap breaks a train
+static_assert(kMaxTrainGap > 0, "TrainExtractor: max train gap must be positive");
+
 struct TrainParams {
-  std::size_t min_length = 5;         ///< shortest train worth analyzing
-  SimTime max_gap = millis(20);       ///< larger inter-departure gap breaks a train
-  double spacing_tolerance = 4.0;     ///< max_gap_in_train <= tol * min_gap_in_train
+  std::size_t min_length = 5;      ///< shortest train worth analyzing
+  double spacing_tolerance = 4.0;  ///< max_gap_in_train <= tol * min_gap_in_train
 };
 
 /// Online extractor for one direction of one flow. Feed it outgoing data

@@ -15,8 +15,12 @@
 #include "net/fault.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "topo/brite.hpp"
 #include "topo/testbed.hpp"
 #include "transport/stack.hpp"
+#include "util/rng.hpp"
+#include "vadapt/problem.hpp"
+#include "vadapt/warm_start.hpp"
 #include "virtuoso/challenge.hpp"
 #include "virtuoso/system.hpp"
 #include "vm/apps.hpp"
@@ -204,24 +208,6 @@ TEST(MigrationFailureTest, PathDownMidFlightFailsAndRollsBack) {
   EXPECT_EQ(engine.migrations_completed(), 0u);
 }
 
-TEST(MigrationFailureTest, DeadlineBlownFailsTheMigration) {
-  MigrationEnv env;
-  vm::VirtualMachine& m = env.vm_at(env.hosts[1]);
-  vm::MigrationParams params;
-  params.deadline_factor = 0.5;  // deadline before the estimated completion
-  params.path_check_period = millis(100);
-  vm::MigrationEngine engine(env.sim, env.net, params);
-
-  vm::MigrationStatus status = vm::MigrationStatus::kCompleted;
-  engine.migrate(m, env.hosts[2],
-                 [&](vm::VirtualMachine&, vm::MigrationStatus s) { status = s; });
-  env.sim.run_until(seconds(10.0));
-  EXPECT_EQ(status, vm::MigrationStatus::kFailed);
-  ASSERT_TRUE(m.attached());
-  EXPECT_EQ(m.host(), env.hosts[1]);
-  EXPECT_EQ(engine.migrations_failed(), 1u);
-}
-
 TEST(MigrationFailureTest, RetargetSupersedesAndReestimatesRemaining) {
   MigrationEnv env;
   vm::VirtualMachine& m = env.vm_at(env.hosts[1]);
@@ -295,7 +281,6 @@ TEST(ControlReconnectTest, OutageDisconnectsThenReconnectsWithBackoffAndResends)
 
   vnet::ControlPlaneParams params;
   params.send_timeout = seconds(2.0);
-  params.connect_timeout = seconds(3.0);
   params.backoff_initial = millis(250);
   vnet::ControlPlane control(stack, proxy_host, 9001, params);
 
@@ -534,7 +519,7 @@ TEST(ChaosScenarioTest, DatapathOverhaulPreservesGoldenSignatures) {
 
 TEST(WarmStartGoldenTest, ChaosSignaturesIdenticalWithKnobOnAndOff) {
   // The warm-start knob must be inert for this scenario: 4 VMs sits below the
-  // default WarmStartParams::min_vms floor, so every adaptation falls back to
+  // vadapt::kWarmMinVms floor, so every adaptation falls back to
   // the cold planner and consumes exactly the same RNG streams. Any drift here
   // means the warm path leaked state (delta drain, RNG, counters) into the
   // cold trajectory.
@@ -549,21 +534,52 @@ TEST(WarmStartGoldenTest, ChaosSignaturesIdenticalWithKnobOnAndOff) {
 }
 
 TEST(WarmStartGoldenTest, SystemRoutesSecondAdaptationThroughWarmPath) {
-  // End-to-end wiring check: with the min_vms floor lowered, the first
+  // End-to-end wiring check on a problem at the kWarmMinVms floor: the first
   // adaptation is a cold solve that seeds the incumbent, and a subsequent
   // single-pair measurement shift re-adapts through the warm optimizer.
+  constexpr std::size_t kHosts = 20;
+  constexpr std::size_t n_vms = 16;
+  static_assert(n_vms >= vadapt::kWarmMinVms && n_vms <= kHosts);
+  RngService rngs(42);
+  topo::BriteParams bp;
+  bp.nodes = 32;
+  Rng gen = rngs.stream("warm_wiring.brite");
+  const topo::BriteTopology brite(bp, gen);
+  sim::Simulator sim;
+  Rng pick = rngs.stream("warm_wiring.hosts");
+  const topo::BriteNetwork bn = topo::make_brite_network(sim, brite, kHosts, pick);
+
   virtuoso::SystemConfig config;
   config.seed = 42;
   config.telemetry = false;
   config.view_staleness_horizon = seconds(60.0);
   config.warm_start.enabled = true;
-  config.warm_start.min_vms = 1;
-  virtuoso::ChallengeCluster env(config);
-  virtuoso::Fig10Workload workload(env);
-  env.feed_truth();
-  sim::Simulator& sim = env.sim;
-  virtuoso::VirtuosoSystem& system = env.system;
-  const auto hosts = env.tb.hosts();
+  virtuoso::VirtuosoSystem system(sim, *bn.network, config);
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    system.add_daemon(bn.hosts[i], "h" + std::to_string(i), /*is_proxy=*/i == 0);
+  }
+  system.bootstrap(vnet::LinkProtocol::kUdp);
+
+  // Ground truth: every daemon pair's routed path.
+  vadapt::CapacityGraph truth(bn.hosts);
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    for (std::size_t j = 0; j < kHosts; ++j) {
+      if (i == j) continue;
+      truth.set_bandwidth(i, j, bn.network->path_bottleneck_bps(bn.hosts[i], bn.hosts[j]));
+      truth.set_latency(i, j, to_seconds(bn.network->path_prop_delay(bn.hosts[i], bn.hosts[j])));
+    }
+  }
+  virtuoso::feed_view(system, bn.hosts, truth);
+
+  // A ring of equal demands, one VM per host.
+  std::vector<vm::VirtualMachine*> vms;
+  vm::apps::DemandMatrix demands;
+  for (std::size_t i = 0; i < n_vms; ++i) {
+    vms.push_back(&system.create_vm("vm-" + std::to_string(i), bn.hosts[i], 4ull << 20));
+    demands[{i, (i + 1) % n_vms}] = 2e6;
+  }
+  vm::apps::MatrixTrafficApp app(sim, vms, demands, millis(100));
+  app.start();
 
   sim.run_until(seconds(5.0));
   system.adapt_now(virtuoso::AdaptationAlgorithm::kGreedy);
@@ -571,13 +587,14 @@ TEST(WarmStartGoldenTest, SystemRoutesSecondAdaptationThroughWarmPath) {
   EXPECT_EQ(system.warm_starts(), 0u);
 
   // A single measurement shift: exactly the streaming-delta case the warm
-  // optimizer exists for: d1[0] -> d1[1] drops to half its 100 Mb/s truth.
+  // optimizer exists for: h0 -> h1 drops to half its truth.
   sim.run_until(seconds(10.0));
-  system.network_view().update_bandwidth(hosts[0], hosts[1], 50e6, sim.now());
+  system.network_view().update_bandwidth(bn.hosts[0], bn.hosts[1], truth.bandwidth(0, 1) / 2,
+                                         sim.now());
   system.adapt_now(virtuoso::AdaptationAlgorithm::kGreedy);
   EXPECT_EQ(system.warm_starts(), 1u);
   EXPECT_EQ(system.cold_starts(), 1u);
-  workload.app.stop();
+  app.stop();
 }
 
 // --- liveness-sweep -> replan ordering ---------------------------------------
@@ -647,7 +664,7 @@ TEST(PlanOrderingTest, AdaptRefreshesLivenessAndExpiryBeforeSnapshotting) {
 
 // --- resend-window eviction holes --------------------------------------------
 
-// ISSUE-9 window-gap bugfix: during a long outage a tiny resend window
+// Window-gap bugfix: during a long outage the resend window
 // overflows and evicts *unacknowledged* reports — permanent delivery holes
 // the post-outage replay cannot heal. The control plane must count each
 // hole (window_gaps) and surface it through the gap callback so the sender
@@ -669,9 +686,9 @@ TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
 
   vnet::ControlPlaneParams params;
   params.send_timeout = seconds(2.0);
-  params.connect_timeout = seconds(3.0);
   params.backoff_initial = millis(250);
-  params.resend_window = 4;  // tiny: a 20 s outage at 4 msgs/s must overflow
+  // A 20 s outage at 4 msgs/s queues 80 reports: more than kResendWindow.
+  static_assert(20 * 4 > vnet::kResendWindow);
   vnet::ControlPlane control(stack, proxy_host, 9001, params);
 
   std::uint64_t reports = 0;

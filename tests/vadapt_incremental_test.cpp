@@ -566,10 +566,7 @@ TEST(WarmStartOptimizerTest, DifferentialWalkTracksFromScratch) {
   Rng demand_rng(18);
   const std::vector<Demand> demands = mixed_demands(n_vms, demand_rng);
 
-  WarmStartParams params;
-  params.min_burst_iterations = 300;
-  params.max_burst_iterations = 2000;
-  WarmStartOptimizer warm(params);
+  WarmStartOptimizer warm;
   warm.adopt(graph, demands, n_vms, cold_solve(graph, demands, n_vms, nullptr));
 
   Rng rng(19);
@@ -695,13 +692,9 @@ TEST(WarmStartOptimizerTest, WideDeltaIsCappedAtNeighborhood) {
   const std::vector<Demand> demands = mixed_demands(n_vms, demand_rng);
   ASSERT_GT(demands.size(), 64u);
 
-  WarmStartParams params;
-  params.min_burst_iterations = 200;
-  params.max_burst_iterations = 1000;
-
   const GreedyResult gh = greedy_heuristic(graph, demands, n_vms);
-  WarmStartOptimizer a(params);
-  WarmStartOptimizer b(params);
+  WarmStartOptimizer a;
+  WarmStartOptimizer b;
   a.adopt(graph, demands, n_vms, gh.configuration);
   b.adopt(graph, demands, n_vms, gh.configuration);
 

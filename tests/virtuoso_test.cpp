@@ -139,8 +139,6 @@ TEST(VirtuosoTest, AdaptationMigratesHeavyVmsToFastCluster) {
 TEST(VirtuosoTest, AutoAdaptationTriggersOnTrafficChange) {
   SystemConfig config;
   config.annealing.iterations = 300;
-  // Fast VTTIF so the test converges quickly.
-  config.vttif.reaction_cooldown = seconds(2.0);
   ChallengeCluster env(config);
 
   const std::uint64_t mem = 4ull << 20;
@@ -223,9 +221,7 @@ TEST(VirtuosoTest, TracerRecordsAdaptationEvents) {
 }
 
 TEST(VirtuosoTest, DisableAutoAdaptationStopsTriggers) {
-  SystemConfig config;
-  config.vttif.reaction_cooldown = seconds(1.0);
-  ChallengeCluster env(config);
+  ChallengeCluster env;
   vm::VirtualMachine& v0 = env.system.create_vm("vm-0", env.tb.domain1_hosts[0], 4ull << 20);
   vm::VirtualMachine& v1 = env.system.create_vm("vm-1", env.tb.domain1_hosts[1], 4ull << 20);
   env.system.enable_auto_adaptation(AdaptationAlgorithm::kGreedy, seconds(1.0));

@@ -112,7 +112,7 @@ struct VttifEnv {
 TEST(LocalVttifTest, AccumulatesBitsAndPushesPeriodically) {
   VttifEnv env;
   std::vector<TrafficMatrix> pushes;
-  LocalVttif local(env.sim, *env.daemon, seconds(1.0),
+  LocalVttif local(env.sim, *env.daemon,
                    [&](net::NodeId, const TrafficMatrix& m) { pushes.push_back(m); });
   env.inject(1, 2, 1000 - vnet::kEthernetHeaderBytes);  // 1000B on the virtual wire
   env.inject(1, 2, 1000 - vnet::kEthernetHeaderBytes);
@@ -124,37 +124,33 @@ TEST(LocalVttifTest, AccumulatesBitsAndPushesPeriodically) {
 TEST(LocalVttifTest, NoPushWhenIdle) {
   VttifEnv env;
   int pushes = 0;
-  LocalVttif local(env.sim, *env.daemon, seconds(1.0),
-                   [&](net::NodeId, const TrafficMatrix&) { ++pushes; });
+  LocalVttif local(env.sim, *env.daemon, [&](net::NodeId, const TrafficMatrix&) { ++pushes; });
   env.sim.run_until(seconds(5.0));
   EXPECT_EQ(pushes, 0);
 }
 
 TEST(GlobalVttifTest, SlidingWindowRates) {
   sim::Simulator sim;
-  GlobalVttifParams params;
-  params.aggregation_period = seconds(1.0);
-  params.window_slots = 4;
-  GlobalVttif global(sim, params);
+  GlobalVttif global(sim);
 
-  // 8000 bits/sec for 4 seconds.
-  for (int t = 0; t < 4; ++t) {
+  // 8000 bits/sec for a full window of 1 s slots.
+  static_assert(kAggregationPeriod == seconds(1.0));
+  const int slots = static_cast<int>(kWindowSlots);
+  for (int t = 0; t < slots; ++t) {
     sim.schedule_at(millis(100) + seconds(static_cast<double>(t)), [&global] {
       TrafficMatrix m;
       m.add(1, 2, 8000);
       global.update_from(0, m);
     });
   }
-  sim.run_until(seconds(4.5));
+  sim.run_until(seconds(static_cast<double>(slots) + 0.5));
   EXPECT_NEAR(global.smoothed_rate_matrix().at(1, 2), 8000, 1);
 }
 
 TEST(GlobalVttifTest, LowPassDampsBursts) {
   sim::Simulator sim;
-  GlobalVttifParams params;
-  params.aggregation_period = seconds(1.0);
-  params.window_slots = 10;
-  GlobalVttif global(sim, params);
+  GlobalVttif global(sim);
+  static_assert(kAggregationPeriod == seconds(1.0) && kWindowSlots == 10);
   // One slot's worth of traffic, then silence: the windowed rate is the
   // burst divided by the whole window.
   sim.schedule_at(millis(100), [&global] {
@@ -182,11 +178,7 @@ TEST(GlobalVttifTest, ChangeCallbackFiresOnFirstTopology) {
 
 TEST(GlobalVttifTest, CooldownPreventsOscillation) {
   sim::Simulator sim;
-  GlobalVttifParams params;
-  params.aggregation_period = seconds(1.0);
-  params.window_slots = 2;
-  params.reaction_cooldown = seconds(60.0);  // effectively once
-  GlobalVttif global(sim, params);
+  GlobalVttif global(sim);
   int changes = 0;
   global.set_on_change([&](const Topology&) { ++changes; });
   // Alternate between two very different patterns every second.
@@ -201,16 +193,19 @@ TEST(GlobalVttifTest, CooldownPreventsOscillation) {
       global.update_from(0, m);
     });
   }
-  sim.run_until(seconds(21.0));
+  // The first report lands when the first slot closes at 1 s; every later
+  // slot inside the cooldown is swallowed.
+  sim.run_until(seconds(1.0) + kReactionCooldown - millis(500));
   EXPECT_EQ(changes, 1);  // damped: no oscillating adaptation triggers
   EXPECT_EQ(global.changes_reported(), 1u);
+  // Once the cooldown has passed, the mixed pattern reports exactly once more.
+  sim.run_until(seconds(1.0) + kReactionCooldown + millis(500));
+  EXPECT_EQ(changes, 2);
 }
 
 TEST(GlobalVttifTest, StablePatternReportsOnce) {
   sim::Simulator sim;
-  GlobalVttifParams params;
-  params.reaction_cooldown = seconds(2.0);
-  GlobalVttif global(sim, params);
+  GlobalVttif global(sim);
   int changes = 0;
   global.set_on_change([&](const Topology&) { ++changes; });
   for (int t = 0; t < 15; ++t) {
@@ -228,14 +223,10 @@ TEST(GlobalVttifTest, EndToEndWithLocalHalf) {
   // LocalVttif on a daemon feeding GlobalVttif: the inferred topology must
   // reflect the injected pattern.
   VttifEnv env;
-  GlobalVttifParams params;
-  params.aggregation_period = seconds(1.0);
-  params.window_slots = 3;
-  GlobalVttif global(env.sim, params);
-  LocalVttif local(env.sim, *env.daemon, seconds(1.0),
-                   [&](net::NodeId reporter, const TrafficMatrix& m) {
-                     global.update_from(reporter, m);
-                   });
+  GlobalVttif global(env.sim);
+  LocalVttif local(env.sim, *env.daemon, [&](net::NodeId reporter, const TrafficMatrix& m) {
+    global.update_from(reporter, m);
+  });
   // Strong 1->2, weak 2->1.
   for (int t = 0; t < 30; ++t) {
     env.sim.schedule_at(millis(100 * t), [&env, t] {

@@ -68,7 +68,7 @@ TEST(TrainExtractorTest, LongGapBreaksTrain) {
   for (int i = 0; i < 6; ++i) {
     ex.add(out_record(i * micros(120), static_cast<std::uint64_t>(i) * 1460));
   }
-  // 50ms silence (> max_gap), then 6 more.
+  // 50ms silence (> kMaxTrainGap), then 6 more.
   for (int i = 0; i < 6; ++i) {
     ex.add(out_record(millis(50) + i * micros(120), (6 + static_cast<std::uint64_t>(i)) * 1460));
   }
@@ -93,7 +93,7 @@ TEST(TrainExtractorTest, InconsistentSpacingSplitsMaximalRuns) {
   TrainParams params;
   params.spacing_tolerance = 2.0;
   TrainExtractor ex(test_flow(), params, [&](const Train& t) { trains.push_back(t); });
-  // 8 tightly spaced, then a 9x jump in gap (still < max_gap), then 8 more.
+  // 8 tightly spaced, then a 9x jump in gap (still < kMaxTrainGap), then 8 more.
   SimTime t = 0;
   std::uint64_t seq = 0;
   for (int i = 0; i < 8; ++i, t += micros(100), seq += 1460) ex.add(out_record(t, seq));
@@ -214,7 +214,7 @@ TEST(SicEstimatorTest, UniformAckStretchReadsAsSlowBottleneck) {
 TEST(SicEstimatorTest, TrainWithoutAcksTimesOut) {
   SicEstimator est;
   est.add_train(make_train(50e6));
-  est.process(seconds(10.0));  // way past pending_timeout
+  est.process(seconds(10.0));  // way past kPendingTimeout
   EXPECT_EQ(est.window().size(), 0u);
   EXPECT_EQ(est.trains_dropped(), 1u);
 }
@@ -232,15 +232,13 @@ TEST(SicEstimatorTest, ObservationCallbackFires) {
 }
 
 TEST(SicEstimatorTest, WindowAgesOut) {
-  SicParams params;
-  params.window_age = seconds(5.0);
-  SicEstimator est(params);
+  SicEstimator est;
   const Train t = make_train(20e6);
   est.add_train(t);
   feed_acks(est, t, millis(1), 0);
   est.process(seconds(1.0));
   EXPECT_EQ(est.window().size(), 1u);
-  est.process(seconds(30.0));
+  est.process(seconds(1.0) + kWindowAge + millis(1));
   EXPECT_EQ(est.window().size(), 0u);
   // The smoothed estimate survives (last known value).
   EXPECT_TRUE(est.estimate_bps().has_value());
