@@ -13,7 +13,9 @@
 // the real datapath's (a Packet-sized payload), cancel two thirds of them
 // before they fire (what TCP retransmission timers do), run the rest.
 // items_per_second = scheduler ops (schedule + cancel + fire); the
-// acceptance criterion is arena >= 3x baseline.
+// acceptance criterion is arena >= 3x baseline. `BM_SchedulerRearm` times
+// the engine alone on the steady-state shape of a TCP sender: each event
+// cancels and re-arms one long retransmission timer.
 //
 // tools/bench_to_json.py --suite datapath wraps this binary into
 // BENCH_datapath.json and enforces the gate.
@@ -167,6 +169,46 @@ void BM_SchedulerChurn_arena(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_SchedulerChurn_arena);
+
+// --- RTO re-arm: the cancel-heavy steady state of a TCP sender ---------------
+// kInFlight packet events chain themselves 1-21 us apart, and each cancels
+// and re-arms one 200 ms retransmission timer, so nearly every timer entry
+// is cancelled long before it could fire: about 50 live events against one
+// cancelled entry per event executed within an RTO. items_per_second =
+// packet events executed.
+class RearmLoop {
+ public:
+  static constexpr int kInFlight = 50;
+
+  RearmLoop() {
+    for (int chain = 0; chain < kInFlight; ++chain) send(chain);
+  }
+
+  sim::Simulator sim;
+  std::uint64_t packets = 0;
+
+ private:
+  void send(int chain) {
+    const SimTime gap = micros(1) + static_cast<SimTime>((packets * 7919 + chain) % 20'000);
+    sim.schedule_in(gap, [this, chain] {
+      ++packets;
+      sim.cancel(rto_);
+      rto_ = sim.schedule_in(millis(200), [] {});
+      send(chain);
+    });
+  }
+
+  sim::EventHandle rto_;
+};
+
+void BM_SchedulerRearm(benchmark::State& state) {
+  RearmLoop loop;
+  loop.sim.run_until(millis(400));  // past the first RTO: steady state
+  const std::uint64_t warm = loop.packets;
+  for (auto _ : state) loop.sim.run_until(loop.sim.now() + millis(1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(loop.packets - warm));
+}
+BENCHMARK(BM_SchedulerRearm);
 
 // --- packet datapath: fig4-style star ----------------------------------------
 // The BSP-transfer shape of fig4: N hosts on a switch, every host streams

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -45,7 +46,8 @@ EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
   slot.live = true;
-  queue_.push(QueueEntry{at, next_seq_++, index, slot.gen});
+  queue_.push_back(QueueEntry{at, next_seq_++, index, slot.gen});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   ++live_events_;
   return EventHandle(encode_handle(index, slot.gen));
 }
@@ -61,7 +63,23 @@ bool Simulator::cancel(EventHandle handle) {
   release_slot(index);
   VW_ASSERT(live_events_ > 0, "Simulator::cancel: live-event count underflow");
   --live_events_;
+  ++stale_entries_;  // its heap entry stays until it surfaces or is compacted
+  compact_if_stale();
   return true;
+}
+
+void Simulator::compact_if_stale() {
+  // Checked after every cancel and every pop, the two operations that can
+  // tip the balance, so the heap never exceeds 2 * live + kCompactFloor.
+  // Each dropped entry was cancelled once, so the pass is O(1) amortized per
+  // cancel; pops compare unique (at, seq) keys, so the rebuilt heap yields
+  // the live events in exactly the order the old one would have.
+  if (stale_entries_ <= live_events_ || stale_entries_ <= kCompactFloor) return;
+  std::erase_if(queue_, [this](const QueueEntry& entry) { return !is_live(entry); });
+  std::make_heap(queue_.begin(), queue_.end(), Later{});
+  stale_entries_ = 0;
+  VW_ENSURE(queue_.size() == live_events_, "Simulator: compaction kept ", queue_.size(),
+            " entries for ", live_events_, " live events");
 }
 
 bool Simulator::drop_stale_heads() {
@@ -69,18 +87,20 @@ bool Simulator::drop_stale_heads() {
   // live event — identified by a matching slot generation — or nothing is
   // left. Shared by run_until's boundary check and pop_and_run_next.
   while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.gen == top.gen) return true;
-    queue_.pop();
+    if (is_live(queue_.front())) return true;
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    VW_ASSERT(stale_entries_ > 0, "Simulator: stale-entry count underflow");
+    --stale_entries_;
   }
   return false;
 }
 
 bool Simulator::pop_and_run_next() {
   if (!drop_stale_heads()) return false;
-  const QueueEntry entry = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  const QueueEntry entry = queue_.back();
+  queue_.pop_back();
   // Move the callback out and free the slot *before* invoking: the callback
   // may schedule new events that reuse this very slot.
   Callback cb = std::move(slots_[entry.slot].cb);
@@ -93,12 +113,13 @@ bool Simulator::pop_and_run_next() {
   now_ = entry.at;
   --live_events_;
   ++executed_;
+  compact_if_stale();
   cb();
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
-  while (drop_stale_heads() && queue_.top().at <= until) {
+  while (drop_stale_heads() && queue_.front().at <= until) {
     pop_and_run_next();
   }
   if (now_ < until) now_ = until;

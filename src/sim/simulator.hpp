@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "util/small_fn.hpp"
@@ -12,8 +12,10 @@
 // Properties the rest of the system depends on:
 //  * events at the same virtual time fire in scheduling (FIFO) order, so the
 //    whole system is deterministic;
-//  * events can be cancelled in O(1) (lazily discarded on pop), which the
-//    TCP retransmission timers use heavily;
+//  * events can be cancelled in O(1) amortized, which the TCP retransmission
+//    timers use heavily: a cancelled entry stays in the heap until it
+//    surfaces or until cancelled entries outnumber both the live events and
+//    kCompactFloor, when one pass drops them all;
 //  * the engine is purely single-threaded; "processes" are callbacks.
 //
 // Hot-path design (see DESIGN.md §5e): callbacks are small-buffer-optimized
@@ -24,9 +26,11 @@
 // in a generation-stamped slot arena with an intrusive free list instead of
 // hash sets: the binary heap holds 24-byte POD entries referencing a slot,
 // and a cancel simply bumps the slot's generation, which orphans the heap
-// entry. schedule/cancel/pop are therefore O(log n) heap operations with
-// zero hashing and zero allocation once the arena and heap have grown to
-// the workload's high-water mark.
+// entry. The heap therefore holds at most 2 * live + kCompactFloor entries,
+// and compaction cannot reorder anything: pops follow the unique (at, seq)
+// keys of the live entries, whatever the heap's layout. schedule/pop are
+// O(log n) heap operations with zero hashing and zero allocation once the
+// arena and heap have grown to the workload's high-water mark.
 
 namespace vw::sim {
 
@@ -82,6 +86,14 @@ class Simulator {
   /// Total events executed (diagnostics).
   std::uint64_t events_executed() const { return executed_; }
 
+  /// Heap entries, live and cancelled-but-not-yet-dropped (diagnostics).
+  std::size_t heap_entries() const { return queue_.size(); }
+
+  /// Cancelled entries are dropped in one pass once they outnumber both the
+  /// live events and this floor, which keeps small heaps from compacting
+  /// on every cancel.
+  static constexpr std::size_t kCompactFloor = 64;
+
  private:
   /// Heap entry: plain data only; the callback stays in the slot arena so
   /// sift operations move 24 bytes instead of a type-erased callable.
@@ -107,6 +119,11 @@ class Simulator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  bool is_live(const QueueEntry& entry) const {
+    const Slot& slot = slots_[entry.slot];
+    return slot.live && slot.gen == entry.gen;
+  }
+  void compact_if_stale();
   bool drop_stale_heads();
   bool pop_and_run_next();
 
@@ -114,7 +131,8 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_events_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue_;
+  std::size_t stale_entries_ = 0;  ///< cancelled entries still in queue_
+  std::vector<QueueEntry> queue_;  ///< binary heap under Later (std::push_heap)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 };

@@ -12,9 +12,10 @@
 #include "wren/train.hpp"
 
 // Wren's user-level analysis. FlowAnalyzer holds a host's per-flow train
-// extraction + SIC state and its collection step; OnlineAnalyzer runs that
-// step every kCollectPeriod over the kernel trace and keeps the per-peer
-// state Wren reports, and analyze_offline replays a trace through it.
+// extraction + SIC state, its collection step and the per-peer estimates
+// that step folds; OnlineAnalyzer runs the step every kCollectPeriod over
+// the kernel trace and reports those estimates, and analyze_offline replays
+// a trace through it.
 
 namespace vw::wren {
 
@@ -36,6 +37,23 @@ class FlowAnalyzer {
   using ObservationFn = std::function<void(const net::FlowKey&, const SicObservation&)>;
   using TrainFn = std::function<void(const Train&)>;
 
+  /// What the step folds out of a peer host's flows: the newest estimate
+  /// (ties in observation time go to the later flow), the smallest RTT and
+  /// the largest capacity.
+  struct PeerEstimate {
+    std::optional<double> bandwidth_bps;
+    SimTime bandwidth_at = 0;  ///< observation time behind bandwidth_bps
+    std::optional<double> min_rtt_s;
+    std::optional<double> capacity_bps;
+  };
+
+ private:
+  struct Peer {
+    PeerEstimate estimate;
+    std::uint64_t refold_step = 0;  ///< the last step that stepped one of its flows
+  };
+
+ public:
   /// One outgoing flow's analysis state. Lives in place in the flow table:
   /// the extractor's callback points at the estimator beside it.
   struct Flow {
@@ -44,7 +62,12 @@ class FlowAnalyzer {
     Flow& operator=(const Flow&) = delete;
     SicEstimator estimator;
     TrainExtractor extractor;
-    SimTime last_outgoing = 0;
+    /// Departure of the newest data record since the last flush; 0 once
+    /// flushed, when no flush is owed.
+    SimTime last_unflushed = 0;
+    bool dirty = false;         ///< records added since the last step
+    SimTime due = kNoDeadline;  ///< a clean flow needs no step while now <= due
+    Peer* peer;                 ///< its entry in the owner's peer table
   };
 
   /// `on_train` sees every extracted train before SIC analysis queues it.
@@ -56,26 +79,35 @@ class FlowAnalyzer {
   /// ACKs to the outgoing flow they acknowledge; anything else is ignored.
   void add(const PacketRecord& record);
 
-  /// The collection step at `now`, per flow in flow order: flush a run idle
-  /// past kMaxTrainGap, process(now), then per_flow(key, estimator).
-  template <class PerFlow>
-  void step(SimTime now, PerFlow&& per_flow) {
-    for (auto& [key, flow] : flows_) {
-      if (flow.last_outgoing != 0 && now - flow.last_outgoing > kMaxTrainGap) {
-        flow.extractor.flush();
-      }
-      flow.estimator.process(now);
-      per_flow(key, flow.estimator);
-    }
-  }
+  /// The collection step at `now`. In flow order, each flow with new
+  /// records or a deadline behind `now` flushes a run idle past
+  /// kMaxTrainGap and runs process(now); then every flow of a peer with a
+  /// stepped flow is folded, in flow order, into that peer's estimate.
+  /// Returns the number of flows stepped. Its result equals stepping and
+  /// folding every flow: a clean flow's estimator cannot change before its
+  /// deadline, and re-folding a peer's unchanged flows is idempotent.
+  std::size_t step(SimTime now);
 
   const std::map<net::FlowKey, Flow>& flows() const { return flows_; }
 
+  /// The folded estimate toward `host`; null before any flow to it opened.
+  const PeerEstimate* peer(net::NodeId host) const;
+
+  /// Peers with an open flow, ascending.
+  std::vector<net::NodeId> peer_ids() const;
+
  private:
+  static SimTime due_of(const Flow& flow);
+  static void fold(const SicEstimator& estimator, PeerEstimate& peer);
+
   WrenParams params_;
   ObservationFn on_observation_;
   TrainFn on_train_;
   std::map<net::FlowKey, Flow> flows_;
+  std::map<net::NodeId, Peer> peers_;
+  bool dirty_ = false;         ///< some flow is dirty
+  SimTime due_ = kNoDeadline;  ///< earliest flow due
+  std::uint64_t steps_ = 0;    ///< steps that did work
 };
 
 class OnlineAnalyzer {
@@ -105,7 +137,8 @@ class OnlineAnalyzer {
 
   void set_on_observation(ObservationFn fn) { on_observation_ = std::move(fn); }
 
-  /// Attach telemetry: wren.collect.*, wren.trains.*, wren.sic.* counters
+  /// Attach telemetry: wren.collect.* (runs, records, flows_stepped),
+  /// wren.trains.*, wren.sic.* counters
   /// plus the wren.train.length histogram; forwards to the trace facility.
   void set_obs(const obs::Scope& scope);
 
@@ -113,25 +146,20 @@ class OnlineAnalyzer {
   const TraceFacility& trace() const { return trace_; }
   std::uint64_t observations_total() const { return observations_total_; }
 
-  /// Run one analysis pass immediately (normally driven by the timer).
+  /// Run one analysis pass immediately (normally driven by the timer): drain
+  /// the trace ring into the flows and step them. With no new record and no
+  /// flow due it only settles the host's links and counts the run.
   void analyze_now();
 
  private:
-  struct PeerState {
-    std::optional<double> bandwidth_bps;
-    SimTime bandwidth_at = 0;
-    std::optional<double> min_rtt_s;
-    std::optional<double> capacity_bps;
-  };
-
   net::Network& network_;
   TraceFacility trace_;
   FlowAnalyzer flows_;
-  std::map<net::NodeId, PeerState> peer_state_;
   ObservationFn on_observation_;
   std::uint64_t observations_total_ = 0;
   obs::Counter* c_collect_runs_ = nullptr;
   obs::Counter* c_collect_records_ = nullptr;
+  obs::Counter* c_flows_stepped_ = nullptr;
   obs::Counter* c_trains_ = nullptr;
   obs::Histogram* h_train_length_ = nullptr;
   obs::Counter* c_observations_ = nullptr;

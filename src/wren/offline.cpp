@@ -155,7 +155,7 @@ OfflineResult analyze_offline(const std::vector<PacketRecord>& records) {
   // multiple of kCollectPeriod, after collecting the records stamped by then.
   SimTime tick = kCollectPeriod;
   const auto step_before = [&](SimTime t) {
-    for (; tick < t; tick += kCollectPeriod) flows.step(tick, [](const auto&, const auto&) {});
+    for (; tick < t; tick += kCollectPeriod) flows.step(tick);
   };
   SimTime last_time = 0;
   for (const PacketRecord& r : records) {

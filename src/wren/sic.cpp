@@ -20,6 +20,7 @@ void SicEstimator::add_ack(SimTime time, std::uint64_t ack) {
   VW_REQUIRE(acks_.empty() || time >= acks_.back().time,
              "SicEstimator::add_ack: ACK timestamps regressed");
   acks_.push_back(AckRecord{time, ack});
+  ++acks_unaudited_;
 }
 
 void SicEstimator::add_train(const Train& train) {
@@ -40,11 +41,17 @@ std::optional<SicEstimator::AckRecord> SicEstimator::first_ack_covering(
 void SicEstimator::process(SimTime now) {
   // first_ack_covering binary-searches acks_, which add_ack keeps strictly
   // increasing in .ack and non-decreasing in .time; scan-verify on audit.
-  VW_AUDIT(std::adjacent_find(acks_.begin(), acks_.end(),
+  // acks_ only grows at the back and shrinks at the front, so scanning the
+  // ACKs appended since the last pass plus the one before them audits every
+  // adjacent pair exactly once.
+  VW_AUDIT(std::adjacent_find(acks_.end() - static_cast<std::ptrdiff_t>(
+                                                 std::min(acks_.size(), acks_unaudited_ + 1)),
+                              acks_.end(),
                               [](const AckRecord& a, const AckRecord& b) {
                                 return b.ack <= a.ack || b.time < a.time;
                               }) == acks_.end(),
            "SicEstimator: ACK record ordering invariant broken");
+  acks_unaudited_ = 0;
   while (!pending_.empty()) {
     const Train& train = pending_.front();
     const std::uint64_t last_seq = train.packets.back().seq_end;
@@ -66,6 +73,14 @@ void SicEstimator::process(SimTime now) {
   while (acks_.size() > 2 && acks_.front().time < horizon) acks_.pop_front();
 
   prune_window(now);
+}
+
+SimTime SicEstimator::deadline() const {
+  SimTime due = kNoDeadline;
+  if (!pending_.empty()) due = std::min(due, pending_.front().end_time + kPendingTimeout);
+  if (acks_.size() > 2) due = std::min(due, acks_.front().time + 2 * kPendingTimeout);
+  if (!window_.empty()) due = std::min(due, window_.front().time + kWindowAge);
+  return due;
 }
 
 void SicEstimator::evaluate(const Train& train) {

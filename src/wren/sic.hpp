@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -40,6 +41,8 @@ inline constexpr double kSaturatedRttFactor = 2.5;
 
 inline constexpr SimTime kWindowAge = seconds(3.0);      ///< fusion window max age
 inline constexpr SimTime kPendingTimeout = seconds(3.0);  ///< drop trains whose ACKs never arrive
+/// SicEstimator::deadline() when no timer is armed.
+inline constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
 struct SicParams {
   std::size_t window_observations = 20;  ///< fusion window size
@@ -59,6 +62,13 @@ class SicEstimator {
 
   /// Attempt to complete pending trains; call after feeding acks/trains.
   void process(SimTime now);
+
+  /// Until a new ACK or train arrives, process(now) changes nothing while
+  /// now <= deadline(). Each of its timers fires on now > t: the oldest
+  /// pending train's kPendingTimeout, the ACK trim horizon (2 *
+  /// kPendingTimeout behind the oldest of more than two held ACKs) and the
+  /// oldest observation's kWindowAge. kNoDeadline when none is armed.
+  SimTime deadline() const;
 
   void set_on_observation(ObservationFn fn) { on_observation_ = std::move(fn); }
 
@@ -95,6 +105,7 @@ class SicEstimator {
 
   SicParams params_;
   std::deque<AckRecord> acks_;  ///< cumulative-max ACKs, increasing in both fields
+  std::size_t acks_unaudited_ = 0;  ///< ACKs appended since process() last audited acks_
   std::deque<Train> pending_;
   std::deque<SicObservation> window_;
   Ewma smoothed_;

@@ -1,7 +1,6 @@
 #include "wren/trace.hpp"
 
 #include <algorithm>
-#include <cstddef>
 #include <fstream>
 #include <stdexcept>
 
@@ -147,16 +146,9 @@ void TraceFacility::on_tap(const net::TapEvent& ev) {
 }
 
 std::vector<PacketRecord> TraceFacility::collect() {
-  network_.settle_host(host_);
-  // Oldest first: [head_, end) then [0, head_); head_ is 0 unless full.
-  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
   std::vector<PacketRecord> out;
-  out.reserve(ring_.size());
-  out.insert(out.end(), head, ring_.end());
-  out.insert(out.end(), ring_.begin(), head);
-  ring_.clear();  // keeps the storage for the next interval
-  head_ = 0;
-  obs::set(g_buffered_, 0.0);
+  out.reserve(buffered());
+  drain([&out](const PacketRecord& rec) { out.push_back(rec); });
   return out;
 }
 

@@ -78,9 +78,25 @@ class TraceFacility {
   static constexpr std::size_t kShardBufferBytes =
       256 * 1024 / kTraceRecordSize * kTraceRecordSize;
 
-  /// Drain all records accumulated since the previous collect(): every
-  /// packet the host sent or received up to now(), in time order.
+  /// Drain all records accumulated since the previous drain: every packet
+  /// the host sent or received up to now(), in time order.
   std::vector<PacketRecord> collect();
+
+  /// collect() without the copy: hands each record, oldest first, to `fn`
+  /// and empties the ring in place. `fn` must not send packets. Returns the
+  /// number of records drained.
+  template <class Fn>
+  std::size_t drain(Fn&& fn) {
+    network_.settle_host(host_);
+    // Oldest first: [head_, end) then [0, head_); head_ is 0 unless full.
+    const std::size_t n = ring_.size();
+    for (std::size_t i = head_; i < n; ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < head_; ++i) fn(ring_[i]);
+    ring_.clear();  // keeps the storage for the next interval
+    head_ = 0;
+    obs::set(g_buffered_, 0.0);
+    return n;
+  }
 
   /// Also persist every record captured from now on to a vw.trace.v1 shard
   /// at `path`, tagged `shard` in the file header. The shard is lossless:

@@ -8,14 +8,20 @@
 //  * handle-reuse tests pin the generation semantics: a stale EventHandle
 //    (fired, cancelled, or its slot since recycled) cancels nothing;
 //  * cancel interleaved with same-timestamp events pins the (at, seq) FIFO
-//    tie-break the whole system's determinism rests on.
+//    tie-break the whole system's determinism rests on;
+//  * a cancel-heavy walk in the TCP retransmission-timer shape checks that
+//    compacting cancelled heap entries changes no execution order and keeps
+//    the heap within 2 * live + Simulator::kCompactFloor entries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -33,8 +39,16 @@ class ReferenceQueue {
 
   Id schedule(SimTime at, int op_id, SimTime child_delay = -1) {
     const Id id = table_.size();
-    table_.push_back(Event{op_id, child_delay, false, false});
+    table_.push_back(Event{op_id, child_delay, false, false, nullptr});
     queue_.push(Entry{at, next_seq_++, id});
+    return id;
+  }
+
+  /// An event whose execution runs `action` after recording `op_id`; the
+  /// action may schedule and cancel, like a simulator callback.
+  Id schedule(SimTime at, int op_id, std::function<void()> action) {
+    const Id id = schedule(at, op_id);
+    table_[id].action = std::move(action);
     return id;
   }
 
@@ -60,6 +74,8 @@ class ReferenceQueue {
       trace.push_back(ev.op_id);
       // Mirror of the self-rescheduling callbacks in the simulator walk.
       if (ev.child_delay >= 0) schedule(now_ + ev.child_delay, ev.op_id + 1'000'000);
+      // Re-indexed and moved out: schedules may reallocate table_.
+      if (auto action = std::exchange(table_[top.id].action, nullptr)) action();
     }
     if (now_ < until) now_ = until;
   }
@@ -72,6 +88,7 @@ class ReferenceQueue {
     SimTime child_delay;  ///< when >= 0, execution schedules a follow-up
     bool cancelled;
     bool executed;
+    std::function<void()> action;  ///< run after recording op_id, if set
   };
   struct Entry {
     SimTime at;
@@ -149,6 +166,137 @@ TEST(SchedulerDifferentialTest, RandomizedWalkMatchesReferenceQueue) {
   ASSERT_GT(sim_trace.size(), 80'000u);  // the walk actually executed work
   ASSERT_EQ(sim_trace.size(), ref_trace.size());
   ASSERT_EQ(sim_trace, ref_trace);
+}
+
+// --- cancelled-entry compaction ----------------------------------------------
+// The TCP retransmission shape: about kChains packet chains in flight, each
+// packet event re-arming its successor and cancelling and re-arming one long
+// timer, so nearly every timer entry is cancelled long before it surfaces.
+// Every twentieth round lets the chains die out, so the timer fires and the
+// heap shrinks to a handful of live events among many cancelled ones.
+
+/// Drives the same walk on the simulator or on the reference queue; both
+/// expose schedule(at, op, then) / cancel(handle) / now().
+template <class Engine>
+class RtoWalk {
+ public:
+  static constexpr std::size_t kChains = 50;
+  static constexpr SimTime kRto = millis(200);
+  static constexpr int kRtoOp = -1;
+
+  explicit RtoWalk(Engine& engine) : engine_(engine) {}
+
+  /// Start chains until kChains are in flight.
+  void top_up() {
+    while (chains_ < kChains) {
+      ++chains_;
+      send(next_op_++);
+    }
+  }
+
+  /// While draining, every chain ends at its next packet.
+  void set_draining(bool draining) { draining_ = draining; }
+
+  /// Events the walk holds scheduled and not cancelled.
+  std::size_t live() const { return chains_ + (rto_ ? 1 : 0); }
+  std::uint64_t cancels() const { return cancels_; }
+
+ private:
+  using Handle = decltype(std::declval<Engine&>().schedule(0, 0, std::function<void()>{}));
+
+  static std::uint64_t mix(std::uint64_t x) {  // splitmix64 finalizer
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  void send(int op) {
+    const SimTime gap = micros(10) + static_cast<SimTime>(mix(op) % 2'000) * micros(1);
+    engine_.schedule(engine_.now() + gap, op, [this, op] { on_packet(op); });
+  }
+
+  void on_packet(int op) {
+    if (rto_ && engine_.cancel(*rto_)) ++cancels_;
+    rto_ = engine_.schedule(engine_.now() + kRto, kRtoOp, [this] { rto_.reset(); });
+    if (draining_ || mix(op) % 16 == 0) {
+      --chains_;  // this chain ends
+    } else {
+      send(next_op_++);
+    }
+    engine_.after_event(live());
+  }
+
+  Engine& engine_;
+  bool draining_ = false;
+  std::size_t chains_ = 0;
+  std::optional<Handle> rto_;
+  int next_op_ = 0;
+  std::uint64_t cancels_ = 0;
+};
+
+struct SimEngine {
+  Simulator sim;
+  std::vector<int> trace;
+  std::size_t max_heap = 0;
+  std::size_t bound_violations = 0;
+
+  EventHandle schedule(SimTime at, int op, std::function<void()> then) {
+    return sim.schedule_at(at, [this, op, then = std::move(then)] {
+      trace.push_back(op);
+      then();
+    });
+  }
+  bool cancel(EventHandle h) { return sim.cancel(h); }
+  SimTime now() const { return sim.now(); }
+  void after_event(std::size_t live) {
+    max_heap = std::max(max_heap, sim.heap_entries());
+    if (sim.heap_entries() > 2 * live + Simulator::kCompactFloor) ++bound_violations;
+  }
+};
+
+struct RefEngine {
+  ReferenceQueue ref;
+  std::vector<int> trace;
+
+  ReferenceQueue::Id schedule(SimTime at, int op, std::function<void()> then) {
+    return ref.schedule(at, op, std::move(then));
+  }
+  bool cancel(ReferenceQueue::Id id) { return ref.cancel(id); }
+  SimTime now() const { return ref.now(); }
+  void after_event(std::size_t) {}
+};
+
+TEST(SchedulerCompactionTest, RtoRearmWalkMatchesReferenceAndBoundsTheHeap) {
+  constexpr int kRounds = 1'000;
+  SimEngine sim;
+  RefEngine ref;
+  RtoWalk<SimEngine> sim_walk(sim);
+  RtoWalk<RefEngine> ref_walk(ref);
+
+  for (int round = 0; round < kRounds; ++round) {
+    const bool drain = round % 20 == 19;
+    sim_walk.set_draining(drain);
+    ref_walk.set_draining(drain);
+    if (!drain) {
+      sim_walk.top_up();
+      ref_walk.top_up();
+    }
+    const SimTime until = sim.now() + (drain ? millis(300) : millis(2));
+    sim.sim.run_until(until);
+    ref.ref.run_until(until, ref.trace);
+    ASSERT_EQ(sim.now(), ref.now()) << "clock divergence at round " << round;
+    ASSERT_EQ(sim_walk.live(), ref_walk.live()) << "live divergence at round " << round;
+    sim.after_event(sim_walk.live());
+  }
+  sim.sim.run();
+  ref.ref.run_until(std::numeric_limits<SimTime>::max() / 2, ref.trace);
+
+  EXPECT_GT(sim.trace.size(), 50'000u);  // the walk actually executed work
+  EXPECT_GT(sim_walk.cancels(), 40'000u);
+  ASSERT_EQ(sim.trace, ref.trace);
+  EXPECT_EQ(sim.bound_violations, 0u) << "heap peaked at " << sim.max_heap << " entries";
+  EXPECT_LE(sim.max_heap, 2 * (RtoWalk<SimEngine>::kChains + 1) + Simulator::kCompactFloor);
+  EXPECT_EQ(sim.sim.heap_entries(), 0u);
 }
 
 // --- generation / handle-reuse semantics -------------------------------------

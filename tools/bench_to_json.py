@@ -14,7 +14,8 @@ Three suites:
   * ``datapath`` — wraps ``micro_datapath`` into BENCH_datapath.json:
     scheduler ops/sec on the churn workload for the pre-overhaul baseline
     replica (std::function + hash-set cancellation, compiled into the same
-    binary) and the slot-arena engine, their speedup, end-to-end star
+    binary) and the slot-arena engine, their speedup, events/sec and ns per
+    event on the RTO re-arm workload (reported, not gated), end-to-end star
     packets/sec and ns per packet at 8 and 32 hosts for 40 B (an ACK),
     576 B and 1500 B packets, and a ``routes`` block: milliseconds per
     Network::compute_routes on BRITE networks of 64, 256 and 1000 routers
@@ -102,6 +103,7 @@ STAR_BYTES = (40, 576, 1500)
 def datapath_summary(benchmarks: list) -> dict:
     baseline = items_per_second(benchmarks, "BM_SchedulerChurn_baseline")
     arena = items_per_second(benchmarks, "BM_SchedulerChurn_arena")
+    rearm = items_per_second(benchmarks, "BM_SchedulerRearm")
     star = {
         f"hosts_{n}_bytes_{b}": items_per_second(benchmarks, f"BM_StarForwarding/{n}/{b}")
         for n in STAR_HOSTS
@@ -111,6 +113,8 @@ def datapath_summary(benchmarks: list) -> dict:
         "workload": {
             "scheduler_churn": "1024-timer batches, 2/3 cancelled before firing, "
             "Packet-sized (96 B) captures",
+            "scheduler_rearm": "50 self-rescheduling events 1-21 us apart, each "
+            "cancelling and re-arming one 200 ms timer (TCP RTO shape)",
             "star_forwarding": "fig4-style star, UDP ring traffic, "
             "packets delivered end to end, by host count and wire size",
             "routes": "BRITE Waxman routers (out-degree 2) plus one single-link "
@@ -123,6 +127,10 @@ def datapath_summary(benchmarks: list) -> dict:
             "baseline_ops_per_sec": baseline,
             "arena_ops_per_sec": arena,
             "speedup": arena / baseline if baseline > 0 else None,
+        },
+        "scheduler_rearm": {
+            "events_per_sec": rearm,
+            "ns_per_event": 1e9 / rearm if rearm > 0 else None,
         },
         "star_forwarding_packets_per_sec": star,
         "star_forwarding_ns_per_packet": {
@@ -262,6 +270,9 @@ def main() -> int:
             f"arena={churn['arena_ops_per_sec']:.3g} ops/s, "
             f"speedup={speedup:.2f}x"
         )
+        rearm = result["scheduler_rearm"]
+        print(f"scheduler_rearm: {rearm['events_per_sec']:.3g} events/s "
+              f"({rearm['ns_per_event']:.0f} ns/event, not gated)")
         ns = result["star_forwarding_ns_per_packet"]
         for n in STAR_HOSTS:
             print(f"star_forwarding {n} hosts: " + ", ".join(
