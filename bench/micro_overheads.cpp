@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sources.hpp"
@@ -22,10 +24,18 @@ namespace {
 
 using namespace vw;
 
+// One 1 Gb/s link between two hosts with transport stacks: host a writes
+// to a TCP sink on host b, so b's ACKs come back and a Wren analyzer on a
+// sees trains completed by their ACKs, as on a real monitored path.
 struct PathEnv {
+  static constexpr std::uint16_t kPort = 5001;
+
   sim::Simulator sim;
   net::Network net{sim};
   net::NodeId a, b;
+  std::unique_ptr<transport::TransportStack> stack;
+  std::unique_ptr<transport::TcpSink> sink;
+  transport::TcpConnection* conn = nullptr;
 
   PathEnv() {
     a = net.add_host("a");
@@ -33,18 +43,21 @@ struct PathEnv {
     net::LinkConfig cfg;
     cfg.bits_per_sec = 1e9;
     cfg.prop_delay = vw::micros(10);
+    // Deeper than TCP's receive window: the path never drops, so every
+    // iteration carries each segment once.
+    cfg.queue_limit_bytes = 2 * static_cast<std::int64_t>(transport::kReceiveWindow);
     net.add_link(a, b, cfg);
     net.compute_routes();
+    stack = std::make_unique<transport::TransportStack>(net);
+    sink = std::make_unique<transport::TcpSink>(*stack, b, kPort);
+    conn = &stack->tcp_connect(a, b, kPort);
   }
+  ~PathEnv() { stack->tcp_close(*conn); }
 
+  /// Writes `packets` full segments and runs one simulated second, which
+  /// delivers and acknowledges them all.
   void pump(int packets) {
-    for (int i = 0; i < packets; ++i) {
-      net::Packet p;
-      p.flow = net::FlowKey{a, b, 1, 2, net::Protocol::kTcp};
-      p.payload_bytes = 1460;
-      p.seq = static_cast<std::uint64_t>(i) * 1460;
-      net.send(std::move(p));
-    }
+    conn->send(static_cast<std::uint64_t>(packets) * transport::kMss);
     // Bounded run: periodic measurement tasks never drain the event queue.
     sim.run_until(sim.now() + seconds(1.0));
   }
@@ -70,7 +83,8 @@ void BM_PacketPathWithWrenTap(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPathWithWrenTap)->Arg(1000);
 
-/// Same path with the full online analyzer (trace + trains + SIC).
+/// Same path with the full online analyzer (trace + trains + SIC). Fails
+/// when SIC produced no observation, since it then timed no SIC work.
 void BM_PacketPathWithOnlineAnalysis(benchmark::State& state) {
   PathEnv env;
   wren::OnlineAnalyzer analyzer(env.net, env.a);
@@ -79,6 +93,9 @@ void BM_PacketPathWithOnlineAnalysis(benchmark::State& state) {
     analyzer.analyze_now();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  const auto observations = static_cast<double>(analyzer.observations_total());
+  state.counters["observations"] = observations;
+  if (observations == 0) state.SkipWithError("SIC produced no observation on the path");
 }
 BENCHMARK(BM_PacketPathWithOnlineAnalysis)->Arg(1000);
 

@@ -17,9 +17,12 @@
 //
 // The run prints its fault schedule up front and, with telemetry on, the
 // failed migrations and the system's virtuoso.* trace instants (daemon
-// killed / dead / alive, reservation denied) after the run. It is
-// bit-for-bit deterministic for a given --seed. Exit status is nonzero when
-// any resilience invariant is violated, so CI can use this as a smoke test.
+// killed / dead / alive) after the run. The run is bit-for-bit
+// deterministic. The default fault script does not read --seed: every seed
+// yields the same trajectory and events, and the signature lines differ
+// only in `seed=`, so the seed-7 golden checks only that a second process
+// reproduces the same run. Exit status is nonzero when any resilience
+// invariant is violated, so CI can use this as a smoke test.
 //
 //   $ ./examples/chaos_cluster [--seed N] [--metrics-json FILE]
 //     [--metrics-csv FILE] [--trace FILE] [--events-jsonl FILE]

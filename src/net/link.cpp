@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -47,40 +46,8 @@ void Channel::set_down(bool down) {
   if (departed_ == 0) sim_.cancel(arrival_);  // the front itself is dropped
   stats_.packets_down_dropped += queue_.size() - departed_;
   queue_.resize(departed_);
-  prio_bytes_ = 0;
-  be_bytes_ = 0;
+  backlog_bytes_ = 0;
 }
-
-double Channel::reserved_bps() const {
-  // Sum in sorted flow order: reservations_ is a hash map and floating-point
-  // addition is not associative, so hash-order summation would make the
-  // admission threshold depend on container layout instead of on the
-  // reservation set itself.
-  std::vector<std::pair<FlowKey, double>> rates;
-  rates.reserve(reservations_.size());
-  // vwlint: unordered-ok(collection only; order normalized by the sort below)
-  for (const auto& [flow, r] : reservations_) rates.emplace_back(flow, r.rate_bps);
-  std::sort(rates.begin(), rates.end());
-  double total = 0;
-  for (const auto& [flow, rate] : rates) total += rate;
-  return total;
-}
-
-bool Channel::add_reservation(const FlowKey& flow, double rate_bps, std::int64_t burst_bytes) {
-  VW_REQUIRE(rate_bps > 0 && burst_bytes > 0, "Channel: bad reservation parameters (rate=",
-             rate_bps, " burst=", burst_bytes, ")");
-  const double existing = reservations_.contains(flow) ? reservations_.at(flow).rate_bps : 0;
-  if (reserved_bps() - existing + rate_bps > bits_per_sec_) return false;
-  Reservation r;
-  r.rate_bps = rate_bps;
-  r.burst_bytes = burst_bytes;
-  r.tokens = static_cast<double>(burst_bytes);  // start full
-  r.last_refill = sim_.now();
-  reservations_[flow] = r;
-  return true;
-}
-
-void Channel::remove_reservation(const FlowKey& flow) { reservations_.erase(flow); }
 
 const ChannelStats& Channel::stats() {
   settle();
@@ -99,46 +66,17 @@ bool Channel::enqueue(Packet pkt) {
     return false;
   }
   const std::int64_t size = pkt.size_bytes();
-
-  // Classify first: reserved flows with available tokens ride the priority
-  // class, which has its own buffer — a best-effort flood must not be able
-  // to starve reserved admissions at the drop-tail stage.
-  bool priority = false;
-  if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
-    Reservation& r = it->second;
-    r.tokens = std::min(static_cast<double>(r.burst_bytes),
-                        r.tokens + r.rate_bps / 8.0 * to_seconds(sim_.now() - r.last_refill));
-    r.last_refill = sim_.now();
-    if (r.tokens >= static_cast<double>(size)) {
-      r.tokens -= static_cast<double>(size);
-      priority = true;
-    }
-  }
-
-  std::int64_t& class_bytes = priority ? prio_bytes_ : be_bytes_;
-  if (class_bytes + size > queue_limit_bytes_) {
+  if (backlog_bytes_ + size > queue_limit_bytes_) {
     ++stats_.packets_dropped;
     return false;
   }
-  class_bytes += size;
+  backlog_bytes_ += size;
   ++stats_.packets_sent;
 
-  // Strict priority without preemption: a reserved packet goes behind the
-  // packet serializing now and behind the reserved packets queued before it,
-  // ahead of every best-effort packet that has not started.
-  std::size_t at = queue_.size();
-  if (priority) {
-    while (at > departed_ + 1 && !queue_[at - 1].priority) --at;
-  }
-  if (at == queue_.size()) {
-    // Serialization starts now, or when the packet ahead departs.
-    const SimTime start =
-        queue_.empty() ? sim_.now() : std::max(sim_.now(), queue_.back().departure);
-    queue_.emplace_back(std::move(pkt), priority, start + transmission_time(size, bits_per_sec_));
-  } else {
-    queue_.emplace(queue_.begin() + static_cast<std::ptrdiff_t>(at), std::move(pkt), priority);
-    retime_from(at);
-  }
+  // Serialization starts now, or when the packet ahead departs.
+  const SimTime start =
+      queue_.empty() ? sim_.now() : std::max(sim_.now(), queue_.back().departure);
+  queue_.emplace_back(std::move(pkt), start + transmission_time(size, bits_per_sec_));
   if (queue_.size() == 1) arm();
   return true;
 }
@@ -163,11 +101,9 @@ void Channel::settle(SimTime until) {
               " before the previous one at ", last_departure_);
     last_departure_ = e.departure;
     const std::int64_t size = e.pkt.size_bytes();
-    (e.priority ? prio_bytes_ : be_bytes_) -= size;
-    VW_ASSERT(prio_bytes_ >= 0 && be_bytes_ >= 0, "Channel ", id_,
-              ": queued-byte accounting went negative");
+    backlog_bytes_ -= size;
+    VW_ASSERT(backlog_bytes_ >= 0, "Channel ", id_, ": queued-byte accounting went negative");
     stats_.bytes_serialized += static_cast<std::uint64_t>(size);
-    if (e.priority) ++stats_.priority_packets;
     // The serialized hook sees the packet mutable so the network can stamp
     // wire_time before the outgoing tap fires.
     if (on_serialized_) on_serialized_(e.pkt, e.departure);

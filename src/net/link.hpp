@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
@@ -27,13 +26,6 @@
 // set_down, set_capacity_bps, the delivery itself, and the network's host
 // taps) settles first, so it sees exactly what a channel that had run each
 // departure as it happened would show.
-//
-// Reservations (paper opportunity 4): a flow may reserve a guaranteed rate.
-// Reserved traffic is policed by a token bucket and served with strict
-// priority ahead of best effort — the IntServ guaranteed-service shape of
-// the optical-reservation substrate the paper cites. Service is not
-// preemptive: a reserved packet overtakes only the best-effort packets that
-// have not started serializing.
 
 namespace vw::net {
 
@@ -45,7 +37,6 @@ struct ChannelStats {
   std::uint64_t packets_lost = 0;          ///< random loss injection
   std::uint64_t packets_down_dropped = 0;  ///< dropped while the link was down
   std::uint64_t bytes_serialized = 0;      ///< total bytes that completed serialization
-  std::uint64_t priority_packets = 0;      ///< packets served from the reserved class
 };
 
 class Channel {
@@ -103,38 +94,19 @@ class Channel {
   double loss_probability() const { return loss_p_; }
 
   /// Take the link down or back up. Taking the link down drops every
-  /// packet that has not departed (both classes, the one serializing
-  /// included) into `packets_down_dropped`, so upper layers see a genuine
-  /// outage; packets already past serialization (in propagation) still
-  /// arrive.
+  /// packet that has not departed (the one serializing included) into
+  /// `packets_down_dropped`, so upper layers see a genuine outage; packets
+  /// already past serialization (in propagation) still arrive.
   void set_down(bool down);
   bool is_down() const { return down_; }
-
-  // --- reservations -------------------------------------------------------------
-  /// Guarantee `rate_bps` to `flow` on this channel. Conforming packets
-  /// (token bucket: rate_bps, burst `burst_bytes`) are served with strict
-  /// priority; excess reverts to best effort. Returns false when the sum of
-  /// reservations would exceed the capacity.
-  bool add_reservation(const FlowKey& flow, double rate_bps, std::int64_t burst_bytes = 32'768);
-  void remove_reservation(const FlowKey& flow);
-  double reserved_bps() const;
-  bool has_reservation(const FlowKey& flow) const { return reservations_.contains(flow); }
 
   void set_on_serialized(SerializedFn fn) { on_serialized_ = std::move(fn); }
   void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
 
  private:
-  struct Reservation {
-    double rate_bps = 0;
-    std::int64_t burst_bytes = 0;
-    double tokens = 0;  ///< bytes
-    SimTime last_refill = 0;
-  };
-
   /// An admitted packet that has not arrived yet.
   struct Entry {
     Packet pkt;
-    bool priority = false;  ///< admitted to the reserved class
     SimTime departure = 0;  ///< serialization end
   };
 
@@ -154,8 +126,7 @@ class Channel {
   double bits_per_sec_;
   SimTime prop_delay_;
   std::int64_t queue_limit_bytes_;
-  std::int64_t be_bytes_ = 0;    ///< best-effort backlog (not yet departed)
-  std::int64_t prio_bytes_ = 0;  ///< reserved-class backlog (own buffer)
+  std::int64_t backlog_bytes_ = 0;  ///< bytes admitted and not yet departed
   // Admitted packets in departure (hence arrival) order: [0, departed_) have
   // departed and are propagating; the rest are queued, the first of them
   // serializing.
@@ -166,7 +137,6 @@ class Channel {
   double loss_p_ = 0;
   std::optional<Rng> loss_rng_;
   bool down_ = false;
-  std::unordered_map<FlowKey, Reservation, FlowKeyHash> reservations_;
   ChannelStats stats_;
   SerializedFn on_serialized_;
   DeliveredFn on_delivered_;

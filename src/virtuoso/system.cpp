@@ -83,7 +83,6 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
                   : nullptr),
       stack_(network),
       overlay_(stack_),
-      reservation_manager_(network),
       global_vttif_(std::make_unique<vttif::GlobalVttif>(sim)),
       migration_(sim, network) {
   // Measurements age against the virtual clock; with a horizon configured,
@@ -109,8 +108,6 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
   config_.multistart.annealing.obs = s;
   c_adaptations_ = s.counter("virtuoso.adaptations");
   c_migrations_issued_ = s.counter("virtuoso.migrations.issued");
-  c_reservations_granted_ = s.counter("virtuoso.reservations.granted");
-  c_reservations_denied_ = s.counter("virtuoso.reservations.denied");
   c_wren_reports_ = s.counter("virtuoso.reports.wren");
   c_migration_failures_ = s.counter("virtuoso.migrations.failed");
   c_replans_ = s.counter("virtuoso.replans");
@@ -710,45 +707,6 @@ void VirtuosoSystem::enable_auto_adaptation(AdaptationAlgorithm algorithm, SimTi
 void VirtuosoSystem::disable_auto_adaptation() {
   auto_adapt_enabled_ = false;
   global_vttif_->set_on_change(nullptr);
-}
-
-void VirtuosoSystem::release_reservations() {
-  for (net::ReservationId id : reservation_ids_) reservation_manager_.release(id);
-  reservation_ids_.clear();
-}
-
-std::size_t VirtuosoSystem::install_reservations(const AdaptationOutcome& outcome,
-                                                 double headroom) {
-  release_reservations();
-  // Uncapped plan: the physical channels' admission control decides below.
-  const vadapt::ReservationPlan plan =
-      plan_reservations(outcome.demands, outcome.configuration, headroom);
-  std::size_t granted = 0;
-  for (const vadapt::EdgeReservation& edge : plan.edges) {
-    const net::NodeId from_host = outcome.hosts.at(edge.from);
-    const net::NodeId to_host = outcome.hosts.at(edge.to);
-    if (!overlay_.has_daemon_on(from_host)) continue;
-    vnet::VnetDaemon& daemon = overlay_.daemon_on(from_host);
-    const auto link_id = daemon.link_to_host(to_host);
-    if (!link_id) continue;
-    // Find the link object to learn its wire-level flow.
-    for (auto [id, link] : daemon.links()) {
-      if (id != *link_id) continue;
-      if (auto rid = reservation_manager_.reserve_path(link->wire_flow(), edge.rate_bps)) {
-        reservation_ids_.push_back(*rid);
-        ++granted;
-        obs::add(c_reservations_granted_);
-      } else {
-        obs::add(c_reservations_denied_);
-        scope().instant("virtuoso.reservation.denied", "virtuoso",
-                        {{"from", std::to_string(from_host)},
-                         {"to", std::to_string(to_host)},
-                         {"rate_mbps", std::to_string(edge.rate_bps / 1e6)}});
-      }
-      break;
-    }
-  }
-  return granted;
 }
 
 std::size_t VirtuosoSystem::apply_configuration(const vadapt::CapacityGraph& graph,

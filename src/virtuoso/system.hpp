@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/reservation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
@@ -18,7 +17,6 @@
 #include "vadapt/greedy.hpp"
 #include "vadapt/multistart.hpp"
 #include "vadapt/problem.hpp"
-#include "vadapt/reservations.hpp"
 #include "vadapt/warm_start.hpp"
 #include "vm/machine.hpp"
 #include "vm/migration.hpp"
@@ -103,8 +101,8 @@ struct SystemConfig {
   /// the virtual clock and wires them into every subsystem (wren,
   /// transport, vnet, vttif, vadapt, vm, virtuoso); read them in-process
   /// through metrics() / tracer(). The tracer is also the system's event
-  /// record: daemon deaths, resurrections and kills, denied reservations
-  /// and each adaptation's cost land there as virtuoso.* events.
+  /// record: daemon deaths, resurrections and kills and each adaptation's
+  /// cost land there as virtuoso.* events.
   bool telemetry = true;
   /// When non-empty, the constructor creates this directory and every
   /// daemon's trace facility (the same tap its Wren analyzer drains) also
@@ -250,16 +248,6 @@ class VirtuosoSystem {
                                   const std::vector<vadapt::Demand>& demands,
                                   const vadapt::Configuration& conf);
 
-  /// Configuration element (4): install physical-path reservations backing
-  /// the overlay links the configuration uses (releasing any previously
-  /// installed set first). Returns how many edge reservations were granted.
-  std::size_t install_reservations(const AdaptationOutcome& outcome, double headroom = 0.25);
-
-  /// Release all reservations installed by install_reservations.
-  void release_reservations();
-
-  std::size_t active_reservations() const { return reservation_ids_.size(); }
-
  private:
   struct DaemonRuntime {
     std::unique_ptr<wren::OnlineAnalyzer> analyzer;
@@ -321,8 +309,6 @@ class VirtuosoSystem {
   transport::TransportStack stack_;
   vnet::Overlay overlay_;
   std::unique_ptr<vnet::ControlPlane> control_;
-  net::ReservationManager reservation_manager_;
-  std::vector<net::ReservationId> reservation_ids_;
   wren::GlobalNetworkView view_;
   std::unique_ptr<vttif::GlobalVttif> global_vttif_;
   vm::MigrationEngine migration_;
@@ -357,8 +343,6 @@ class VirtuosoSystem {
   std::uint64_t warm_epoch_ = 0;  ///< names the per-adapt burst RNG stream
   obs::Counter* c_adaptations_ = nullptr;
   obs::Counter* c_migrations_issued_ = nullptr;
-  obs::Counter* c_reservations_granted_ = nullptr;
-  obs::Counter* c_reservations_denied_ = nullptr;
   obs::Counter* c_wren_reports_ = nullptr;
   obs::Counter* c_migration_failures_ = nullptr;
   obs::Counter* c_replans_ = nullptr;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "transport/sources.hpp"
@@ -40,9 +39,6 @@ class OverlayLink {
   virtual void send(FramePtr frame) = 0;
   virtual net::NodeId peer_host() const = 0;
   virtual LinkProtocol protocol() const = 0;
-  /// The wire-level 5-tuple this endpoint's outgoing frames travel on
-  /// (used to install physical-path reservations for the link).
-  virtual net::FlowKey wire_flow() const = 0;
 
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
 
@@ -108,12 +104,6 @@ class VnetDaemon {
   /// all daemons wired to the same scope).
   void set_obs(const obs::Scope& scope);
 
-  /// Read-only view of the daemon's overlay links (diagnostics).
-  std::vector<std::pair<LinkId, const OverlayLink*>> links() const {
-    std::vector<std::pair<LinkId, const OverlayLink*>> out;
-    for (const auto& [id, link] : links_) out.push_back({id, link.get()});
-    return out;
-  }
   transport::TransportStack& stack() { return stack_; }
 
   /// Deliver or forward a frame that arrived over an overlay link.

@@ -32,7 +32,6 @@ class TcpOverlayLink final : public OverlayLink {
   void send(FramePtr frame) override;
   net::NodeId peer_host() const override { return conn_.remote_host(); }
   LinkProtocol protocol() const override { return LinkProtocol::kTcp; }
-  net::FlowKey wire_flow() const override { return conn_.flow(); }
 
   transport::TcpConnection& connection() { return conn_; }
 
@@ -49,10 +48,6 @@ class UdpOverlayLink final : public OverlayLink {
   void send(FramePtr frame) override;
   net::NodeId peer_host() const override { return peer_host_; }
   LinkProtocol protocol() const override { return LinkProtocol::kUdp; }
-  net::FlowKey wire_flow() const override {
-    return net::FlowKey{socket_->host(), peer_host_, socket_->port(), peer_port_,
-                        net::Protocol::kUdp};
-  }
 
  private:
   std::shared_ptr<transport::UdpSocket> socket_;

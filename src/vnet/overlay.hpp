@@ -34,7 +34,6 @@ class Overlay {
 
   VnetDaemon& proxy();
   VnetDaemon& daemon_on(net::NodeId host);
-  bool has_daemon_on(net::NodeId host) const { return by_host_.contains(host); }
   std::vector<VnetDaemon*> daemons();
   std::vector<net::NodeId> daemon_hosts() const;
 

@@ -1,12 +1,10 @@
-// Failure-injection and reservation tests: random loss, link down/up,
-// scripted FaultPlan outages, TCP resilience under loss, and token-bucket
-// priority reservations protecting a flow from best-effort congestion.
+// Failure-injection tests: random loss, link down/up, scripted FaultPlan
+// outages and TCP resilience under loss.
 
 #include <gtest/gtest.h>
 
 #include "net/fault.hpp"
 #include "net/network.hpp"
-#include "net/reservation.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sources.hpp"
 #include "transport/stack.hpp"
@@ -172,126 +170,6 @@ TEST_P(TcpLossSweepTest, TransferCompletesUnderLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweepTest, ::testing::Values(0.001, 0.01, 0.05));
-
-// --- reservations ------------------------------------------------------------
-
-TEST(ReservationTest, ChannelAdmissionControl) {
-  Env env(10e6);
-  Channel& ch = env.net.channel(env.sw, env.b);
-  const FlowKey f1{env.a, env.b, 1, 2, Protocol::kUdp};
-  const FlowKey f2{env.c, env.b, 3, 4, Protocol::kUdp};
-  EXPECT_TRUE(ch.add_reservation(f1, 6e6));
-  EXPECT_FALSE(ch.add_reservation(f2, 5e6));  // 11 Mbps > 10 Mbps capacity
-  EXPECT_TRUE(ch.add_reservation(f2, 4e6));
-  EXPECT_DOUBLE_EQ(ch.reserved_bps(), 10e6);
-  ch.remove_reservation(f1);
-  EXPECT_DOUBLE_EQ(ch.reserved_bps(), 4e6);
-}
-
-TEST(ReservationTest, ReReservationReplacesRate) {
-  Env env(10e6);
-  Channel& ch = env.net.channel(env.sw, env.b);
-  const FlowKey f{env.a, env.b, 1, 2, Protocol::kUdp};
-  EXPECT_TRUE(ch.add_reservation(f, 6e6));
-  EXPECT_TRUE(ch.add_reservation(f, 8e6));  // replaces, not adds
-  EXPECT_DOUBLE_EQ(ch.reserved_bps(), 8e6);
-}
-
-TEST(ReservationTest, PathReservationAllOrNothing) {
-  Env env(10e6);
-  ReservationManager mgr(env.net);
-  // Saturate the sw->b hop so the second path reservation must fail on it
-  // and roll back the a->sw hop too.
-  const FlowKey f1{env.a, env.b, 1, 2, Protocol::kUdp};
-  const FlowKey f2{env.c, env.b, 3, 4, Protocol::kUdp};
-  ASSERT_TRUE(mgr.reserve_path(f1, 8e6).has_value());
-  EXPECT_FALSE(mgr.reserve_path(f2, 5e6).has_value());
-  EXPECT_DOUBLE_EQ(env.net.channel(env.c, env.sw).reserved_bps(), 0.0);  // rolled back
-  EXPECT_EQ(mgr.active(), 1u);
-}
-
-TEST(ReservationTest, ReleaseFreesAllHops) {
-  Env env(10e6);
-  ReservationManager mgr(env.net);
-  const FlowKey f{env.a, env.b, 1, 2, Protocol::kUdp};
-  const auto id = mgr.reserve_path(f, 8e6);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_DOUBLE_EQ(mgr.reserved_on(env.a, env.sw), 8e6);
-  EXPECT_DOUBLE_EQ(mgr.reserved_on(env.sw, env.b), 8e6);
-  mgr.release(*id);
-  EXPECT_EQ(mgr.active(), 0u);
-  EXPECT_DOUBLE_EQ(env.net.channel(env.sw, env.b).reserved_bps(), 0.0);
-  mgr.release(*id);  // idempotent
-}
-
-TEST(ReservationTest, ReservedFlowProtectedFromCongestion) {
-  // A 4 Mbps CBR flow with a 4 Mbps reservation keeps its rate while an
-  // unreserved 9 Mbps flow floods the shared 10 Mbps bottleneck; without
-  // the reservation it loses heavily.
-  auto run_case = [](bool reserved) {
-    Env env(10e6);
-    ReservationManager mgr(env.net);
-    transport::CbrUdpSource victim(*env.stack, env.a, env.b, 7000, 4e6, 1000);
-    transport::CbrUdpSource flood(*env.stack, env.c, env.b, 7001, 9e6, 1000);
-    if (reserved) {
-      // The victim's UDP flow key: CbrUdpSource binds an ephemeral source
-      // port; reserve by wildcarding through the actual first packet is
-      // overkill here — reserve with the known 5-tuple.
-      const FlowKey f{env.a, env.b, 49152, 7000, Protocol::kUdp};
-      EXPECT_TRUE(mgr.reserve_path(f, 4.5e6).has_value());
-    }
-    victim.start();
-    flood.start();
-    std::uint64_t victim_bytes = 0;
-    env.net.set_host_stack(env.b, [&](Packet&& p) {
-      if (p.flow.src == env.a) victim_bytes += p.payload_bytes;
-    });
-    env.sim.run_until(seconds(10.0));
-    return static_cast<double>(victim_bytes) * 8.0 / 10.0;
-  };
-
-  const double with_reservation = run_case(true);
-  const double without = run_case(false);
-  EXPECT_GT(with_reservation, 3.8e6);  // essentially full rate
-  EXPECT_LT(without, 3.5e6);           // squeezed by the flood
-}
-
-TEST(ReservationTest, TokenBucketDowngradesExcessTraffic) {
-  // A flow reserved at 2 Mb/s but sending 8 Mb/s: only ~2 Mb/s rides the
-  // priority class; the excess is classified best effort.
-  Env env(10e6);
-  Channel& ch = env.net.channel(env.a, env.sw);
-  const FlowKey f{env.a, env.b, 49152, 7000, Protocol::kUdp};
-  ASSERT_TRUE(ch.add_reservation(f, 2e6, /*burst_bytes=*/4000));
-  transport::CbrUdpSource src(*env.stack, env.a, env.b, 7000, 8e6, 1000);
-  src.start();
-  env.sim.run_until(seconds(10.0));
-  const auto& stats = ch.stats();
-  const double prio_fraction =
-      static_cast<double>(stats.priority_packets) / static_cast<double>(stats.packets_sent);
-  // ~2 of 8 Mb/s conforms -> about 25% priority.
-  EXPECT_NEAR(prio_fraction, 0.25, 0.08);
-}
-
-TEST(ReservationTest, UnroutablePathRejected) {
-  sim::Simulator sim;
-  Network net(sim);
-  const NodeId a = net.add_host("a");
-  const NodeId b = net.add_host("b");  // disconnected
-  net.compute_routes();
-  ReservationManager mgr(net);
-  EXPECT_FALSE(mgr.reserve_path(FlowKey{a, b, 1, 2, Protocol::kUdp}, 1e6).has_value());
-}
-
-TEST(ReservationTest, PriorityPacketsCounted) {
-  Env env(10e6);
-  Channel& ch = env.net.channel(env.a, env.sw);
-  const FlowKey f{env.a, env.b, 1, 2, Protocol::kUdp};
-  ASSERT_TRUE(ch.add_reservation(f, 5e6));
-  env.net.send(env.udp_packet(1000));
-  env.sim.run();
-  EXPECT_EQ(ch.stats().priority_packets, 1u);
-}
 
 }  // namespace
 }  // namespace vw::net

@@ -610,24 +610,12 @@ class ReferenceChannel {
   void set_on_serialized(SerializedFn fn) { on_serialized_ = std::move(fn); }
   void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
 
-  bool add_reservation(const FlowKey& flow, double rate_bps, std::int64_t burst_bytes) {
-    double reserved = 0;  // summed in flow order, like Channel::reserved_bps
-    for (const auto& [key, r] : reservations_) reserved += r.rate_bps;
-    const double existing = reservations_.contains(flow) ? reservations_.at(flow).rate_bps : 0;
-    if (reserved - existing + rate_bps > bits_per_sec_) return false;
-    reservations_[flow] =
-        Reservation{rate_bps, burst_bytes, static_cast<double>(burst_bytes), sim_.now()};
-    return true;
-  }
-
   void set_down(bool down) {
     down_ = down;
     if (!down) return;
-    stats_.packets_down_dropped += priority_queue_.size() + best_effort_queue_.size();
-    priority_queue_.clear();
-    best_effort_queue_.clear();
-    prio_bytes_ = 0;
-    be_bytes_ = 0;
+    stats_.packets_down_dropped += queue_.size();
+    queue_.clear();
+    backlog_bytes_ = 0;
     if (serving_) {
       sim_.cancel(service_event_);
       serving_ = false;
@@ -640,54 +628,30 @@ class ReferenceChannel {
       return false;
     }
     const std::int64_t size = pkt.size_bytes();
-    bool priority = false;
-    if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
-      Reservation& r = it->second;
-      r.tokens = std::min(static_cast<double>(r.burst_bytes),
-                          r.tokens + r.rate_bps / 8.0 * to_seconds(sim_.now() - r.last_refill));
-      r.last_refill = sim_.now();
-      if (r.tokens >= static_cast<double>(size)) {
-        r.tokens -= static_cast<double>(size);
-        priority = true;
-      }
-    }
-    std::int64_t& class_bytes = priority ? prio_bytes_ : be_bytes_;
-    if (class_bytes + size > queue_limit_bytes_) {
+    if (backlog_bytes_ + size > queue_limit_bytes_) {
       ++stats_.packets_dropped;
       return false;
     }
-    class_bytes += size;
+    backlog_bytes_ += size;
     ++stats_.packets_sent;
-    (priority ? priority_queue_ : best_effort_queue_).push_back(std::move(pkt));
+    queue_.push_back(std::move(pkt));
     if (!serving_) start_service();
     return true;
   }
 
  private:
-  struct Reservation {
-    double rate_bps;
-    std::int64_t burst_bytes;
-    double tokens;
-    SimTime last_refill;
-  };
-
   void start_service() {
-    serving_priority_ = !priority_queue_.empty();
-    std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
-    if (queue.empty()) return;
     serving_ = true;
-    const SimTime done = sim_.now() + transmission_time(queue.front().size_bytes(), bits_per_sec_);
+    const SimTime done = sim_.now() + transmission_time(queue_.front().size_bytes(), bits_per_sec_);
     service_event_ = sim_.schedule_at(done, [this] { finish_service(); });
   }
 
   void finish_service() {
-    std::deque<Packet>& queue = serving_priority_ ? priority_queue_ : best_effort_queue_;
-    Packet pkt = std::move(queue.front());
-    queue.pop_front();
+    Packet pkt = std::move(queue_.front());
+    queue_.pop_front();
     const std::int64_t size = pkt.size_bytes();
-    (serving_priority_ ? prio_bytes_ : be_bytes_) -= size;
+    backlog_bytes_ -= size;
     stats_.bytes_serialized += static_cast<std::uint64_t>(size);
-    if (serving_priority_) ++stats_.priority_packets;
     if (on_serialized_) on_serialized_(pkt, sim_.now());
     if (prop_delay_ == 0) {
       if (on_delivered_) on_delivered_(std::move(pkt));
@@ -697,35 +661,29 @@ class ReferenceChannel {
       });
     }
     serving_ = false;
-    if (!priority_queue_.empty() || !best_effort_queue_.empty()) start_service();
+    if (!queue_.empty()) start_service();
   }
 
   sim::Simulator& sim_;
   double bits_per_sec_;
   SimTime prop_delay_;
   std::int64_t queue_limit_bytes_;
-  std::int64_t be_bytes_ = 0;
-  std::int64_t prio_bytes_ = 0;
-  std::deque<Packet> priority_queue_;
-  std::deque<Packet> best_effort_queue_;
+  std::int64_t backlog_bytes_ = 0;
+  std::deque<Packet> queue_;
   bool serving_ = false;
-  bool serving_priority_ = false;
   sim::EventHandle service_event_;
   bool down_ = false;
-  std::map<FlowKey, Reservation> reservations_;
   ChannelStats stats_;
   SerializedFn on_serialized_;
   DeliveredFn on_delivered_;
 };
 
 struct ChannelStep {
-  enum class Kind { kEnqueue, kDown, kUp, kCapacity, kReserve, kProbe };
+  enum class Kind { kEnqueue, kDown, kUp, kCapacity, kProbe };
   Kind kind = Kind::kProbe;
   SimTime at = 0;
   std::uint32_t bytes = 0;  ///< kEnqueue: wire size
-  std::uint16_t flow = 0;   ///< kEnqueue / kReserve: destination port of the flow
-  double value = 0;         ///< kCapacity: bits/s; kReserve: rate
-  std::int64_t burst = 0;   ///< kReserve
+  double value = 0;         ///< kCapacity: bits/s
 };
 
 struct ChannelScript {
@@ -734,8 +692,6 @@ struct ChannelScript {
   std::int64_t queue_limit_bytes = 16'000;
   std::vector<ChannelStep> steps;
 };
-
-FlowKey script_flow(std::uint16_t port) { return FlowKey{0, 1, 1000, port, Protocol::kUdp}; }
 
 // One channel driven by a script, with everything observable about it
 // logged: (packet id, time) at each departure and each arrival, and each
@@ -762,7 +718,7 @@ struct ChannelRun {
     switch (step.kind) {
       case ChannelStep::Kind::kEnqueue: {
         Packet pkt;
-        pkt.flow = script_flow(step.flow);
+        pkt.flow = FlowKey{0, 1, 1000, 2000, Protocol::kUdp};
         pkt.header_bytes = 40;
         pkt.payload_bytes = step.bytes - 40;
         pkt.id = id;
@@ -778,9 +734,6 @@ struct ChannelRun {
       case ChannelStep::Kind::kCapacity:
         channel.set_capacity_bps(step.value);
         break;
-      case ChannelStep::Kind::kReserve:
-        channel.add_reservation(script_flow(step.flow), step.value, step.burst);
-        break;
       case ChannelStep::Kind::kProbe:
         break;
     }
@@ -793,7 +746,6 @@ void expect_same_stats(const ChannelStats& want, const ChannelStats& got) {
   EXPECT_EQ(got.packets_lost, want.packets_lost);
   EXPECT_EQ(got.packets_down_dropped, want.packets_down_dropped);
   EXPECT_EQ(got.bytes_serialized, want.bytes_serialized);
-  EXPECT_EQ(got.priority_packets, want.priority_packets);
 }
 
 /// Runs `script` on both channels; counters must agree after every step
@@ -835,21 +787,15 @@ ChannelScript random_channel_script(Rng& rng) {
     ChannelStep step;
     step.at = at;
     const double pick = rng.uniform(0, 1);
-    if (pick < 0.8) {
+    if (pick < 0.83) {
       step.kind = ChannelStep::Kind::kEnqueue;
       step.bytes = rng.chance(0.3) ? 40 : static_cast<std::uint32_t>(rng.uniform_int(40, 1500));
-      step.flow = static_cast<std::uint16_t>(rng.uniform_int(0, 2));
-    } else if (pick < 0.85) {
+    } else if (pick < 0.88) {
       step.kind = ChannelStep::Kind::kCapacity;
       rate = step.value = rates[rng.uniform_int(0, 2)];
-    } else if (pick < 0.89) {
+    } else if (pick < 0.92) {
       step.kind = down ? ChannelStep::Kind::kUp : ChannelStep::Kind::kDown;
       down = !down;
-    } else if (pick < 0.92) {
-      step.kind = ChannelStep::Kind::kReserve;
-      step.flow = static_cast<std::uint16_t>(rng.uniform_int(0, 1));
-      step.value = rate * rng.uniform(0.05, 0.4);
-      step.burst = rng.uniform_int(1500, 8000);
     }
     script.steps.push_back(step);
   }
@@ -865,12 +811,10 @@ TEST(ChannelDifferentialTest, RandomScriptsMatchReference) {
     if (HasFailure()) return;
     seen.packets_dropped += stats.packets_dropped;
     seen.packets_down_dropped += stats.packets_down_dropped;
-    seen.priority_packets += stats.priority_packets;
   }
-  // The scripts reach every path: overflow, outage and the reserved class.
+  // The scripts reach every path: overflow and outage.
   EXPECT_GT(seen.packets_dropped, 100u);
   EXPECT_GT(seen.packets_down_dropped, 100u);
-  EXPECT_GT(seen.priority_packets, 100u);
 }
 
 TEST(ChannelDifferentialTest, DownAtADepartureInstant) {
@@ -900,28 +844,24 @@ TEST(ChannelDifferentialTest, DownAtADepartureInstant) {
 TEST(ChannelDifferentialTest, CapacityChangeWhileAPacketSerializes) {
   // Two 1250 B packets at 10 Mb/s (1 ms each); at 0.25 ms the rate doubles.
   // The first keeps its 1 ms departure; the second, not yet started,
-  // serializes at 20 Mb/s and departs at 1.5 ms. A priority packet
-  // admitted at the first departure instant does not overtake the packet
-  // that starts then.
+  // serializes at 20 Mb/s and departs at 1.5 ms. A packet admitted at the
+  // first departure instant queues behind the packet that starts then.
   using Kind = ChannelStep::Kind;
   ChannelScript script;
   script.prop_delay = micros(100);
   script.steps = {
-      {.kind = Kind::kReserve, .flow = 1, .value = 5e6, .burst = 4000},
       {.kind = Kind::kEnqueue, .bytes = 1250},
       {.kind = Kind::kEnqueue, .bytes = 1250},
       {.kind = Kind::kCapacity, .at = micros(250), .value = 20e6},
       {.kind = Kind::kEnqueue, .at = millis(1), .bytes = 1250},
-      {.kind = Kind::kEnqueue, .at = millis(1), .bytes = 1250, .flow = 1},
   };
   expect_channel_matches_reference(script);
   ChannelRun<Channel> run(script);
   for (std::size_t i = 0; i < script.steps.size(); ++i) run.apply(script.steps[i], i);
   run.sim.run();
   const std::vector<std::pair<std::uint64_t, SimTime>> departures{
-      {1, millis(1)}, {2, micros(1500)}, {5, millis(2)}, {4, micros(2500)}};
+      {0, millis(1)}, {1, micros(1500)}, {3, millis(2)}};
   EXPECT_EQ(run.serialized, departures);
-  EXPECT_EQ(run.channel.stats().priority_packets, 1u);
 }
 
 }  // namespace

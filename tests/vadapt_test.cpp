@@ -14,7 +14,6 @@
 #include "vadapt/enumerate.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/problem.hpp"
-#include "vadapt/reservations.hpp"
 #include "vadapt/widest_path.hpp"
 
 namespace vw::vadapt {
@@ -338,47 +337,6 @@ TEST(ExhaustiveTest, FindsKnownOptimum) {
 TEST(ExhaustiveTest, SpaceGuardThrows) {
   CapacityGraph g(std::vector<net::NodeId>(12, 0), 1.0, 0.001);
   EXPECT_THROW(exhaustive_search(g, {}, 12, Objective{}, 1000), std::invalid_argument);
-}
-
-// --- reservation planning (configuration element 4) -----------------------------
-
-TEST(ReservationPlanTest, AggregatesSharedEdges) {
-  const std::vector<Demand> demands{{0, 1, 10e6}, {2, 1, 20e6}};
-  Configuration conf;
-  conf.mapping = {0, 2, 1};
-  conf.paths = {{0, 1, 2}, {1, 2}};  // both cross edge 1->2
-  const ReservationPlan plan = plan_reservations(demands, conf, /*headroom=*/0.0);
-  EXPECT_DOUBLE_EQ(plan.rate_for(0, 1), 10e6);
-  EXPECT_DOUBLE_EQ(plan.rate_for(1, 2), 30e6);
-  EXPECT_DOUBLE_EQ(plan.rate_for(2, 1), 0.0);
-  EXPECT_DOUBLE_EQ(plan.total_rate(), 40e6);
-}
-
-TEST(ReservationPlanTest, HeadroomScales) {
-  const std::vector<Demand> demands{{0, 1, 10e6}};
-  Configuration conf;
-  conf.mapping = {0, 1};
-  conf.paths = {{0, 1}};
-  const ReservationPlan plan = plan_reservations(demands, conf, 0.5);
-  EXPECT_DOUBLE_EQ(plan.rate_for(0, 1), 15e6);
-}
-
-TEST(ReservationPlanTest, CappedVariantRespectsCapacity) {
-  const CapacityGraph g = small_graph();  // 0-2 direct edge is only 10 Mbps
-  const std::vector<Demand> demands{{0, 1, 50e6}};
-  Configuration conf;
-  conf.mapping = {0, 2};
-  conf.paths = {{0, 2}};
-  const ReservationPlan plan = plan_reservations(g, demands, conf, 0.25);
-  EXPECT_DOUBLE_EQ(plan.rate_for(0, 2), 10e6);
-}
-
-TEST(ReservationPlanTest, MismatchedPathsThrow) {
-  Configuration conf;
-  conf.mapping = {0, 1};
-  EXPECT_THROW(plan_reservations({{0, 1, 1e6}}, conf), std::invalid_argument);
-  conf.paths = {{0, 1}};
-  EXPECT_THROW(plan_reservations({{0, 1, 1e6}}, conf, -0.1), std::invalid_argument);
 }
 
 // --- the challenge scenario (paper Figure 9) -----------------------------------------

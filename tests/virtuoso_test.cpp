@@ -234,37 +234,6 @@ TEST(VirtuosoTest, DisableAutoAdaptationStopsTriggers) {
   EXPECT_EQ(env.system.auto_adaptations(), 0u);
 }
 
-TEST(VirtuosoTest, InstallReservationsBacksOverlayLinks) {
-  SystemConfig config;
-  config.annealing.iterations = 200;
-  ChallengeCluster env(config);
-  env.system.create_vm("vm-0", env.tb.domain1_hosts[0], 4ull << 20);
-  env.system.create_vm("vm-1", env.tb.domain1_hosts[1], 4ull << 20);
-
-  env.feed_truth();  // so adaptation has a capacity view
-  // Manufacture a demand-bearing outcome: VTTIF has no traffic yet, so
-  // drive apply + reserve with an explicit configuration.
-  AdaptationOutcome outcome;
-  outcome.hosts = env.system.overlay().daemon_hosts();
-  outcome.demands = {vadapt::Demand{0, 1, 5e6}};
-  outcome.configuration.mapping = {0, 1};
-  outcome.configuration.paths = {{0, 1}};
-  const vadapt::CapacityGraph graph = env.system.capacity_graph();
-  env.system.apply_configuration(graph, outcome.demands, outcome.configuration);
-  env.sim.run_until(seconds(10.0));  // links establish, VMs settle
-
-  const std::size_t granted = env.system.install_reservations(outcome, 0.2);
-  EXPECT_EQ(granted, 1u);
-  EXPECT_EQ(env.system.active_reservations(), 1u);
-
-  // Re-installation releases the old set first (no leak/duplication).
-  EXPECT_EQ(env.system.install_reservations(outcome, 0.2), 1u);
-  EXPECT_EQ(env.system.active_reservations(), 1u);
-
-  env.system.release_reservations();
-  EXPECT_EQ(env.system.active_reservations(), 0u);
-}
-
 TEST(VirtuosoTest, AdaptTwiceIsStable) {
   SystemConfig config;
   config.annealing.iterations = 500;
