@@ -32,10 +32,10 @@
 //
 // --capture DIR persists every daemon host's packet-header trace as a
 // vw.trace.v1 binary shard under DIR (one file per host, encoded and
-// written on the simulation thread), turning each chaos run
-// into a reusable measurement corpus for the vwcap-* tools and offline
-// replay. Capture only observes — the run signature is bit-identical with
-// and without it.
+// written on the simulation thread), turning each chaos run into per-host
+// archives for offline replay (read_trace_binary_file -> analyze_offline).
+// Capture only observes — the run signature is bit-identical with and
+// without it.
 
 #include <cstdint>
 #include <cstring>

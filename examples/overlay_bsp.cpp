@@ -9,13 +9,13 @@
 //
 //   $ ./examples/overlay_bsp
 
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
 #include "topo/testbed.hpp"
 #include "virtuoso/system.hpp"
 #include "vm/apps.hpp"
-#include "vttif/classify.hpp"
 
 using namespace vw;
 
@@ -66,11 +66,6 @@ int main() {
               << e.rate_bps / 1e6 << " Mb/s  (normalized " << e.normalized << ")"
               << (is_true_edge ? "" : "  [NOT a real neighbor!]") << "\n";
   }
-
-  const vttif::Classification cls = vttif::classify_topology(topo);
-  std::cout << "\npattern catalog says: " << vttif::to_string(cls.kind);
-  if (cls.kind == vttif::PatternKind::kMesh2D) std::cout << " (" << cls.parameter << " rows)";
-  std::cout << "\n";
 
   // Completeness check: every true grid edge should have been recovered.
   std::size_t missing = 0;

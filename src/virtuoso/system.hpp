@@ -108,8 +108,8 @@ struct SystemConfig {
   /// daemon's trace facility (the same tap its Wren analyzer drains) also
   /// streams its packet-header records to a vw.trace.v1 shard in it:
   /// trace_host<id>.vwtrace, shard tag = add order. Shards finalize on
-  /// finish_capture() or destruction and feed the vwcap-* tool suite +
-  /// offline replay.
+  /// finish_capture() or destruction; read_trace_binary_file +
+  /// analyze_offline replay them.
   std::string capture_dir;
   /// The federated measurement plane (DESIGN.md §5i). When enabled,
   /// bootstrap() splits the daemons into regions, stands up a RegionalProxy

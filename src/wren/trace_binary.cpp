@@ -137,7 +137,8 @@ BinaryTrace read_trace_binary(std::istream& in) {
 
   BinaryTrace trace;
   trace.header = decode_header(hdr.data());
-  trace.records.reserve(static_cast<std::size_t>(trace.header.record_count));
+  // record_count is untrusted until the body confirms it, so it sizes
+  // nothing: the vector grows with the records actually decoded.
 
   std::array<unsigned char, kTraceRecordSize> buf;
   std::uint64_t n = 0;

@@ -9,9 +9,9 @@
 #include "wren/trace.hpp"
 
 // The vw.trace.v1 compact binary trace format, the repository's one trace
-// format: capture shards, vwcap tool outputs and offline archives all use
-// it. High-rate capture wants a fixed-size layout the shard sink can encode
-// straight into its buffer and tools can mmap-scan. Layout
+// format: capture shards and offline archives both use it. High-rate
+// capture wants a fixed-size layout the shard sink can encode straight into
+// its buffer. Layout
 // (everything little-endian, regardless of host byte order):
 //
 //   file header, 64 bytes:
@@ -52,7 +52,7 @@ inline constexpr std::size_t kTraceHeaderSize = 64;
 
 /// File-level capture metadata carried by the vw.trace.v1 header.
 struct TraceFileHeader {
-  net::NodeId host = net::kInvalidNode;  ///< capturing host (kInvalidNode for merged files)
+  net::NodeId host = net::kInvalidNode;  ///< capturing host
   std::uint32_t shard = 0;               ///< capture shard / NIC tag
   std::uint64_t record_count = 0;
   std::uint64_t dropped = 0;  ///< 0 from the shard sink; kept for format stability

@@ -1,7 +1,7 @@
 // Tests for the vw.trace.v1 binary capture datapath: the binary codec
 // (incl. corrupt-input handling), the trace facility's buffered shard sink,
-// the system's per-daemon capture wiring, the corpus operations
-// (merge/filter/match), and the binary -> offline-replay differential.
+// the system's per-daemon capture wiring, and the binary -> offline-replay
+// differential.
 
 #include <gtest/gtest.h>
 
@@ -144,6 +144,11 @@ TEST(TraceBinaryTest, RejectsRecordCountMismatch) {
   bytes[24] = 1;
   expect_parse_error(bytes, "count");
   expect_parse_error(ss.str() + "surplus", "truncated");
+  // A header-only file claiming 2^64-1 records: the count sizes nothing, so
+  // the mismatch is reported instead of an allocation failure.
+  std::string huge = bytes.substr(0, kTraceHeaderSize);
+  huge.replace(24, 8, 8, '\xff');
+  expect_parse_error(huge, "count");
 }
 
 TEST(TraceBinaryTest, ReadFileReportsMissingPath) {
@@ -359,7 +364,7 @@ TEST(ShardSinkTest, FailedWriteThrowsOnExplicitFinishOnly) {
   EXPECT_EQ(reg.counter("wren.trace.writer.failed").value(), 1u);
 }
 
-TEST(ShardSinkTest, OneShardPerHostMergesTimeOrdered) {
+TEST(ShardSinkTest, OneShardPerHostIsTimeOrdered) {
   CaptureEnv env;
   const std::string dir = temp_path("capture-shards");
   std::filesystem::create_directories(dir);
@@ -371,21 +376,19 @@ TEST(ShardSinkTest, OneShardPerHostMergesTimeOrdered) {
   const std::uint64_t total = at_sender.finish_capture() + at_receiver.finish_capture();
   EXPECT_GT(total, 0u);
 
-  std::vector<std::vector<PacketRecord>> shards;
+  std::uint64_t sum = 0;
+  std::uint32_t shard = 0;
   for (const net::NodeId host : {env.sender, env.receiver}) {
     const BinaryTrace t =
         read_trace_binary_file(dir + "/trace_host" + std::to_string(host) + ".vwtrace");
     EXPECT_EQ(t.header.host, host);
-    EXPECT_EQ(t.header.shard, shards.size());
-    shards.push_back(t.records);
+    EXPECT_EQ(t.header.shard, shard++);
+    for (std::size_t i = 1; i < t.records.size(); ++i) {
+      EXPECT_LE(t.records[i - 1].timestamp, t.records[i].timestamp) << "host " << host;
+    }
+    sum += t.records.size();
   }
-  EXPECT_EQ(shards[0].size() + shards[1].size(), total);
-
-  const auto merged = merge_traces(shards);
-  ASSERT_EQ(merged.size(), total);
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_LE(merged[i - 1].timestamp, merged[i].timestamp);
-  }
+  EXPECT_EQ(sum, total);
 }
 
 // --- the system's capture wiring ----------------------------------------------
@@ -443,100 +446,6 @@ TEST(SystemCaptureTest, NoShardNoWriterCounters) {
   EXPECT_EQ(env.system->finish_capture(), 0u);
   EXPECT_EQ(env.system->metrics()->snapshot("wren.trace.writer").metrics.size(), 0u);
   EXPECT_GT(env.system->metrics()->snapshot("wren.trace.captured").metrics.size(), 0u);
-}
-
-// --- corpus operations -------------------------------------------------------
-
-TEST(TraceFilterTest, FieldsComposeAndUnsetMatchesAll) {
-  PacketRecord r = sample_record();  // src 3 -> dst 7, ports 1000 -> 2000
-  EXPECT_TRUE(TraceFilter{}.matches(r));
-
-  TraceFilter f;
-  f.src = 3;
-  f.dst = 7;
-  f.dst_port = 2000;
-  EXPECT_TRUE(f.matches(r));
-  f.src_port = 1001;
-  EXPECT_FALSE(f.matches(r));
-
-  TraceFilter window;
-  window.from = millis(123);
-  window.to = millis(123);
-  EXPECT_TRUE(window.matches(r));  // inclusive on both ends
-  window.to = millis(122);
-  window.from = millis(0);
-  EXPECT_FALSE(window.matches(r));
-
-  TraceFilter useful;
-  useful.useful_only = true;
-  EXPECT_TRUE(useful.matches(r));  // outgoing data
-  PacketRecord in_data = r;
-  in_data.direction = net::TapDirection::kIncoming;
-  EXPECT_FALSE(useful.matches(in_data));
-}
-
-TEST(MatchTracesTest, PairsFramesAndCountsLoss) {
-  // Hand-built two-point capture: three data frames leave A; the second is
-  // lost; the first is retransmitted (same seq/payload) and both copies
-  // arrive — FIFO pairing must map copy 1 -> arrival 1, copy 2 -> arrival 2.
-  const net::FlowKey flow{0, 1, 1000, 2000, net::Protocol::kTcp};
-  auto frame = [&](SimTime t, std::uint64_t seq, net::TapDirection dir) {
-    PacketRecord r;
-    r.timestamp = t;
-    r.direction = dir;
-    r.flow = flow;
-    r.payload_bytes = 1460;
-    r.wire_bytes = 1500;
-    r.seq = seq;
-    return r;
-  };
-  std::vector<PacketRecord> from{
-      frame(millis(1), 0, net::TapDirection::kOutgoing),
-      frame(millis(2), 1460, net::TapDirection::kOutgoing),  // lost
-      frame(millis(3), 0, net::TapDirection::kOutgoing),     // retransmission
-  };
-  std::vector<PacketRecord> to{
-      frame(millis(1) + micros(200), 0, net::TapDirection::kIncoming),
-      frame(millis(3) + micros(300), 0, net::TapDirection::kIncoming),
-  };
-
-  const MatchResult result = match_traces(from, to);
-  ASSERT_EQ(result.matched.size(), 2u);
-  EXPECT_EQ(result.unmatched_from, 1u);
-  EXPECT_EQ(result.unmatched_to, 0u);
-  EXPECT_EQ(result.matched[0].latency(), micros(200));
-  EXPECT_EQ(result.matched[1].latency(), micros(300));
-  EXPECT_EQ(result.min_latency(), micros(200));
-  EXPECT_EQ(result.max_latency(), micros(300));
-  EXPECT_EQ(result.latency_quantile(0.5), micros(200));
-  EXPECT_DOUBLE_EQ(result.mean_latency_ns(), (micros(200) + micros(300)) / 2.0);
-}
-
-TEST(MatchTracesTest, SimulatedTwoPointLatencyRespectsPropagation) {
-  // Capture at both ends of sender -> switch -> receiver (50 us per hop)
-  // and match: every frame's NIC-departure -> NIC-delivery latency must be
-  // at least the two-hop propagation delay plus downstream serialization.
-  CaptureEnv env;
-  const std::string from_path = temp_path("match-from.vwtrace");
-  const std::string to_path = temp_path("match-to.vwtrace");
-  TraceFacility at_sender(env.net, env.sender);
-  TraceFacility at_receiver(env.net, env.receiver);
-  at_sender.capture_to(from_path);
-  at_receiver.capture_to(to_path);
-  env.run_transfer();
-  at_sender.finish_capture();
-  at_receiver.finish_capture();
-
-  const BinaryTrace from = read_trace_binary_file(from_path);
-  const BinaryTrace to = read_trace_binary_file(to_path);
-  const MatchResult result = match_traces(from.records, to.records);
-  ASSERT_GT(result.matched.size(), 100u);
-  EXPECT_EQ(result.unmatched_from, 0u);  // lossless path, every frame arrives
-  // 2 x 50 us propagation + >= 120 ns serialization of the second hop.
-  EXPECT_GE(result.min_latency(), micros(100));
-  EXPECT_LT(result.min_latency(), millis(10));
-  EXPECT_LE(result.min_latency(), result.latency_quantile(0.5));
-  EXPECT_LE(result.latency_quantile(0.5), result.max_latency());
 }
 
 // --- the differential: binary capture replays to identical estimates ---------

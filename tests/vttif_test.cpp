@@ -8,7 +8,6 @@
 #include "sim/simulator.hpp"
 #include "transport/stack.hpp"
 #include "vnet/overlay.hpp"
-#include "vttif/classify.hpp"
 #include "vttif/global.hpp"
 #include "vttif/local.hpp"
 #include "vttif/matrix.hpp"
@@ -240,95 +239,6 @@ TEST(GlobalVttifTest, EndToEndWithLocalHalf) {
   EXPECT_EQ(topo.edges[0].src, 1u);
   EXPECT_EQ(topo.edges[0].dst, 2u);
   EXPECT_DOUBLE_EQ(topo.edges[0].normalized, 1.0);
-}
-
-// --- topology classification ---------------------------------------------------
-
-namespace classify_helpers {
-
-Topology from_edges(const std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>>& edges) {
-  TrafficMatrix m;
-  for (const auto& [src, dst] : edges) m.add(src, dst, 1000);
-  return infer_topology(m);
-}
-
-}  // namespace classify_helpers
-
-using classify_helpers::from_edges;
-
-TEST(ClassifyTest, AllToAll) {
-  std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>> edges;
-  for (vnet::MacAddress a = 1; a <= 4; ++a) {
-    for (vnet::MacAddress b = 1; b <= 4; ++b) {
-      if (a != b) edges.push_back({a, b});
-    }
-  }
-  EXPECT_EQ(classify_topology(from_edges(edges)).kind, PatternKind::kAllToAll);
-}
-
-TEST(ClassifyTest, BidirectionalRing) {
-  std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>> edges;
-  for (vnet::MacAddress i = 0; i < 5; ++i) {
-    edges.push_back({i + 1, (i + 1) % 5 + 1});
-    edges.push_back({(i + 1) % 5 + 1, i + 1});
-  }
-  EXPECT_EQ(classify_topology(from_edges(edges)).kind, PatternKind::kRing);
-}
-
-TEST(ClassifyTest, UnidirectionalRing) {
-  std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>> edges;
-  for (vnet::MacAddress i = 0; i < 6; ++i) edges.push_back({i + 1, (i + 1) % 6 + 1});
-  EXPECT_EQ(classify_topology(from_edges(edges)).kind, PatternKind::kRingUni);
-}
-
-TEST(ClassifyTest, Chain) {
-  EXPECT_EQ(classify_topology(from_edges({{1, 2}, {2, 1}, {2, 3}, {3, 2}})).kind,
-            PatternKind::kChain);
-}
-
-TEST(ClassifyTest, StarFindsHub) {
-  std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>> edges;
-  for (vnet::MacAddress worker : {1u, 2u, 4u, 5u}) {
-    edges.push_back({3, worker});
-    edges.push_back({worker, 3});
-  }
-  const Classification c = classify_topology(from_edges(edges));
-  EXPECT_EQ(c.kind, PatternKind::kStar);
-  EXPECT_EQ(c.parameter, 2u);  // index of MAC 3 in sorted {1,2,3,4,5}
-}
-
-TEST(ClassifyTest, Mesh2x3) {
-  // 2x3 grid over MACs 1..6.
-  std::vector<std::pair<vnet::MacAddress, vnet::MacAddress>> edges;
-  auto connect = [&](vnet::MacAddress a, vnet::MacAddress b) {
-    edges.push_back({a, b});
-    edges.push_back({b, a});
-  };
-  connect(1, 2);
-  connect(2, 3);
-  connect(4, 5);
-  connect(5, 6);
-  connect(1, 4);
-  connect(2, 5);
-  connect(3, 6);
-  const Classification c = classify_topology(from_edges(edges));
-  EXPECT_EQ(c.kind, PatternKind::kMesh2D);
-  EXPECT_EQ(c.parameter, 2u);  // rows
-}
-
-TEST(ClassifyTest, IrregularAndEmpty) {
-  EXPECT_EQ(classify_topology(Topology{}).kind, PatternKind::kIrregular);
-  EXPECT_EQ(classify_topology(from_edges({{1, 2}, {3, 4}, {1, 4}})).kind,
-            PatternKind::kIrregular);
-}
-
-TEST(ClassifyTest, TwoVmPairIsChain) {
-  EXPECT_EQ(classify_topology(from_edges({{1, 2}, {2, 1}})).kind, PatternKind::kChain);
-}
-
-TEST(ClassifyTest, ToStringNames) {
-  EXPECT_EQ(to_string(PatternKind::kAllToAll), "all-to-all");
-  EXPECT_EQ(to_string(PatternKind::kMesh2D), "2D mesh");
 }
 
 }  // namespace

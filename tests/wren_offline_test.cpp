@@ -51,10 +51,6 @@ TEST(UsefulRecordTest, FilterUsefulDropsNoise) {
   in_ack.payload_bytes = 0;
   records.push_back(in_ack);  // keep
   EXPECT_EQ(filter_useful(records).size(), 2u);
-  // vwcap-extract --useful applies the same predicate.
-  TraceFilter useful;
-  useful.useful_only = true;
-  EXPECT_EQ(apply_filter(records, useful).size(), 2u);
 }
 
 // --- offline analysis -----------------------------------------------------------

@@ -4,7 +4,8 @@
 Seeds 42 and 7 must print the `signature:` line recorded in
 tests/golden/chaos_signature_seed{42,7}.txt. A malformed --seed value is a
 usage error: exit 2 naming the option, never an uncaught exception, a
-truncated number or a wrapped negative.
+truncated number, a wrapped negative or out-of-range value, or a read past
+the end of argv.
 
   $ python3 tools/test_chaos_cli.py CHAOS_CLUSTER GOLDEN_DIR
 
@@ -18,7 +19,9 @@ import subprocess
 import sys
 
 SEEDS = ["42", "7"]
-BAD_SEEDS = ["abc", "7x", "-1"]
+# Each entry is the argv tail after `--seed`: non-numeric, trailing garbage,
+# negative, one past the u64 range, and no value at all.
+BAD_SEEDS = [["abc"], ["7x"], ["-1"], ["18446744073709551616"], []]
 
 
 def run(binary: str, args: list[str]) -> subprocess.CompletedProcess[str]:
@@ -39,11 +42,11 @@ def main(argv: list[str]) -> int:
             failures += 1
             print(f"  FAIL --seed {seed}: exit {proc.returncode}, signature {got!r} "
                   f"(want exit 0 and {want!r})")
-    for value in BAD_SEEDS:
-        proc = run(binary, ["--seed", value])
+    for tail in BAD_SEEDS:
+        proc = run(binary, ["--seed", *tail])
         if proc.returncode != 2 or "--seed" not in proc.stderr:
             failures += 1
-            print(f"  FAIL --seed {value}: exit {proc.returncode}, "
+            print(f"  FAIL --seed {' '.join(tail)}: exit {proc.returncode}, "
                   f"stderr {proc.stderr.strip()!r} (want exit 2 naming --seed)")
     total = len(SEEDS) + len(BAD_SEEDS)
     print(f"test_chaos_cli: {total - failures}/{total} passed")
