@@ -1,6 +1,5 @@
-// Federation-scale gate (ISSUE 9 / ROADMAP item 3): the fleet-scale
-// federated measurement plane on a BRITE physical topology, up to 1000
-// VNET daemons.
+// Federation-scale gate: the fleet-scale federated measurement plane
+// (DESIGN.md §5i) on a BRITE physical topology, up to 1000 VNET daemons.
 //
 // For each fleet size n the scenario runs twice on identical report
 // streams — once with the flat single-Proxy plane (every daemon's
@@ -10,7 +9,8 @@
 // readings (BRITE routed-path bottleneck/latency) every report period; the
 // 32-host candidate pool additionally reports all pool peers, and the
 // planner's demand hints are pushed down so the hot pairs survive top-k
-// selection — the SONoMA/WLCG story this PR implements.
+// selection, as in WLCG's regional rollups. Every reading is a report:
+// nothing is probed on demand.
 //
 // Enforced gates (exit nonzero on violation), emitted as
 // BENCH_federation.json:

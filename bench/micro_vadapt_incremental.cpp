@@ -1,8 +1,8 @@
 // Incremental-evaluation micro benchmarks (the PR's acceptance gate): SA
 // iteration throughput with the O(path-length) IncrementalEvaluator vs the
 // pre-incremental full-rescore cost structure, the underlying single-move
-// delta vs a from-scratch evaluate(), and the adjacency-list/cached widest
-// paths vs the dense O(n^2) scan.
+// delta vs a from-scratch evaluate(), and the adjacency-list and cached
+// widest paths.
 //
 // Both annealing variants consume the identical RNG stream and — because
 // delta evaluation is bit-exact — make identical optimizer decisions, so
@@ -114,17 +114,9 @@ void BM_SetPathDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_SetPathDelta);
 
-// --- widest paths: dense matrix scan vs adjacency view vs cached tree ------
-void BM_WidestPathsDense(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const CapacityGraph g = random_graph(n, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(widest_paths(g.bandwidth_matrix(), 0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WidestPathsDense)->Arg(32)->Arg(128);
-
+// --- widest paths: adjacency view vs cached tree ---------------------------
+// The dense O(n^2) scan on the same graphs is micro_algorithms'
+// BM_WidestPaths.
 void BM_WidestPathsView(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const CapacityGraph g = random_graph(n, 1);

@@ -89,9 +89,4 @@ std::uint64_t EventTracer::dropped() const {
   return dropped_;
 }
 
-void EventTracer::clear() {
-  MutexLock lock(mu_);
-  ring_.clear();
-}
-
 }  // namespace vw::obs

@@ -95,7 +95,6 @@ class EventTracer {
   std::size_t capacity() const { return capacity_; }
   std::uint64_t recorded() const VW_EXCLUDES(mu_);
   std::uint64_t dropped() const VW_EXCLUDES(mu_);
-  void clear() VW_EXCLUDES(mu_);
 
   SimTime now() const { return clock_ ? clock_() : 0; }
 

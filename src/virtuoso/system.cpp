@@ -304,10 +304,6 @@ vnet::ControlPlane* VirtuosoSystem::regional_control(wren::RegionId region) {
   return reg ? reg->control.get() : nullptr;
 }
 
-wren::MeasurementScheduler* VirtuosoSystem::measurement_scheduler() {
-  return federation_ ? federation_->scheduler.get() : nullptr;
-}
-
 vnet::ControlPlane& VirtuosoSystem::report_plane(net::NodeId host) {
   vnet::ControlPlane* regional =
       federation_ ? regional_control(federation_->region_map.region_of(host)) : nullptr;
@@ -336,11 +332,6 @@ void VirtuosoSystem::bootstrap_federation() {
   fed->root->set_host_seen_fn(
       [this](net::NodeId host, SimTime at) { note_report_at(host, at); });
   fed->root->set_obs(scope());
-
-  fed->scheduler = std::make_unique<wren::MeasurementScheduler>();
-  fed->scheduler->set_request_fn(
-      [this](net::NodeId from, net::NodeId to) { start_probe(from, to); });
-  fed->scheduler->set_obs(scope());
 
   // Summaries arrive at the root over the regular control plane, so their
   // traffic crosses the simulated network and is measurable against the
@@ -427,45 +418,16 @@ void VirtuosoSystem::prepare_federation_for_plan(const std::vector<vadapt::Deman
   // Demand push-down: tell each regional proxy which of its pairs carry VM
   // traffic, so top-k sampling keeps the pairs the next plan will price.
   for (FederationRegion& reg : federation_->regions) reg.proxy->clear_demand_weights();
-  std::vector<std::pair<net::NodeId, net::NodeId>> hot;
   for (const vadapt::Demand& d : demands) {
     if (d.src >= vms_.size() || d.dst >= vms_.size()) continue;
     if (!vms_[d.src]->attached() || !vms_[d.dst]->attached()) continue;
     const net::NodeId from = vms_[d.src]->host();
     const net::NodeId to = vms_[d.dst]->host();
     if (from == to) continue;
-    hot.push_back({from, to});
     if (wren::RegionalProxy* proxy = regional_proxy_for(from)) {
       proxy->set_demand_weight(from, to, d.rate_bps);
     }
   }
-  // SONoMA-style on-demand sessions for the hot pairs the root holds no
-  // fresh measurement for.
-  federation_->scheduler->request_cold_pairs(view_, hot, sim_.now());
-}
-
-void VirtuosoSystem::start_probe(net::NodeId from, net::NodeId to) {
-  const std::uint64_t id = next_probe_id_++;
-  if (next_probe_port_ < 30000) next_probe_port_ = 30000;  // wrapped
-  const std::uint16_t port = next_probe_port_++;
-  auto prober = std::make_unique<wren::ActiveProber>(stack_, from, to, port);
-  wren::ActiveProber* p = prober.get();
-  probes_.emplace(id, std::move(prober));
-  p->start([this, id, from, to](double estimate_bps) {
-    const SimTime now = sim_.now();
-    // The session result enters the plane exactly like a daemon report:
-    // into the measuring host's regional view (so it rides future
-    // summaries) and into the root view (so the pending plan sees it).
-    if (wren::RegionalProxy* proxy = regional_proxy_for(from)) {
-      proxy->note_host(from, now);
-      proxy->view().update_bandwidth(from, to, estimate_bps, now);
-    }
-    view_.update_bandwidth(from, to, estimate_bps, now);
-    if (federation_) federation_->scheduler->on_result(from, to);
-    // The prober cannot be destroyed from inside its own completion
-    // callback; erase it on the next event.
-    sim_.schedule_at(now, [this, id] { probes_.erase(id); });
-  });
 }
 
 void VirtuosoSystem::kill_daemon(net::NodeId host) {

@@ -24,7 +24,6 @@
 #include "vnet/overlay.hpp"
 #include "vttif/global.hpp"
 #include "vttif/local.hpp"
-#include "wren/active.hpp"
 #include "wren/analyzer.hpp"
 #include "wren/federation.hpp"
 #include "wren/view.hpp"
@@ -204,8 +203,6 @@ class VirtuosoSystem {
   wren::RegionalProxy* regional_proxy(wren::RegionId region);
   /// The control plane daemons of `region` report into; null when absent.
   vnet::ControlPlane* regional_control(wren::RegionId region);
-  /// The on-demand measurement scheduler; null when federation is off.
-  wren::MeasurementScheduler* measurement_scheduler();
 
   /// Run the liveness sweep and drop expired view entries NOW, so the next
   /// capacity_graph() snapshot cannot be built over adjacency that predates
@@ -268,7 +265,6 @@ class VirtuosoSystem {
   struct FederationRuntime {
     wren::RegionMap region_map;
     std::unique_ptr<wren::FederationRoot> root;
-    std::unique_ptr<wren::MeasurementScheduler> scheduler;
     std::vector<FederationRegion> regions;  ///< region r at index r
   };
 
@@ -295,10 +291,9 @@ class VirtuosoSystem {
   /// the root tier, full Wren report otherwise). Deferred + deduplicated so
   /// the control plane's gap callback never re-enters send().
   void schedule_full_re_report(net::NodeId host, bool regional_tier);
-  /// Demand push-down + on-demand cold-pair sessions for the pairs the
-  /// planner is about to optimize over.
+  /// Demand push-down: weight the pairs the planner is about to optimize
+  /// over so regional top-k sampling keeps them.
   void prepare_federation_for_plan(const std::vector<vadapt::Demand>& demands);
-  void start_probe(net::NodeId from, net::NodeId to);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -328,9 +323,6 @@ class VirtuosoSystem {
   std::uint64_t failure_replans_ = 0;
   std::uint64_t daemons_declared_dead_ = 0;
   std::unique_ptr<FederationRuntime> federation_;
-  std::map<std::uint64_t, std::unique_ptr<wren::ActiveProber>> probes_;
-  std::uint64_t next_probe_id_ = 0;
-  std::uint16_t next_probe_port_ = 30000;
   std::set<net::NodeId> rereport_pending_;
   /// Created on the first multi-start adaptation that resolves to more
   /// than one thread, then reused: the control loop adapts repeatedly.

@@ -8,16 +8,6 @@
 
 namespace vw::vm {
 
-const char* to_string(MigrationStatus status) {
-  switch (status) {
-    case MigrationStatus::kCompleted: return "completed";
-    case MigrationStatus::kSuperseded: return "superseded";
-    case MigrationStatus::kFailed: return "failed";
-    case MigrationStatus::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 MigrationEngine::MigrationEngine(sim::Simulator& sim, net::Network& network)
     : sim_(sim), network_(network) {}
 

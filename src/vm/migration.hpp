@@ -31,8 +31,6 @@ enum class MigrationStatus {
   kAborted,     ///< abort() cancelled it; VM re-attached at source
 };
 
-const char* to_string(MigrationStatus status);
-
 inline constexpr SimTime kMigrationOverhead = millis(500);  ///< pause/resume/bookkeeping cost
 inline constexpr double kMigrationEfficiency = 0.7;  ///< fraction of path bottleneck usable
 inline constexpr double kMigrationFallbackBps = 100e6;  ///< used when the path is unknown

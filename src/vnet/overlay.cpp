@@ -44,13 +44,6 @@ VnetDaemon& Overlay::daemon_on(net::NodeId host) {
   return *it->second;
 }
 
-std::vector<VnetDaemon*> Overlay::daemons() {
-  std::vector<VnetDaemon*> out;
-  out.reserve(daemons_.size());
-  for (auto& d : daemons_) out.push_back(d.get());
-  return out;
-}
-
 std::vector<net::NodeId> Overlay::daemon_hosts() const {
   std::vector<net::NodeId> out;
   out.reserve(by_host_.size());

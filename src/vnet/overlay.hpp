@@ -34,7 +34,6 @@ class Overlay {
 
   VnetDaemon& proxy();
   VnetDaemon& daemon_on(net::NodeId host);
-  std::vector<VnetDaemon*> daemons();
   std::vector<net::NodeId> daemon_hosts() const;
 
   // --- VM MAC registry (the Proxy's network presence) ---------------------

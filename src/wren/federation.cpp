@@ -468,60 +468,4 @@ void FederationRoot::set_obs(const obs::Scope& scope) {
   g_regions_ = scope.gauge("wren.federation.regions");
 }
 
-// --- MeasurementScheduler ----------------------------------------------------
-
-MeasurementScheduler::MeasurementScheduler(MeasurementSchedulerParams params)
-    : params_(params) {
-  VW_REQUIRE(params_.max_outstanding >= 1,
-             "MeasurementScheduler: need a probe budget of at least 1");
-}
-
-std::size_t MeasurementScheduler::request_cold_pairs(
-    const GlobalNetworkView& view, const std::vector<std::pair<net::NodeId, net::NodeId>>& needed,
-    SimTime now) {
-  std::size_t issued = 0;
-  for (const auto& pair : needed) {
-    if (pair.first == pair.second) continue;
-    if (view.bandwidth_bps(pair.first, pair.second).has_value()) continue;  // warm
-    if (outstanding_.contains(pair)) continue;
-    const auto last = last_request_.find(pair);
-    if (last != last_request_.end() && now - last->second < params_.request_cooldown) {
-      ++suppressed_;
-      obs::add(c_suppressed_);
-      continue;
-    }
-    if (outstanding_.size() >= params_.max_outstanding) {
-      ++suppressed_;
-      obs::add(c_suppressed_);
-      continue;
-    }
-    last_request_[pair] = now;
-    outstanding_.insert(pair);
-    ++requested_;
-    ++issued;
-    obs::add(c_requested_);
-    if (g_outstanding_ != nullptr) {
-      obs::set(g_outstanding_, static_cast<double>(outstanding_.size()));
-    }
-    if (request_) request_(pair.first, pair.second);
-  }
-  return issued;
-}
-
-void MeasurementScheduler::on_result(net::NodeId from, net::NodeId to) {
-  if (outstanding_.erase({from, to}) == 0) return;
-  ++completed_;
-  obs::add(c_completed_);
-  if (g_outstanding_ != nullptr) {
-    obs::set(g_outstanding_, static_cast<double>(outstanding_.size()));
-  }
-}
-
-void MeasurementScheduler::set_obs(const obs::Scope& scope) {
-  c_requested_ = scope.counter("wren.federation.ondemand.requested");
-  c_completed_ = scope.counter("wren.federation.ondemand.completed");
-  c_suppressed_ = scope.counter("wren.federation.ondemand.suppressed");
-  g_outstanding_ = scope.gauge("wren.federation.ondemand.outstanding");
-}
-
 }  // namespace vw::wren

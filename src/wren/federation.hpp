@@ -17,8 +17,8 @@
 // The paper's Proxy keeps one flat GlobalNetworkView fed by every VNET
 // daemon. That dies at fleet size: O(n^2) path entries, all-pairs
 // freshness, a single report sink. This layer splits the plane into tiers,
-// following SONoMA's service-oriented measurement sessions and WLCG's
-// regional monitoring aggregation (PAPERS.md):
+// following WLCG's regional monitoring aggregation (PAPERS.md). It only
+// relays the daemons' passive Wren reports and never probes:
 //
 //   daemons --(WrenReport)--> RegionalProxy --(FederationSummary)--> root
 //
@@ -33,10 +33,6 @@
 // staleness-TTL contract (PR 4) is the cross-tier consistency contract: an
 // entry is fresh at the root iff it would have been fresh had the daemon
 // reported directly.
-//
-// Instead of keeping every pair fresh, a MeasurementScheduler requests
-// targeted measurements (Wren passive refresh or active probes) only for
-// the cold pairs VADAPT actually needs — SONoMA's on-demand session model.
 //
 // Serial oracle: with one region and sampling off (summary_max_pairs == 0)
 // every entry is exported verbatim with its original timestamp, and the
@@ -312,63 +308,6 @@ class FederationRoot {
   obs::Histogram* h_lag_ = nullptr;
   obs::Gauge* g_coverage_ = nullptr;
   obs::Gauge* g_regions_ = nullptr;
-};
-
-// --- on-demand measurement sessions ------------------------------------------
-
-struct MeasurementSchedulerParams {
-  /// Re-request a still-cold pair no sooner than this.
-  SimTime request_cooldown = seconds(10.0);
-  /// Concurrent in-flight measurement sessions (probe budget).
-  std::size_t max_outstanding = 8;
-};
-
-/// SONoMA-style on-demand sessions: instead of keeping all pairs fresh, the
-/// planner hands the scheduler the pairs it is about to optimize over, and
-/// the scheduler requests targeted measurements for the cold ones only.
-class MeasurementScheduler {
- public:
-  /// Issues one measurement session (e.g. starts an active probe).
-  using RequestFn = std::function<void(net::NodeId from, net::NodeId to)>;
-
-  explicit MeasurementScheduler(MeasurementSchedulerParams params = {});
-
-  MeasurementScheduler(const MeasurementScheduler&) = delete;
-  MeasurementScheduler& operator=(const MeasurementScheduler&) = delete;
-
-  void set_request_fn(RequestFn fn) { request_ = std::move(fn); }
-
-  /// Request sessions for every pair in `needed` that has no fresh
-  /// bandwidth in `view`, subject to the per-pair cooldown and the
-  /// outstanding budget. Returns how many sessions were issued.
-  std::size_t request_cold_pairs(const GlobalNetworkView& view,
-                                 const std::vector<std::pair<net::NodeId, net::NodeId>>& needed,
-                                 SimTime now);
-
-  /// A session completed (its measurement reached a view).
-  void on_result(net::NodeId from, net::NodeId to);
-
-  std::size_t outstanding() const { return outstanding_.size(); }
-  std::uint64_t requested() const { return requested_; }
-  std::uint64_t completed() const { return completed_; }
-  /// Cold pairs skipped for budget or cooldown.
-  std::uint64_t suppressed() const { return suppressed_; }
-
-  /// Attach telemetry (wren.federation.ondemand.* counters + gauge).
-  void set_obs(const obs::Scope& scope);
-
- private:
-  MeasurementSchedulerParams params_;
-  RequestFn request_;
-  std::map<std::pair<net::NodeId, net::NodeId>, SimTime> last_request_;
-  std::set<std::pair<net::NodeId, net::NodeId>> outstanding_;
-  std::uint64_t requested_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t suppressed_ = 0;
-  obs::Counter* c_requested_ = nullptr;
-  obs::Counter* c_completed_ = nullptr;
-  obs::Counter* c_suppressed_ = nullptr;
-  obs::Gauge* g_outstanding_ = nullptr;
 };
 
 // --- configuration (consumed by virtuoso::SystemConfig) ----------------------

@@ -67,24 +67,6 @@ std::optional<double> GlobalNetworkView::latency_seconds(net::NodeId from, net::
   return it->second.latency_s;
 }
 
-std::vector<std::pair<net::NodeId, net::NodeId>> GlobalNetworkView::measured_pairs() const {
-  std::vector<std::pair<net::NodeId, net::NodeId>> out;
-  out.reserve(entries_.size());
-  for (const auto& [pair, m] : entries_) {
-    if (is_fresh(m)) out.push_back(pair);
-  }
-  return out;
-}
-
-std::vector<std::tuple<net::NodeId, net::NodeId, double>> GlobalNetworkView::bandwidth_adjacency()
-    const {
-  std::vector<std::tuple<net::NodeId, net::NodeId, double>> out;
-  for (const auto& [pair, m] : entries_) {
-    if (m.has_bandwidth && is_fresh(m)) out.push_back({pair.first, pair.second, m.bandwidth_bps});
-  }
-  return out;
-}
-
 void GlobalNetworkView::invalidate(net::NodeId from, net::NodeId to) {
   auto it = entries_.find({from, to});
   if (it == entries_.end()) return;

@@ -56,17 +56,9 @@ class GlobalNetworkView {
   std::optional<double> bandwidth_bps(net::NodeId from, net::NodeId to) const;
   std::optional<double> latency_seconds(net::NodeId from, net::NodeId to) const;
 
-  /// All directed pairs with any fresh measurement (in practice only pairs
-  /// whose VNET daemons exchanged messages have entries, as the paper notes).
-  std::vector<std::pair<net::NodeId, net::NodeId>> measured_pairs() const;
-
   const std::map<std::pair<net::NodeId, net::NodeId>, PathMeasurement>& entries() const {
     return entries_;
   }
-
-  /// Adjacency-list form consumed by VADAPT: (from, to, bandwidth_bps).
-  /// Stale entries are excluded.
-  std::vector<std::tuple<net::NodeId, net::NodeId, double>> bandwidth_adjacency() const;
 
   // --- staleness --------------------------------------------------------------
   /// Entries older than `horizon` are treated as unmeasured (0 disables).
@@ -92,9 +84,8 @@ class GlobalNetworkView {
   /// were dropped. Queries already exclude them — this just bounds memory.
   ///
   /// NOTE: this mutates entries_, so any snapshot a caller took earlier
-  /// (measured_pairs(), bandwidth_adjacency(), a CapacityGraph built from
-  /// them) no longer reflects the view. Planners must re-snapshot after a
-  /// sweep — VirtuosoSystem::adapt_now() refreshes liveness + expiry before
+  /// (a copy of entries(), a CapacityGraph built from it) no longer
+  /// reflects the view. Planners must re-snapshot after a sweep — VirtuosoSystem::adapt_now() refreshes liveness + expiry before
   /// building its capacity graph for exactly this reason.
   std::size_t expire_stale();
 

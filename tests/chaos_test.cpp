@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,14 +49,13 @@ TEST(StaleViewTest, EntriesExpireFromAllQueries) {
   now = seconds(9.0);
   EXPECT_TRUE(view.bandwidth_bps(1, 2).has_value());
   EXPECT_TRUE(view.latency_seconds(1, 2).has_value());
-  EXPECT_EQ(view.measured_pairs().size(), 1u);
-  EXPECT_EQ(view.bandwidth_adjacency().size(), 1u);
+  EXPECT_TRUE(view.is_fresh(view.entries().at({1, 2})));
 
   now = seconds(11.0);
   EXPECT_FALSE(view.bandwidth_bps(1, 2).has_value());
   EXPECT_FALSE(view.latency_seconds(1, 2).has_value());
-  EXPECT_TRUE(view.measured_pairs().empty());
-  EXPECT_TRUE(view.bandwidth_adjacency().empty());
+  // Still held until expire_stale() sweeps it, but no longer fresh.
+  EXPECT_FALSE(view.is_fresh(view.entries().at({1, 2})));
 
   // A fresh report resurrects the pair.
   view.update_bandwidth(1, 2, 60e6, now);
@@ -743,6 +743,134 @@ TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
   EXPECT_GT(control.delivered_bytes("Report"), 0u);
   // Every hole was either replayed or healed; the stream kept flowing.
   EXPECT_GT(reports, 0u);
+}
+
+// Hosts on one switch, 100 Mb/s and 1 ms per link; hosts[0] hosts the Proxy.
+struct SwitchedHosts {
+  explicit SwitchedHosts(int n) {
+    for (int i = 0; i < n; ++i) hosts.push_back(net.add_host("h" + std::to_string(i)));
+    sw = net.add_router("sw");
+    net::LinkConfig cfg;
+    cfg.bits_per_sec = 100e6;
+    cfg.prop_delay = millis(1);
+    for (const net::NodeId h : hosts) net.add_link(h, sw, cfg);
+    net.compute_routes();
+  }
+  sim::Simulator sim;
+  net::Network net{sim};
+  std::vector<net::NodeId> hosts;
+  net::NodeId sw = net::kInvalidNode;
+};
+
+// The same hole at system level, flat tier: a daemon's heartbeats overflow
+// its resend window during an outage, the Proxy's gap callback makes the
+// daemon ship full Wren reports beyond its periodic ones, and the view
+// entry that went stale in the outage comes back.
+TEST(ControlPlaneChaosTest, FlatTierWindowGapShipsMakeUpWrenReports) {
+  SwitchedHosts env(2);
+  const net::NodeId proxy = env.hosts[0];
+  const net::NodeId daemon = env.hosts[1];
+  virtuoso::SystemConfig config;
+  config.control.send_timeout = seconds(2.0);
+  config.control.backoff_initial = millis(250);
+  // ~21 messages/s: kResendWindow holds about 3 s of an outage.
+  config.control_heartbeat_period = millis(50);
+  config.view_staleness_horizon = seconds(5.0);
+  virtuoso::VirtuosoSystem system(env.sim, env.net, config);
+  system.add_daemon(proxy, "proxy", true);
+  system.add_daemon(daemon, "d1");
+  system.bootstrap(vnet::LinkProtocol::kTcp);
+
+  vm::VirtualMachine& a = system.create_vm("vm-a", proxy, 8ull << 20);
+  vm::VirtualMachine& b = system.create_vm("vm-b", daemon, 8ull << 20);
+  vm::apps::DemandMatrix demands;
+  demands[{0, 1}] = 20e6;
+  demands[{1, 0}] = 20e6;
+  vm::apps::MatrixTrafficApp app(env.sim, {&a, &b}, demands);
+  app.start();
+
+  net::FaultPlan faults(env.sim, env.net);
+  faults.link_outage(seconds(10.25), seconds(25.25), daemon, env.sw);
+  vnet::ControlPlane& control = system.control_plane();
+  const wren::GlobalNetworkView& view = system.network_view();
+  obs::Counter* shipped = system.scope().counter("virtuoso.reports.wren");
+
+  env.sim.run_until(seconds(10.25));
+  ASSERT_TRUE(view.bandwidth_bps(daemon, proxy).has_value());
+  EXPECT_EQ(control.window_gaps(), 0u);
+  const std::uint64_t shipped_before = shipped->value();
+
+  env.sim.run_until(seconds(25.25));
+  EXPECT_GT(control.window_gaps(), 0u);
+  EXPECT_FALSE(view.bandwidth_bps(daemon, proxy).has_value());  // went stale
+
+  env.sim.run_until(seconds(45.25));
+  EXPECT_TRUE(control.connection_healthy(daemon));
+  EXPECT_TRUE(view.bandwidth_bps(daemon, proxy).has_value());
+  // Each of the two hosts ships at most one periodic report per second of
+  // these 35 s; make-ups come on top, at most one per health-check period.
+  const std::uint64_t periodic_max = 2 * 35;
+  const auto make_up_max = static_cast<std::uint64_t>(seconds(35.0) / vnet::kHealthCheckPeriod);
+  const std::uint64_t during = shipped->value() - shipped_before;
+  EXPECT_GT(during, periodic_max);
+  EXPECT_LE(during, periodic_max + make_up_max);
+  app.stop();
+}
+
+// Federated tier: a regional proxy host's summaries to the root overflow
+// its resend window, and the make-up is a summary with sampling bypassed.
+// Top-1 sampling alone never exports more than one of the region's pairs,
+// so only the make-up brings the other two to the root.
+TEST(ControlPlaneChaosTest, LostRegionalSummaryIsReExportedInFull) {
+  SwitchedHosts env(4);
+  virtuoso::SystemConfig config;
+  config.control.send_timeout = seconds(2.0);
+  config.control.backoff_initial = millis(250);
+  config.federation.enabled = true;
+  config.federation.regions = 2;  // round-robin: {h0, h2} and {h1, h3}
+  config.federation.export_period = millis(100);
+  config.federation.summary_max_pairs = 1;
+  virtuoso::VirtuosoSystem system(env.sim, env.net, config);
+  system.add_daemon(env.hosts[0], "proxy", true);
+  for (int i = 1; i < 4; ++i) system.add_daemon(env.hosts[i], "d" + std::to_string(i));
+  system.bootstrap(vnet::LinkProtocol::kUdp);
+
+  const net::NodeId head = env.hosts[1];
+  const net::NodeId member = env.hosts[3];
+  ASSERT_EQ(system.region_map()->region_of(head), 1u);
+  ASSERT_EQ(system.region_map()->region_of(member), 1u);
+  // Three paths from the idle member, with equal weight and timestamp;
+  // Wren's own measurements of the head's control connection rank above
+  // them when fresher.
+  const std::vector<std::tuple<net::NodeId, net::NodeId, double>> held = {
+      {member, env.hosts[0], 10e6}, {member, head, 20e6}, {member, env.hosts[2], 30e6}};
+  for (const auto& [from, to, bps] : held) {
+    system.regional_proxy(1)->view().update_bandwidth(from, to, bps, seconds(1.0));
+  }
+
+  net::FaultPlan faults(env.sim, env.net);
+  faults.link_outage(seconds(5.25), seconds(20.25), head, env.sw);
+  vnet::ControlPlane& control = system.control_plane();
+  const wren::GlobalNetworkView& root_view = system.network_view();
+
+  env.sim.run_until(seconds(5.25));
+  EXPECT_EQ(control.window_gaps(), 0u);
+  std::size_t sampled = 0;
+  for (const auto& [from, to, bps] : held) sampled += root_view.entries().count({from, to});
+  EXPECT_LE(sampled, 1u);
+
+  env.sim.run_until(seconds(20.25));
+  EXPECT_GT(control.window_gaps(), 0u);
+
+  env.sim.run_until(seconds(40.25));
+  EXPECT_TRUE(control.connection_healthy(head));
+  EXPECT_GT(system.federation_root()->seq_gaps(), 0u);
+  for (const auto& [from, to, bps] : held) {
+    const auto it = root_view.entries().find({from, to});
+    ASSERT_NE(it, root_view.entries().end()) << from << "->" << to;
+    EXPECT_EQ(it->second.bandwidth_bps, bps);
+    EXPECT_EQ(it->second.updated_at, seconds(1.0));  // the regional timestamp
+  }
 }
 
 TEST(ChaosScenarioTest, CapturedShardsReplayToTheOnlineObservations) {

@@ -2,10 +2,9 @@
 // assignment, the vw.fedsum.v1 summary codec (round-trip + corrupt-input
 // rejection in the style of trace_binary_test.cpp), the WrenReport XML
 // codec, the RegionalProxy top-k/aggregate export policy, the root-tier
-// fold-in (timestamps, seq gaps, coverage, liveness), the on-demand
-// measurement scheduler — and the serial oracle: with one region and
-// sampling off, the federated plane reproduces the flat GlobalNetworkView
-// bit-identically.
+// fold-in (timestamps, seq gaps, coverage, liveness) — and the serial
+// oracle: with one region and sampling off, the federated plane reproduces
+// the flat GlobalNetworkView bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -329,39 +328,6 @@ TEST(FederationOracleTest, SingleRegionNoSamplingReproducesFlatViewBitIdenticall
   root.apply_summary(shipped, seconds(6.0));
 
   EXPECT_EQ(root_view.entries(), flat.entries());
-}
-
-// --- on-demand measurement scheduler -----------------------------------------
-
-TEST(MeasurementSchedulerTest, RequestsColdPairsOnlyHonoringCooldownAndBudget) {
-  MeasurementSchedulerParams params;
-  params.request_cooldown = seconds(10.0);
-  params.max_outstanding = 2;
-  MeasurementScheduler sched(params);
-
-  std::vector<std::pair<net::NodeId, net::NodeId>> issued;
-  sched.set_request_fn([&](net::NodeId f, net::NodeId t) { issued.push_back({f, t}); });
-
-  GlobalNetworkView view;
-  view.update_bandwidth(1, 2, 50e6, seconds(1.0));  // warm pair
-
-  // Warm pair skipped; two cold pairs fit the budget; the third is over it.
-  EXPECT_EQ(sched.request_cold_pairs(view, {{1, 2}, {3, 4}, {5, 6}, {7, 8}}, seconds(2.0)), 2u);
-  ASSERT_EQ(issued.size(), 2u);
-  EXPECT_EQ(issued[0], (std::pair<net::NodeId, net::NodeId>{3, 4}));
-  EXPECT_EQ(sched.outstanding(), 2u);
-  EXPECT_EQ(sched.suppressed(), 1u);  // (7,8) over budget; (1,2) warm, not suppressed
-
-  // Same pairs again inside the cooldown: nothing new even after results.
-  sched.on_result(3, 4);
-  sched.on_result(5, 6);
-  EXPECT_EQ(sched.outstanding(), 0u);
-  EXPECT_EQ(sched.completed(), 2u);
-  EXPECT_EQ(sched.request_cold_pairs(view, {{3, 4}}, seconds(5.0)), 0u);
-
-  // Past the cooldown the still-cold pair is re-requested.
-  EXPECT_EQ(sched.request_cold_pairs(view, {{3, 4}}, seconds(13.0)), 1u);
-  EXPECT_EQ(sched.requested(), 3u);
 }
 
 }  // namespace

@@ -338,7 +338,6 @@ TEST(VirtuosoFederationTest, TieredPlaneFeedsRootViewThroughSummaries) {
   ASSERT_NE(sys.regional_proxy(1), nullptr);
   ASSERT_NE(sys.regional_control(0), nullptr);
   ASSERT_NE(sys.federation_root(), nullptr);
-  ASSERT_NE(sys.measurement_scheduler(), nullptr);
 
   // TCP overlay traffic gives Wren something to measure on the daemons.
   vm::VirtualMachine& a = sys.create_vm("vm-a", tb.domain2_hosts[1], 8ull << 20);

@@ -581,7 +581,7 @@ TEST(GlobalViewTest, UpdatesAndQueries) {
   EXPECT_DOUBLE_EQ(*view.bandwidth_bps(1, 2), 50e6);
   EXPECT_DOUBLE_EQ(*view.latency_seconds(1, 2), 0.010);
   EXPECT_FALSE(view.bandwidth_bps(2, 1).has_value());  // directed
-  EXPECT_EQ(view.measured_pairs().size(), 1u);
+  EXPECT_EQ(view.entries().size(), 1u);
 }
 
 TEST(GlobalViewTest, LaterUpdateWins) {
@@ -595,10 +595,10 @@ TEST(GlobalViewTest, AdjacencyListOnlyMeasuredPairs) {
   GlobalNetworkView view;
   view.update_bandwidth(0, 1, 10e6, 0);
   view.update_latency(1, 2, 0.01, 0);  // latency only: no bandwidth entry
-  const auto adj = view.bandwidth_adjacency();
-  ASSERT_EQ(adj.size(), 1u);
-  EXPECT_EQ(std::get<0>(adj[0]), 0u);
-  EXPECT_EQ(std::get<1>(adj[0]), 1u);
+  EXPECT_EQ(view.entries().size(), 2u);
+  EXPECT_DOUBLE_EQ(*view.bandwidth_bps(0, 1), 10e6);
+  EXPECT_FALSE(view.bandwidth_bps(1, 2).has_value());
+  EXPECT_TRUE(view.latency_seconds(1, 2).has_value());
 }
 
 // Reports arrive off the network: a NaN bandwidth would poison every VADAPT
