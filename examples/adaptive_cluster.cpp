@@ -11,8 +11,8 @@
 //   5. migrates the VMs and re-routes the overlay,
 // and the application's delivered throughput improves.
 //
-//   $ ./examples/adaptive_cluster [--metrics-json FILE] [--metrics-csv FILE]
-//     [--trace FILE] [--events-jsonl FILE] [--no-telemetry] [--capture DIR]
+//   $ ./examples/adaptive_cluster [--metrics-json FILE] [--trace FILE]
+//     [--events-jsonl FILE] [--no-telemetry] [--capture DIR]
 //
 // The telemetry options (the system-wide metrics registry + event tracer)
 // are described in telemetry_cli.hpp.

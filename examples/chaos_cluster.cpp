@@ -25,8 +25,7 @@
 // invariant is violated, so CI can use this as a smoke test.
 //
 //   $ ./examples/chaos_cluster [--seed N] [--metrics-json FILE]
-//     [--metrics-csv FILE] [--trace FILE] [--events-jsonl FILE]
-//     [--no-telemetry] [--capture DIR]
+//     [--trace FILE] [--events-jsonl FILE] [--no-telemetry] [--capture DIR]
 //
 // The telemetry options are described in telemetry_cli.hpp.
 //

@@ -3,7 +3,6 @@
 // The telemetry options the cluster examples share and the exports they
 // write after a run:
 //   --metrics-json FILE    export the final metrics snapshot as JSON
-//   --metrics-csv FILE     export the final metrics snapshot as CSV
 //   --trace FILE           export Chrome trace_event JSON (about:tracing)
 //   --events-jsonl FILE    export the trace events as JSONL
 //   --no-telemetry         disable the observability subsystem entirely
@@ -14,7 +13,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "cli_args.hpp"
@@ -25,7 +23,6 @@ namespace vw::examples {
 
 struct TelemetryOptions {
   std::string metrics_json;
-  std::string metrics_csv;
   std::string trace;
   std::string events_jsonl;
   std::string capture_dir;
@@ -37,8 +34,6 @@ struct TelemetryOptions {
     std::string* value = nullptr;
     if (std::strcmp(argv[i], "--metrics-json") == 0) {
       value = &metrics_json;
-    } else if (std::strcmp(argv[i], "--metrics-csv") == 0) {
-      value = &metrics_csv;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       value = &trace;
     } else if (std::strcmp(argv[i], "--events-jsonl") == 0) {
@@ -77,11 +72,6 @@ inline void export_telemetry(const TelemetryOptions& opt, virtuoso::VirtuosoSyst
   if (!opt.telemetry) return;
   const obs::MetricsSnapshot full = system.metrics()->snapshot();
   if (!opt.metrics_json.empty()) write_file(opt.metrics_json, obs::metrics_json(full));
-  if (!opt.metrics_csv.empty()) {
-    std::ostringstream csv;
-    obs::write_csv(csv, full);
-    write_file(opt.metrics_csv, csv.str());
-  }
   if (!opt.trace.empty()) {
     write_file(opt.trace, obs::chrome_trace_json(system.tracer()->events()));
   }

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/csv.hpp"
 
 namespace vw::obs {
 
@@ -88,40 +87,6 @@ void write_text_table(std::ostream& out, const MetricsSnapshot& snapshot) {
         break;
     }
     out << '\n';
-  }
-}
-
-void write_csv(std::ostream& out, const MetricsSnapshot& snapshot) {
-  CsvWriter csv(out, {"name", "kind", "count", "value", "sum", "mean", "min", "max", "p50",
-                      "p90", "p99"});
-  for (const MetricValue& m : snapshot.metrics) {
-    check_extremes(m);
-    std::vector<std::string> cells(11);
-    cells[0] = m.name;
-    cells[1] = std::string(kind_name(m.kind));
-    switch (m.kind) {
-      case InstrumentKind::kCounter:
-        cells[2] = std::to_string(m.count);
-        break;
-      case InstrumentKind::kGauge:
-        cells[3] = fmt(m.value);
-        break;
-      case InstrumentKind::kHistogram: {
-        const Histogram::Snapshot& h = m.histogram;
-        cells[2] = std::to_string(h.count);
-        cells[4] = fmt(h.sum);
-        if (h.count > 0) {
-          cells[5] = fmt(h.mean());
-          cells[6] = fmt(h.min);
-          cells[7] = fmt(h.max);
-          cells[8] = fmt(h.quantile(0.5));
-          cells[9] = fmt(h.quantile(0.9));
-          cells[10] = fmt(h.quantile(0.99));
-        }
-        break;
-      }
-    }
-    csv.text_row(cells);
   }
 }
 

@@ -8,19 +8,15 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// Exporters: the same snapshot renders as a human text table, CSV (for the
-// figure-harness diffing workflow), or JSON (consumed by
-// tools/check_metrics.py and the bench pipeline). Traces export as Chrome
-// trace_event JSON — loadable in about:tracing / Perfetto — or JSONL.
+// Exporters: the same snapshot renders as a human text table or as JSON
+// (consumed by tools/check_metrics.py and the bench pipeline). Traces
+// export as Chrome trace_event JSON — loadable in about:tracing / Perfetto
+// — or JSONL.
 
 namespace vw::obs {
 
 /// Aligned human-readable table, one instrument per line.
 void write_text_table(std::ostream& out, const MetricsSnapshot& snapshot);
-
-/// CSV with header: name,kind,count,value,sum,mean,min,max,p50,p90,p99.
-/// Cells that do not apply to an instrument kind are left empty.
-void write_csv(std::ostream& out, const MetricsSnapshot& snapshot);
 
 /// JSON document (schema "vw.metrics.v1"): {"schema", "taken_at_s",
 /// "metrics": [{name, kind, ...}]}. Histogram min/max are null when empty.

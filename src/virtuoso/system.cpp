@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -105,7 +106,6 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
   // Every SA / multistart run launched through this system reports into
   // the same registry.
   config_.annealing.obs = s;
-  config_.multistart.annealing.obs = s;
   c_adaptations_ = s.counter("virtuoso.adaptations");
   c_migrations_issued_ = s.counter("virtuoso.migrations.issued");
   c_wren_reports_ = s.counter("virtuoso.reports.wren");
@@ -183,11 +183,6 @@ void VirtuosoSystem::bootstrap(vnet::LinkProtocol proto) {
       if (r.latency_s) view_.update_latency(reporter, r.peer, *r.latency_s, now);
     }
   });
-  // A resend-window eviction that lost unacknowledged state is healed with a
-  // full make-up report rather than silently leaving a hole.
-  control_->set_on_window_gap(
-      [this](net::NodeId host) { schedule_full_re_report(host, /*regional_tier=*/false); });
-
   if (config_.federation.enabled) bootstrap_federation();
 
   for (auto& [host, rt] : runtimes_) start_reporting(host);
@@ -341,7 +336,12 @@ void VirtuosoSystem::bootstrap_federation() {
     const auto reporter = soap::attr<net::NodeId>(msg, "reporter");
     const wren::FederationSummary summary = wren::summary_from_hex(msg.child_text("summary"));
     note_report(reporter);
-    federation_->root->apply_summary(summary, sim_.now());
+    if (federation_->root->apply_summary(summary, sim_.now()) > 0) {
+      // The sequence numbers prove summaries were lost on the way, and with
+      // them entries that sampling may not export again: the region's next
+      // export bypasses sampling. `region` came off the wire.
+      if (FederationRegion* reg = region_at(summary.region)) reg->full_export_due = true;
+    }
   });
 
   for (wren::RegionId r = 0; r < static_cast<wren::RegionId>(fc.regions); ++r) {
@@ -369,20 +369,19 @@ void VirtuosoSystem::bootstrap_federation() {
       const net::NodeId reporter = wren::parse_wren_report_xml(msg, readings);
       proxy->apply_report(reporter, readings, sim_.now());
     });
-    reg.control->set_on_window_gap(
-        [this](net::NodeId host) { schedule_full_re_report(host, /*regional_tier=*/true); });
 
     reg.exporter = std::make_unique<sim::PeriodicTask>(
-        sim_, fc.export_period, [this, r] { export_summary(r, /*force_full=*/false); });
+        sim_, fc.export_period, [this, r] { export_summary(r); });
     fed->regions.push_back(std::move(reg));
   }
 
   federation_ = std::move(fed);
 }
 
-void VirtuosoSystem::export_summary(wren::RegionId region, bool force_full) {
+void VirtuosoSystem::export_summary(wren::RegionId region) {
   FederationRegion& reg = federation_->regions.at(region);
-  const wren::FederationSummary summary = reg.proxy->build_summary(sim_.now(), force_full);
+  const wren::FederationSummary summary =
+      reg.proxy->build_summary(sim_.now(), std::exchange(reg.full_export_due, false));
   soap::XmlNode msg;
   msg.name = "FederationSummary";
   msg.attributes["reporter"] = std::to_string(reg.proxy_host);
@@ -391,27 +390,6 @@ void VirtuosoSystem::export_summary(wren::RegionId region, bool force_full) {
   // Even an empty summary ships: it advances the sequence number (gap
   // detection) and doubles as the regional proxy's liveness signal.
   control_->send(reg.proxy_host, msg);
-}
-
-void VirtuosoSystem::schedule_full_re_report(net::NodeId host, bool regional_tier) {
-  if (!rereport_pending_.insert(host).second) return;  // one in flight is enough
-  // Deferred a beat so the gap callback never re-enters ControlPlane::send,
-  // and bounded to one make-up report per health-check period per host even
-  // while an outage keeps evicting.
-  const SimTime delay = std::max<SimTime>(millis(1), vnet::kHealthCheckPeriod);
-  sim_.schedule_in(delay, [this, host, regional_tier] {
-    rereport_pending_.erase(host);
-    if (!regional_tier && federation_ != nullptr) {
-      const wren::RegionId r = federation_->region_map.region_of(host);
-      if (const FederationRegion* reg = region_at(r); reg && reg->proxy_host == host) {
-        // The lost message was (or may have been) a summary: re-export
-        // with sampling bypassed so every held entry reaches the root.
-        export_summary(r, /*force_full=*/true);
-        return;
-      }
-    }
-    send_wren_report(host);
-  });
 }
 
 void VirtuosoSystem::prepare_federation_for_plan(const std::vector<vadapt::Demand>& demands) {

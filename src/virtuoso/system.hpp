@@ -66,8 +66,9 @@ inline constexpr SimTime kWrenReportPeriod = seconds(1.0);  ///< daemon Wren rep
 struct SystemConfig {
   vadapt::Objective objective;
   vadapt::AnnealingParams annealing;
-  /// kMultiStartAnnealing settings; `annealing` above and a seed derived
-  /// from `seed` are filled in at adaptation time.
+  /// kMultiStartAnnealing settings: `chains` and `threads` are read (and
+  /// `pool`, when set); its `annealing` and `seed` are overwritten at
+  /// adaptation time with `annealing` above and a seed derived from `seed`.
   vadapt::MultiStartParams multistart;
   /// Continuous warm-start adaptation (DESIGN.md §5j). When enabled, the
   /// view tracks deltas and adapt_now() patches + burst-anneals the live
@@ -260,6 +261,9 @@ class VirtuosoSystem {
     std::unique_ptr<vnet::ControlPlane> control;
     std::unique_ptr<wren::RegionalProxy> proxy;
     std::unique_ptr<sim::PeriodicTask> exporter;
+    /// The root saw this region's summaries go missing: the next export
+    /// bypasses sampling so entries only the lost ones carried come back.
+    bool full_export_due = false;
   };
 
   struct FederationRuntime {
@@ -283,14 +287,13 @@ class VirtuosoSystem {
   /// region's plane when federated, the root plane otherwise.
   vnet::ControlPlane& report_plane(net::NodeId host);
   wren::RegionalProxy* regional_proxy_for(net::NodeId host);
-  /// Ship one full Wren report for `host` right now (window-gap healing).
+  /// Ship `host`'s periodic Wren report. Each is a full snapshot of the
+  /// analyzer's peers, so it supersedes any earlier one the control plane
+  /// lost; no make-up report is ever needed.
   void send_wren_report(net::NodeId host);
-  void export_summary(wren::RegionId region, bool force_full);
-  /// A resend-window eviction lost unacknowledged state for `host`:
-  /// schedule the make-up report (full summary for a regional proxy host on
-  /// the root tier, full Wren report otherwise). Deferred + deduplicated so
-  /// the control plane's gap callback never re-enters send().
-  void schedule_full_re_report(net::NodeId host, bool regional_tier);
+  /// Ship `region`'s periodic summary to the root, unsampled once when
+  /// the root saw a sequence gap (full_export_due).
+  void export_summary(wren::RegionId region);
   /// Demand push-down: weight the pairs the planner is about to optimize
   /// over so regional top-k sampling keeps them.
   void prepare_federation_for_plan(const std::vector<vadapt::Demand>& demands);
@@ -323,7 +326,6 @@ class VirtuosoSystem {
   std::uint64_t failure_replans_ = 0;
   std::uint64_t daemons_declared_dead_ = 0;
   std::unique_ptr<FederationRuntime> federation_;
-  std::set<net::NodeId> rereport_pending_;
   /// Created on the first multi-start adaptation that resolves to more
   /// than one thread, then reused: the control loop adapts repeatedly.
   std::unique_ptr<ThreadPool> annealing_pool_;

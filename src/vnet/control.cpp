@@ -111,15 +111,12 @@ void ControlPlane::send(net::NodeId host, const soap::XmlNode& message) {
     return;
   }
   ClientState& state = clients_[host];
-  bool gap = false;
   if (state.window.size() >= kResendWindow) {
     // Oldest report gives way. If it was already acknowledged this is pure
-    // housekeeping; if not, its state never reached the Proxy and the
-    // replay window will never contain it again — a permanent hole unless
-    // the owner schedules a full re-report.
+    // housekeeping; if not, the Proxy may never see it and the newer
+    // messages behind it in the window have to stand in for it.
     const OutboundMessage& victim = state.window.front();
     if (victim.end_offset == 0 || victim.end_offset > state.last_acked) {
-      gap = true;
       ++window_gaps_;
       obs::add(c_window_gaps_);
     }
@@ -132,19 +129,16 @@ void ControlPlane::send(net::NodeId host, const soap::XmlNode& message) {
     // Detected between health ticks (e.g. the handshake gave up): recycle
     // now so the fresh message rides the reconnect.
     fail_connection(host, state);
-    if (gap && window_gap_fn_) window_gap_fn_(host);
     return;
   }
   if (state.conn == nullptr) {
     // First use, or a failed connection waiting out its backoff.
     if (!state.reconnect_timer.valid()) attempt_connect(host);
-    if (gap && window_gap_fn_) window_gap_fn_(host);
     return;
   }
   // TcpConnection buffers until established, so sending while the handshake
   // is still in flight is fine.
   transmit(state, state.window.back());
-  if (gap && window_gap_fn_) window_gap_fn_(host);
 }
 
 void ControlPlane::attempt_connect(net::NodeId host) {

@@ -25,16 +25,18 @@
 // tears a sick connection down, and reconnects with exponential backoff. A
 // bounded per-daemon resend window keeps recent reports alive across the
 // outage and replays the unacknowledged suffix on the fresh connection.
-// Reports are idempotent state snapshots, so the resulting at-least-once
-// delivery (a report whose bytes landed but whose ACK died in the outage is
-// replayed) is safe; when the window overflows, the oldest report is
-// dropped and counted. Dropping a report that was already ACKed is harmless
-// (newer state supersedes it), but evicting one that never reached the
-// Proxy is a *delivery hole*: after the outage the daemon replays a window
-// whose oldest surviving entry is newer than the Proxy's last-applied
-// state, and the lost snapshot is never re-sent. Such evictions are counted
-// separately (window_gaps) and surfaced through a callback so the daemon
-// can schedule a full re-report that heals the hole.
+// Delivery is at-least-once: a message whose bytes landed but which was not
+// yet pruned from the window (pruning waits for a health check to see the
+// ACK) is replayed after a reconnect. Wren reports and regional summaries
+// are state snapshots, so a replay is harmless; a VttifUpdate is not (it
+// carries per-interval counts that the Proxy adds into its current slot,
+// so a replayed one is counted twice). When the window overflows the
+// oldest message is dropped and counted (drops); an eviction of one that
+// was never acknowledged is also counted as a window gap. FIFO eviction
+// keeps the newest messages, so a daemon's newest snapshot always survives
+// the outage; the one stream that needs more, sampled federation summaries,
+// is healed at the root, which proves the loss through its per-region
+// sequence numbers (DESIGN.md §5i).
 
 namespace vw::vnet {
 
@@ -58,11 +60,6 @@ struct ControlPlaneParams {
 class ControlPlane {
  public:
   using HandlerFn = std::function<void(const soap::XmlNode& message)>;
-  /// Invoked when an *unacknowledged* message is evicted from `host`'s
-  /// resend window (a delivery hole the replay cannot heal). Called after
-  /// the triggering send() completes its own bookkeeping; the callback must
-  /// not call send() synchronously — schedule the make-up report instead.
-  using WindowGapFn = std::function<void(net::NodeId host)>;
 
   /// Listens for daemon control connections on (proxy_host, port).
   ControlPlane(transport::TransportStack& stack, net::NodeId proxy_host,
@@ -83,9 +80,6 @@ class ControlPlane {
   /// Messages from the Proxy host dispatch immediately without touching the
   /// network.
   void send(net::NodeId host, const soap::XmlNode& message);
-
-  /// Proxy side: observe delivery holes (full re-report scheduling).
-  void set_on_window_gap(WindowGapFn fn) { window_gap_fn_ = std::move(fn); }
 
   /// Messages a registered handler accepted.
   std::uint64_t messages_delivered() const { return delivered_; }
@@ -112,8 +106,8 @@ class ControlPlane {
   std::uint64_t messages_resent() const { return resends_; }
   /// Messages evicted from a full resend window (lost to the outage).
   std::uint64_t messages_dropped() const { return drops_; }
-  /// The subset of evictions that were never acknowledged — permanent
-  /// delivery holes unless a full re-report follows.
+  /// The subset of evictions not yet acknowledged: messages the Proxy may
+  /// never see (newer messages in the window stand in for them).
   std::uint64_t window_gaps() const { return window_gaps_; }
   /// Whether `host`'s control connection is currently established.
   bool connection_healthy(net::NodeId host) const;
@@ -156,7 +150,6 @@ class ControlPlane {
   std::map<std::string, HandlerFn> handlers_;
   std::map<net::NodeId, ClientState> clients_;
   std::unique_ptr<sim::PeriodicTask> health_task_;
-  WindowGapFn window_gap_fn_;
   std::map<std::string, std::uint64_t> delivered_bytes_by_type_;
   std::uint64_t delivered_ = 0;
   std::uint64_t unhandled_ = 0;

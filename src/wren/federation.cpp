@@ -394,14 +394,16 @@ void RegionalProxy::set_obs(const obs::Scope& scope) {
 FederationRoot::FederationRoot(GlobalNetworkView& root_view, const RegionMap& region_map)
     : view_(root_view), region_map_(region_map) {}
 
-void FederationRoot::apply_summary(const FederationSummary& summary, SimTime now) {
+std::uint64_t FederationRoot::apply_summary(const FederationSummary& summary, SimTime now) {
   RegionState& state = region_state_[summary.region];
+  std::uint64_t lost = 0;
   if (state.last_seq != 0 && summary.seq > state.last_seq + 1) {
-    // A control-plane window gap ate intermediate summaries; the current
-    // snapshot supersedes their entries, but the loss is counted where
-    // operators can see it.
-    seq_gaps_ += summary.seq - state.last_seq - 1;
-    obs::add(c_seq_gaps_, summary.seq - state.last_seq - 1);
+    // A control-plane window gap ate intermediate summaries. Their sampled
+    // entries may not be in this one, so the loss is counted where
+    // operators can see it and reported to the caller.
+    lost = summary.seq - state.last_seq - 1;
+    seq_gaps_ += lost;
+    obs::add(c_seq_gaps_, lost);
   }
   if (summary.seq != 0) state.last_seq = std::max(state.last_seq, summary.seq);
   state.exported = summary.entries.size();
@@ -429,6 +431,7 @@ void FederationRoot::apply_summary(const FederationSummary& summary, SimTime now
   }
   if (g_coverage_ != nullptr) obs::set(g_coverage_, coverage());
   if (g_regions_ != nullptr) obs::set(g_regions_, static_cast<double>(region_state_.size()));
+  return lost;
 }
 
 std::optional<double> FederationRoot::aggregate_bandwidth(net::NodeId from,

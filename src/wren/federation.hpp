@@ -219,8 +219,8 @@ class RegionalProxy {
   void clear_demand_weights();
 
   /// Build the next upward export (advances the summary sequence number).
-  /// With `force_full`, sampling is bypassed once (full re-report after a
-  /// detected control-plane window gap).
+  /// With `force_full`, sampling is bypassed once (the heal after the root
+  /// saw this region's sequence numbers skip).
   FederationSummary build_summary(SimTime now, bool force_full = false);
 
   std::uint64_t entries_exported() const { return entries_exported_; }
@@ -265,7 +265,10 @@ class FederationRoot {
   /// Apply one summary. Entries land in the root view with their original
   /// regional timestamps (the TTL consistency contract); aggregates replace
   /// this region's rows; liveness records flow to the host-seen hook.
-  void apply_summary(const FederationSummary& summary, SimTime now);
+  /// Returns how many of the region's summaries its `seq` proves lost
+  /// since the last one applied (0 for the first, a duplicate or a
+  /// regressed seq); the caller heals a loss with a full export.
+  std::uint64_t apply_summary(const FederationSummary& summary, SimTime now);
 
   /// Region-level fallback for pairs the root holds no exact entry for.
   std::optional<double> aggregate_bandwidth(net::NodeId from, net::NodeId to) const;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -664,13 +665,13 @@ TEST(PlanOrderingTest, AdaptRefreshesLivenessAndExpiryBeforeSnapshotting) {
 
 // --- resend-window eviction holes --------------------------------------------
 
-// Window-gap bugfix: during a long outage the resend window
-// overflows and evicts *unacknowledged* reports — permanent delivery holes
-// the post-outage replay cannot heal. The control plane must count each
-// hole (window_gaps) and surface it through the gap callback so the sender
-// can schedule a full re-report; the test drives the overflow and verifies
-// the scheduled make-up report lands after the outage.
-TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
+// During a long outage the resend window overflows and evicts
+// *unacknowledged* reports. The control plane counts each such hole
+// (window_gaps) among the drops, and the property that makes a make-up
+// report unnecessary holds: FIFO eviction keeps the newest kResendWindow
+// reports, and the reconnect replays exactly those, in order, so the newest
+// snapshot is never the one lost.
+TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndReplaysTheNewestInOrder) {
   sim::Simulator sim;
   net::Network net{sim};
   const net::NodeId proxy_host = net.add_host("proxy");
@@ -687,35 +688,30 @@ TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
   vnet::ControlPlaneParams params;
   params.send_timeout = seconds(2.0);
   params.backoff_initial = millis(250);
-  // A 20 s outage at 4 msgs/s queues 80 reports: more than kResendWindow.
-  static_assert(20 * 4 > vnet::kResendWindow);
+  // A 20 s outage at 10 msgs/s queues 200 reports: the window overflows
+  // long before the connection attempt that succeeds begins.
+  static_assert(20 * 10 > 2 * vnet::kResendWindow);
   vnet::ControlPlane control(stack, proxy_host, 9001, params);
 
-  std::uint64_t reports = 0;
-  std::uint64_t full_reports = 0;
-  control.register_handler("Report", [&](const soap::XmlNode&) { ++reports; });
-  control.register_handler("FullReport", [&](const soap::XmlNode&) { ++full_reports; });
-
-  // The daemon's healing hook: on a gap, schedule one full re-report (the
-  // callback contract forbids calling send() synchronously). Deduplicated
-  // like VirtuosoSystem::schedule_full_re_report.
-  std::uint64_t gap_callbacks = 0;
-  bool rereport_pending = false;
-  control.set_on_window_gap([&](net::NodeId host) {
-    ++gap_callbacks;
-    EXPECT_EQ(host, daemon_host);
-    if (rereport_pending) return;
-    rereport_pending = true;
-    sim.schedule_in(millis(500), [&] {
-      rereport_pending = false;
-      soap::XmlNode msg;
-      msg.name = "FullReport";
-      control.send(daemon_host, msg);
-    });
+  std::vector<std::uint64_t> got;  // `n` of each delivered report, in order
+  std::size_t replay_from = 0;     // index in `got` of the first post-outage one
+  control.register_handler("Report", [&](const soap::XmlNode& msg) {
+    if (sim.now() >= seconds(25.0) && replay_from == 0) replay_from = got.size();
+    got.push_back(soap::attr<std::uint64_t>(msg, "n"));
   });
 
-  int sent = 0;
-  sim::PeriodicTask reporter(sim, millis(250), [&] {
+  // Reports sent before the latest reconnect attempt. An attempt is
+  // scheduled one backoff (>= 250 ms) ahead, earlier than the reporter's
+  // next tick (100 ms ahead), so when both fall at one instant the attempt
+  // runs first.
+  std::uint64_t sent = 0;
+  std::uint64_t attempts_seen = 0;
+  std::uint64_t sent_at_attempt = 0;
+  sim::PeriodicTask reporter(sim, millis(100), [&] {
+    if (control.reconnect_attempts() > attempts_seen) {
+      attempts_seen = control.reconnect_attempts();
+      sent_at_attempt = sent;
+    }
     soap::XmlNode msg;
     msg.name = "Report";
     msg.attributes["n"] = std::to_string(sent++);
@@ -732,17 +728,26 @@ TEST(ControlPlaneChaosTest, WindowOverflowCountsGapsAndFullReReportHealsThem) {
   // Deep into the outage the window has overflowed with unacked reports.
   sim.run_until(seconds(24.0));
   EXPECT_GT(control.window_gaps(), 0u);
-  EXPECT_GE(gap_callbacks, control.window_gaps());
   EXPECT_GE(control.messages_dropped(), control.window_gaps());
 
-  // After the outage: the replay plus the healing re-report both land.
+  sim.run_until(seconds(55.0));
+  reporter.stop();  // let the last report land
   sim.run_until(seconds(60.0));
-  EXPECT_GE(control.reconnects(), 1u);
-  EXPECT_GT(full_reports, 0u);
-  EXPECT_GT(control.delivered_bytes("FullReport"), 0u);
-  EXPECT_GT(control.delivered_bytes("Report"), 0u);
-  // Every hole was either replayed or healed; the stream kept flowing.
-  EXPECT_GT(reports, 0u);
+  EXPECT_EQ(control.reconnects(), 1u);
+  ASSERT_GT(sent_at_attempt, vnet::kResendWindow);
+  ASSERT_GT(replay_from, 0u);
+  // The evicted reports are a hole in the stream...
+  EXPECT_GT(got[replay_from], got[replay_from - 1] + 1);
+  // ...but the replay is the newest kResendWindow reports queued at the
+  // reconnect, in order, and every report after them follows with none
+  // missing up to the last one sent.
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t n = sent_at_attempt - vnet::kResendWindow; n < sent; ++n) {
+    expected.push_back(n);
+  }
+  EXPECT_EQ(std::vector<std::uint64_t>(got.begin() + static_cast<std::ptrdiff_t>(replay_from),
+                                       got.end()),
+            expected);
 }
 
 // Hosts on one switch, 100 Mb/s and 1 ms per link; hosts[0] hosts the Proxy.
@@ -763,10 +768,12 @@ struct SwitchedHosts {
 };
 
 // The same hole at system level, flat tier: a daemon's heartbeats overflow
-// its resend window during an outage, the Proxy's gap callback makes the
-// daemon ship full Wren reports beyond its periodic ones, and the view
-// entry that went stale in the outage comes back.
-TEST(ControlPlaneChaosTest, FlatTierWindowGapShipsMakeUpWrenReports) {
+// its resend window during an outage, yet the view entry that went stale
+// comes back with the periodic Wren reports alone. Every report is a full
+// snapshot, so no make-up report is shipped on top of them: one that was
+// would enter the full window, evict another unacknowledged message and so
+// cause the next gap.
+TEST(ControlPlaneChaosTest, FlatTierOutageHealsWithPeriodicReportsAlone) {
   SwitchedHosts env(2);
   const net::NodeId proxy = env.hosts[0];
   const net::NodeId daemon = env.hosts[1];
@@ -808,19 +815,18 @@ TEST(ControlPlaneChaosTest, FlatTierWindowGapShipsMakeUpWrenReports) {
   EXPECT_TRUE(control.connection_healthy(daemon));
   EXPECT_TRUE(view.bandwidth_bps(daemon, proxy).has_value());
   // Each of the two hosts ships at most one periodic report per second of
-  // these 35 s; make-ups come on top, at most one per health-check period.
+  // these 35 s, and nothing else.
   const std::uint64_t periodic_max = 2 * 35;
-  const auto make_up_max = static_cast<std::uint64_t>(seconds(35.0) / vnet::kHealthCheckPeriod);
-  const std::uint64_t during = shipped->value() - shipped_before;
-  EXPECT_GT(during, periodic_max);
-  EXPECT_LE(during, periodic_max + make_up_max);
+  EXPECT_LE(shipped->value() - shipped_before, periodic_max);
   app.stop();
 }
 
 // Federated tier: a regional proxy host's summaries to the root overflow
-// its resend window, and the make-up is a summary with sampling bypassed.
-// Top-1 sampling alone never exports more than one of the region's pairs,
-// so only the make-up brings the other two to the root.
+// its resend window. The root sees the region's sequence numbers skip once
+// the replay arrives, and the region's next export bypasses sampling. Top-1
+// sampling alone never exports more than one of the region's pairs, so only
+// that full export brings the other two to the root; the outage costs one
+// full export, not one per health-check period.
 TEST(ControlPlaneChaosTest, LostRegionalSummaryIsReExportedInFull) {
   SwitchedHosts env(4);
   virtuoso::SystemConfig config;
@@ -853,6 +859,20 @@ TEST(ControlPlaneChaosTest, LostRegionalSummaryIsReExportedInFull) {
   vnet::ControlPlane& control = system.control_plane();
   const wren::GlobalNetworkView& root_view = system.network_view();
 
+  // Region 1 exports at every multiple of 100 ms; a probe 50 ms later sees
+  // what each export carried, and one carrying more than the sampling bound
+  // is a full export.
+  std::uint64_t full_exports = 0;
+  std::uint64_t exported_before = 0;
+  std::unique_ptr<sim::PeriodicTask> probe;
+  env.sim.schedule_in(millis(50), [&] {
+    probe = std::make_unique<sim::PeriodicTask>(env.sim, millis(100), [&] {
+      const std::uint64_t exported = system.regional_proxy(1)->entries_exported();
+      if (exported - exported_before > config.federation.summary_max_pairs) ++full_exports;
+      exported_before = exported;
+    });
+  });
+
   env.sim.run_until(seconds(5.25));
   EXPECT_EQ(control.window_gaps(), 0u);
   std::size_t sampled = 0;
@@ -871,6 +891,7 @@ TEST(ControlPlaneChaosTest, LostRegionalSummaryIsReExportedInFull) {
     EXPECT_EQ(it->second.bandwidth_bps, bps);
     EXPECT_EQ(it->second.updated_at, seconds(1.0));  // the regional timestamp
   }
+  EXPECT_EQ(full_exports, 1u);
 }
 
 TEST(ChaosScenarioTest, CapturedShardsReplayToTheOnlineObservations) {

@@ -236,7 +236,7 @@ TEST(FederationRootTest, AppliesEntriesWithOriginalTimestampsAndTracksSeqGaps) {
   s.total_pairs = 1;
   s.entries.push_back({1, 3, 70e6, 0.002, seconds(3.0), true, true});
   s.hosts.push_back({1, seconds(4.0)});
-  root.apply_summary(s, seconds(10.0));
+  EXPECT_EQ(root.apply_summary(s, seconds(10.0)), 0u);  // the first proves nothing lost
 
   // TTL consistency contract: the entry lands with its *regional* timestamp.
   ASSERT_EQ(root_view.entries().size(), 1u);
@@ -245,14 +245,29 @@ TEST(FederationRootTest, AppliesEntriesWithOriginalTimestampsAndTracksSeqGaps) {
   EXPECT_EQ(seen[0].first, 1u);
   EXPECT_EQ(seen[0].second, seconds(4.0));
 
-  // Skipping seq 2 is a detected gap; a later duplicate/regression is not.
+  // Skipping seq 2 is a detected gap, reported to the caller; the next
+  // seq, a duplicate and a regression are not.
   s.seq = 3;
-  root.apply_summary(s, seconds(12.0));
+  EXPECT_EQ(root.apply_summary(s, seconds(12.0)), 1u);
   EXPECT_EQ(root.seq_gaps(), 1u);
   s.seq = 4;
-  root.apply_summary(s, seconds(13.0));
+  EXPECT_EQ(root.apply_summary(s, seconds(13.0)), 0u);
+  EXPECT_EQ(root.apply_summary(s, seconds(13.5)), 0u);  // replayed duplicate
+  s.seq = 2;
+  EXPECT_EQ(root.apply_summary(s, seconds(14.0)), 0u);  // regressed
   EXPECT_EQ(root.seq_gaps(), 1u);
-  EXPECT_EQ(root.summaries_applied(), 3u);
+  // The regression did not rewind the region: seq 5 follows 4 with no gap,
+  // and seq 8 reports the two in between.
+  s.seq = 5;
+  EXPECT_EQ(root.apply_summary(s, seconds(15.0)), 0u);
+  s.seq = 8;
+  EXPECT_EQ(root.apply_summary(s, seconds(16.0)), 2u);
+  // Another region's sequence is its own.
+  s.region = 1;
+  s.seq = 1;
+  EXPECT_EQ(root.apply_summary(s, seconds(17.0)), 0u);
+  EXPECT_EQ(root.seq_gaps(), 3u);
+  EXPECT_EQ(root.summaries_applied(), 8u);
 }
 
 TEST(FederationRootTest, AggregateFallbackAndCoverage) {

@@ -368,23 +368,16 @@ TEST(ObsExportTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_EQ(n, 2u);
 }
 
-TEST(ObsExportTest, CsvAndTextTableCoverEveryInstrument) {
+TEST(ObsExportTest, TextTableCoversEveryInstrument) {
   MetricsRegistry reg;
   reg.counter("a.count").add(1);
   reg.gauge("b.level").set(2.0);
   reg.histogram("c.dist").record(3.0);
 
-  std::ostringstream csv;
-  write_csv(csv, reg.snapshot());
-  std::size_t csv_lines = 0;
-  std::string line;
-  std::istringstream csv_in(csv.str());
-  while (std::getline(csv_in, line)) ++csv_lines;
-  EXPECT_EQ(csv_lines, 4u);  // header + 3 instruments
-
   std::ostringstream table;
   write_text_table(table, reg.snapshot());
   EXPECT_NE(table.str().find("a.count"), std::string::npos);
+  EXPECT_NE(table.str().find("b.level"), std::string::npos);
   EXPECT_NE(table.str().find("c.dist"), std::string::npos);
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Telemetry smoke of examples/adaptive_cluster.
 
-Runs the example with all four exports (metrics JSON and CSV, Chrome trace,
-events JSONL) in a temporary directory, requires each file to exist, and
+Runs the example with all three exports (metrics JSON, Chrome trace, events
+JSONL) in a temporary directory, requires each file to exist, and
 validates the metrics and trace with tools/check_metrics.py, requiring a
 nonzero counter in every instrumented subsystem. A telemetry option without
 its value is a usage error: exit 2 naming the option. An export that
@@ -21,8 +21,8 @@ import sys
 import tempfile
 
 CHECK_METRICS = pathlib.Path(__file__).resolve().parent / "check_metrics.py"
-EXPORTS = {"--metrics-json": "metrics.json", "--metrics-csv": "metrics.csv",
-           "--trace": "trace.json", "--events-jsonl": "events.jsonl"}
+EXPORTS = {"--metrics-json": "metrics.json", "--trace": "trace.json",
+           "--events-jsonl": "events.jsonl"}
 SUBSYSTEMS = "wren,transport,vnet,vttif,vadapt,virtuoso"
 
 
@@ -56,7 +56,7 @@ def main(argv: list[str]) -> int:
                 failures += 1
                 print(f"  FAIL {option} without a value: exit {proc.returncode}, "
                       f"stderr {proc.stderr.strip()!r} (want exit 2 naming {option})")
-        proc = run([binary, "--metrics-csv", "missing/metrics.csv"], tmp)
+        proc = run([binary, "--metrics-json", "missing/metrics.json"], tmp)
         if proc.returncode != 1 or "cannot open" not in proc.stderr:
             failures += 1
             print(f"  FAIL unwritable export: exit {proc.returncode}, "
