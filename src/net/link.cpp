@@ -1,6 +1,8 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "util/check.hpp"
@@ -45,7 +47,7 @@ void Channel::set_down(bool down) {
   // propagation are past this link and still arrive.
   if (departed_ == 0) sim_.cancel(arrival_);  // the front itself is dropped
   stats_.packets_down_dropped += queue_.size() - departed_;
-  queue_.resize(departed_);
+  queue_.truncate(departed_);
   backlog_bytes_ = 0;
 }
 
@@ -76,16 +78,17 @@ bool Channel::enqueue(Packet pkt) {
   // Serialization starts now, or when the packet ahead departs.
   const SimTime start =
       queue_.empty() ? sim_.now() : std::max(sim_.now(), queue_.back().departure);
-  queue_.emplace_back(std::move(pkt), start + transmission_time(size, bits_per_sec_));
+  queue_.push_back(std::move(pkt), start + transmission_time(size, bits_per_sec_));
   if (queue_.size() == 1) arm();
   return true;
 }
 
 void Channel::retime_from(std::size_t first) {
   SimTime at = queue_[first - 1].departure;
-  for (auto it = queue_.begin() + static_cast<std::ptrdiff_t>(first); it != queue_.end(); ++it) {
-    it->departure = at + transmission_time(it->pkt.size_bytes(), bits_per_sec_);
-    at = it->departure;
+  for (std::size_t i = first; i < queue_.size(); ++i) {
+    Entry& e = queue_[i];
+    e.departure = at + transmission_time(e.pkt.size_bytes(), bits_per_sec_);
+    at = e.departure;
   }
 }
 
@@ -123,6 +126,52 @@ void Channel::deliver() {
   // channel arms its own arrival.
   if (on_delivered_) on_delivered_(std::move(pkt));
   if (!queue_.empty() && !arrival_.valid()) arm();
+}
+
+// --- the ring ------------------------------------------------------------------
+
+Channel::Queue::~Queue() {
+  truncate(0);
+  if (slots_ != nullptr) std::allocator<Entry>{}.deallocate(slots_, capacity_);
+}
+
+void Channel::Queue::push_back(Packet&& pkt, SimTime departure) {
+  if (size_ == capacity_) grow();
+  ::new (slots_ + wrap(head_ + size_)) Entry{std::move(pkt), departure};
+  ++size_;
+}
+
+void Channel::Queue::pop_front() {
+  std::destroy_at(slots_ + head_);
+  head_ = wrap(head_ + 1);
+  // An emptied ring restarts at slot 0, so a channel that mostly holds a
+  // packet or two keeps reusing the same few slots.
+  if (--size_ == 0) head_ = 0;
+}
+
+void Channel::Queue::truncate(std::size_t n) {
+  for (std::size_t i = n; i < size_; ++i) std::destroy_at(&(*this)[i]);
+  size_ = n;
+  if (size_ == 0) head_ = 0;
+}
+
+void Channel::Queue::grow() {
+  // The first allocation fits the 512-byte node a std::deque of entries
+  // would take; later ones add half, so capacity tracks the high-water mark
+  // without rounding up to a power of two.
+  constexpr std::size_t kFirstSlots = std::max<std::size_t>(1, 512 / sizeof(Entry));
+  const std::size_t capacity = capacity_ == 0 ? kFirstSlots : capacity_ + capacity_ / 2;
+  std::allocator<Entry> alloc;
+  Entry* slots = alloc.allocate(capacity);
+  for (std::size_t i = 0; i < size_; ++i) {
+    Entry& e = (*this)[i];
+    ::new (slots + i) Entry(std::move(e));
+    std::destroy_at(&e);
+  }
+  if (slots_ != nullptr) alloc.deallocate(slots_, capacity_);
+  slots_ = slots;
+  capacity_ = capacity;
+  head_ = 0;
 }
 
 }  // namespace vw::net

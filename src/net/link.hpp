@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <optional>
 
@@ -26,6 +26,11 @@
 // set_down, set_capacity_bps, the delivery itself, and the network's host
 // taps) settles first, so it sees exactly what a channel that had run each
 // departure as it happened would show.
+//
+// The admitted packets live in one contiguous ring (Channel::Queue) indexed
+// from its head. It grows by half when full and keeps its storage, so a hop
+// allocates nothing once the channel has seen its largest backlog, and each
+// channel's memory follows its own high-water mark.
 
 namespace vw::net {
 
@@ -47,8 +52,9 @@ class Channel {
   /// departure itself but never later than the next read of this channel's
   /// state or the packet's delivery; departures are reported in departure
   /// order. The packet is mutable so the network can stamp `wire_time`
-  /// before taps observe it. `on_delivered` fires when the packet arrives at
-  /// the receiving end.
+  /// before taps observe it; it lives in the queue, so the hook must not
+  /// enqueue onto this channel. `on_delivered` fires when the packet arrives
+  /// at the receiving end, with the packet already out of the queue.
   using SerializedFn = SmallFn<void(Packet&, SimTime)>;
   using DeliveredFn = SmallFn<void(Packet&&)>;
 
@@ -110,6 +116,40 @@ class Channel {
     SimTime departure = 0;  ///< serialization end
   };
 
+  /// FIFO of entries in one contiguous ring: slots are constructed on push
+  /// and destroyed on pop, and the storage is kept until the channel goes.
+  class Queue {
+   public:
+    Queue() = default;
+    Queue(const Queue&) = delete;
+    Queue& operator=(const Queue&) = delete;
+    ~Queue();
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// The i-th entry from the front (i < size()).
+    Entry& operator[](std::size_t i) { return slots_[wrap(head_ + i)]; }
+    const Entry& operator[](std::size_t i) const { return slots_[wrap(head_ + i)]; }
+    Entry& front() { return slots_[head_]; }
+    Entry& back() { return (*this)[size_ - 1]; }
+
+    void push_back(Packet&& pkt, SimTime departure);
+    void pop_front();
+    /// Destroy every entry from the n-th on (n <= size()).
+    void truncate(std::size_t n);
+
+   private:
+    /// Slot of ring position i, for i < 2 * capacity_.
+    std::size_t wrap(std::size_t i) const { return i < capacity_ ? i : i - capacity_; }
+    /// Move the entries, front first, into storage half as large again.
+    void grow();
+
+    Entry* slots_ = nullptr;
+    std::size_t capacity_ = 0;
+    std::size_t head_ = 0;  ///< slot of the front entry
+    std::size_t size_ = 0;
+  };
+
   /// Re-time queue_[first, end) (first >= 1), none of which has started,
   /// back to back after queue_[first - 1], which has not departed. The
   /// front has started, so its arrival never moves.
@@ -130,7 +170,7 @@ class Channel {
   // Admitted packets in departure (hence arrival) order: [0, departed_) have
   // departed and are propagating; the rest are queued, the first of them
   // serializing.
-  std::deque<Entry> queue_;
+  Queue queue_;
   std::size_t departed_ = 0;
   sim::EventHandle arrival_;  ///< the front packet's arrival; one event per hop
   SimTime last_departure_ = 0;  ///< most recent settled departure

@@ -151,19 +151,16 @@ void TcpConnection::handle_data(const net::Packet& pkt) {
 }
 
 void TcpConnection::deliver_ready_messages() {
-  if (!peer_) return;
-  for (auto& msg : peer_->take_messages_below(rcv_nxt_)) {
+  // One message at a time, popped before its callback runs, with peer_
+  // re-read each time: the callback may send on either connection. A
+  // message it queues on the peer ends past rcv_nxt_, so it waits for its
+  // bytes.
+  while (peer_ != nullptr && !peer_->outgoing_messages_.empty() &&
+         peer_->outgoing_messages_.front().end_offset <= rcv_nxt_) {
+    const Message msg = std::move(peer_->outgoing_messages_.front());
+    peer_->outgoing_messages_.pop_front();
     if (on_message_) on_message_(msg.bytes, msg.tag);
   }
-}
-
-std::deque<TcpConnection::Message> TcpConnection::take_messages_below(std::uint64_t delivered) {
-  std::deque<Message> ready;
-  while (!outgoing_messages_.empty() && outgoing_messages_.front().end_offset <= delivered) {
-    ready.push_back(std::move(outgoing_messages_.front()));
-    outgoing_messages_.pop_front();
-  }
-  return ready;
 }
 
 void TcpConnection::send_pure_ack() {

@@ -61,6 +61,10 @@ class TcpConnection {
 
   void set_on_established(EstablishedFn fn) { on_established_ = std::move(fn); }
   /// Fires on THIS endpoint when a message from the peer is fully delivered.
+  /// The callback may send on this connection or its peer; a message it
+  /// queues is delivered only once its own bytes arrive. It must not close
+  /// or destroy this connection: the segment that completed the message is
+  /// still being handled (its ACK is sent after the callback returns).
   void set_on_message(MessageFn fn) { on_message_ = std::move(fn); }
   /// Fires whenever in-order delivered byte count advances.
   void set_on_delivered(DeliveredFn fn) { on_delivered_ = std::move(fn); }
@@ -117,8 +121,8 @@ class TcpConnection {
   void sample_rtt(SimTime rtt);
 
   void peer_attached(TcpConnection* peer) { peer_ = peer; }
-  /// Pops and returns queued messages fully contained below `delivered`.
-  std::deque<Message> take_messages_below(std::uint64_t delivered);
+  /// Fire on_message for each of the peer's queued messages that rcv_nxt_
+  /// now covers, popping each from the peer as it goes.
   void deliver_ready_messages();
 
   TransportStack& stack_;

@@ -864,5 +864,38 @@ TEST(ChannelDifferentialTest, CapacityChangeWhileAPacketSerializes) {
   EXPECT_EQ(run.serialized, departures);
 }
 
+TEST(ChannelDifferentialTest, QueueWrapsAndGrowsWhileLive) {
+  // 1000 B packets at 10 Mb/s (800 us each) over 5 ms of propagation. A
+  // burst of 24 at 0, then one packet per service time, keeps about 30
+  // packets admitted and undelivered, well past the channel ring's first
+  // allocation (5 entries), so the ring grows and its head passes the end
+  // of its storage many times over 300 packets. A second burst lands while
+  // the live span wraps and grows the ring again; so do two rate changes
+  // and an outage, which truncates the wrapped span.
+  using Kind = ChannelStep::Kind;
+  ChannelScript script;
+  script.prop_delay = millis(5);
+  script.queue_limit_bytes = 64'000;
+  const auto enqueue = [&](SimTime at, int n) {
+    for (int k = 0; k < n; ++k) {
+      script.steps.push_back({.kind = Kind::kEnqueue, .at = at, .bytes = 1000});
+    }
+  };
+  enqueue(0, 24);
+  for (int i = 0; i < 300; ++i) {
+    const SimTime at = micros(400) + i * micros(800);
+    if (i == 60) script.steps.push_back({.kind = Kind::kCapacity, .at = at, .value = 20e6});
+    if (i == 80) script.steps.push_back({.kind = Kind::kCapacity, .at = at, .value = 10e6});
+    if (i == 120) enqueue(at, 30);
+    if (i == 180) script.steps.push_back({.kind = Kind::kDown, .at = at});
+    if (i == 182) script.steps.push_back({.kind = Kind::kUp, .at = at});
+    enqueue(at, 1);
+  }
+  const ChannelStats stats = expect_channel_matches_reference(script);
+  EXPECT_EQ(stats.packets_dropped, 0u);
+  EXPECT_GT(stats.packets_down_dropped, 30u);
+  EXPECT_EQ(stats.packets_sent, 24u + 30u + 300u - 2u);  // two were offered while down
+}
+
 }  // namespace
 }  // namespace vw::net

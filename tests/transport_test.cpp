@@ -217,6 +217,47 @@ TEST(TcpTest, ManySmallMessagesKeepOrderAndTags) {
   for (int i = 0; i < 200; ++i) EXPECT_EQ(tags[static_cast<std::size_t>(i)], i);
 }
 
+TEST(TcpTest, OneSegmentCompletesSeveralMessagesWhileTheCallbackSends) {
+  // Three messages queued before the handshake leave in one 600-byte
+  // segment. The first one's callback answers on the reverse connection
+  // and queues a fourth message on the sender; that one ends past the
+  // bytes received, so it is delivered by the next segment, not this one.
+  Env env;
+  struct Delivery {
+    int tag;
+    SimTime at;
+    std::uint64_t received;  ///< in-order bytes the receiver had then
+  };
+  std::vector<Delivery> got;
+  std::vector<int> replies;
+  TcpConnection* client = nullptr;
+  env.stack->tcp_listen(env.b, 80, [&](TcpConnection& server) {
+    server.set_on_message([&](std::uint64_t, const std::any& tag) {
+      const int t = std::any_cast<int>(tag);
+      got.push_back({t, env.sim.now(), server.bytes_received()});
+      if (t == 1) {
+        server.send(50, 100);
+        client->send(500, 4);
+      }
+    });
+  });
+  client = &env.stack->tcp_connect(env.a, env.b, 80);
+  client->set_on_message([&](std::uint64_t, const std::any& tag) {
+    replies.push_back(std::any_cast<int>(tag));
+  });
+  client->send(100, 1);
+  client->send(200, 2);
+  client->send(300, 3);
+  env.sim.run();
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].tag, static_cast<int>(i) + 1);
+  EXPECT_EQ(got[0].at, got[2].at);  // one segment completed the first three
+  EXPECT_EQ(got[2].received, 600u);
+  EXPECT_GT(got[3].at, got[2].at);
+  EXPECT_EQ(got[3].received, 1100u);
+  EXPECT_EQ(replies, std::vector<int>{100});
+}
+
 TEST(TcpTest, CloseStopsTraffic) {
   Env env;
   env.stack->tcp_listen(env.b, 80, [](TcpConnection&) {});
