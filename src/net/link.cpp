@@ -158,9 +158,11 @@ void Channel::Queue::truncate(std::size_t n) {
 void Channel::Queue::grow() {
   // The first allocation fits the 512-byte node a std::deque of entries
   // would take; later ones add half, so capacity tracks the high-water mark
-  // without rounding up to a power of two.
+  // without rounding up to a power of two. Every grow adds at least one
+  // slot, so a ring of one entry grows too.
   constexpr std::size_t kFirstSlots = std::max<std::size_t>(1, 512 / sizeof(Entry));
-  const std::size_t capacity = capacity_ == 0 ? kFirstSlots : capacity_ + capacity_ / 2;
+  const std::size_t capacity =
+      capacity_ == 0 ? kFirstSlots : capacity_ + std::max<std::size_t>(1, capacity_ / 2);
   std::allocator<Entry> alloc;
   Entry* slots = alloc.allocate(capacity);
   for (std::size_t i = 0; i < size_; ++i) {

@@ -1,30 +1,31 @@
 #!/usr/bin/env python3
-"""Run alternating parent/change pairs of the loopbench benchmark and write
-both sides' medians in the BENCH_loopbench.json layout.
+"""Alternating parent/change pairs of the loopbench benchmark, summarised
+in the BENCH_loopbench.json layout.
 
-    tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10] [--seed 1]
-        [--seconds 30] [--workloads bsp_wren,chaos_adapt,brite_fleet]
-        [--cpu 2] [--output BENCH_loopbench.json] [--raw RUNS.jsonl]
+    tools/bench_pairs.py PARENT_DIR CHANGE_DIR [--seed 1]
+        [--workloads bsp_wren,chaos_adapt,brite_fleet] [--cpu 2]
+        [--output BENCH_loopbench.json]
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example `git archive`
 exports of the parent commit and of the change). In each, the script runs
 `python3 loopbench/run.py --workload W --seed N --seconds S --trace 0`
 under `taskset -c CPU`, so run.py builds the checkout's own loopbench
 first; one untimed warm-up run per checkout does that build before the
-pairs start. For each workload, pair i runs both sides back to back, the
-parent first in odd pairs and the change first in even ones. It reads each
-run's last stdout line (the loopbench JSON result) and never edits
-loopbench/.
+pairs start. S and the workloads are BENCHMARK.json's `run_seconds` and
+`workloads`. For each workload, PAIRS (10) pairs run both sides back to
+back, the parent first in odd pairs and the change first in even ones. It
+reads each run's last stdout line (the loopbench JSON result) and never
+edits loopbench/.
 
 The output holds, per side, `workloads` (each end-to-end metric's median:
 what tools/bench_diff.py compares), `quartiles` ([q1, median, q3] of every
 run) and `failed_runs` (runs that were not correct or had failed checks).
 `wins` holds, per workload and metric, how many pairs the change won (ties
-count for neither side) and `gain`: true when the change won at least nine
-tenths of the pairs and its median is better than the parent's by more
-than the parent's interquartile range. That is the rule a claimed gain
-must meet; a metric without a claim only has to stay within its
-BENCHMARK.json bound.
+count for neither side) and `gain`: true when there were at least PAIRS
+pairs, the change won at least nine tenths of them and its median is
+better than the parent's by more than the parent's interquartile range.
+That is the rule a claimed gain must meet; a metric without a claim only
+has to stay within its BENCHMARK.json bound.
 
 Exit status: 0 when every run was correct, 1 when one was not or a run
 produced no result, 2 on bad arguments. Only the standard library is used.
@@ -41,7 +42,7 @@ import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-WORKLOADS = ("bsp_wren", "chaos_adapt", "brite_fleet")
+PAIRS = 10  # the fewest pairs a gain may be claimed from
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -54,8 +55,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 def pair_verdict(parent: list[float], change: list[float], better: str) -> dict:
     """Wins of the change over the parent, pair by pair, and whether that
-    is a gain: at least 9/10 of the pairs won and the medians apart, in the
-    better direction, by more than the parent's interquartile range."""
+    is a gain: at least PAIRS pairs, 9/10 of them won, and the medians
+    apart, in the better direction, by more than the parent's
+    interquartile range."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of runs on both sides")
     sign = 1.0 if better == "lower" else -1.0
@@ -67,7 +69,7 @@ def pair_verdict(parent: list[float], change: list[float], better: str) -> dict:
         "wins": wins,
         "pairs": len(parent),
         "ratio": c_med / p_med if p_med else None,
-        "gain": 10 * wins >= 9 * len(parent) and gap > p_q3 - p_q1,
+        "gain": len(parent) >= PAIRS and 10 * wins >= 9 * len(parent) and gap > p_q3 - p_q1,
     }
 
 
@@ -129,24 +131,23 @@ def cpu_model() -> str:
 
 
 def main(argv: list[str]) -> int:
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    known = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=pathlib.Path)
     ap.add_argument("change", type=pathlib.Path)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--workloads", default=",".join(known))
     ap.add_argument("--cpu", default="2", help="taskset CPU list for every run")
     ap.add_argument("--output", type=pathlib.Path, default=pathlib.Path("BENCH_loopbench.json"))
-    ap.add_argument("--raw", type=pathlib.Path, help="also append every result here (JSONL)")
     ap.add_argument("--parent-revision", help="defaults to the checkout's git HEAD")
     ap.add_argument("--change-revision", help="defaults to the checkout's git HEAD")
     args = ap.parse_args(argv)
     workloads = args.workloads.split(",")
-    if args.pairs < 1 or any(w not in WORKLOADS for w in workloads):
-        ap.error(f"--pairs must be >= 1 and --workloads a subset of {','.join(WORKLOADS)}")
+    if any(w not in known for w in workloads):
+        ap.error(f"--workloads must be a subset of {','.join(known)}")
     checkouts = {"parent": args.parent, "change": args.change}
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     for side, checkout in checkouts.items():
         if run_once(checkout, args.cpu, workloads[0], args.seed, 1.0) is None:
@@ -158,11 +159,11 @@ def main(argv: list[str]) -> int:
     bad = 0
     for workload in workloads:
         runs[workload] = []
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {}
             for side in order:
-                result = run_once(checkouts[side], args.cpu, workload, args.seed, args.seconds)
+                result = run_once(checkouts[side], args.cpu, workload, args.seed, seconds)
                 if result is None:
                     print(f"bench_pairs: {workload} pair {i}: {side} gave no result",
                           file=sys.stderr)
@@ -170,27 +171,23 @@ def main(argv: list[str]) -> int:
                 if not result.get("correct") or result.get("failed", 0):
                     bad += 1
                 pair[side] = result
-                if args.raw:
-                    with args.raw.open("a", encoding="utf-8") as raw:
-                        raw.write(json.dumps({"workload": workload, "pair": i, "side": side,
-                                              "result": result}) + "\n")
             runs[workload].append(pair)
-            print(f"bench_pairs: {workload} pair {i}/{args.pairs}: wall_s_per_sim_s "
+            print(f"bench_pairs: {workload} pair {i}/{PAIRS}: wall_s_per_sim_s "
                   f"parent {pair['parent']['metrics']['wall_s_per_sim_s']['value']:.6g} "
                   f"change {pair['change']['metrics']['wall_s_per_sim_s']['value']:.6g}",
                   file=sys.stderr)
 
-    summary = aggregate(runs, metrics)
+    summary = aggregate(runs, bench["end_to_end"])
     doc = {
         "bench": "loopbench",
         "command": f"python3 loopbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "method": "medians over alternating parent/change pairs run back to back on one "
                   "machine (odd pairs parent first), both sides pinned to one CPU with "
                   "taskset; end-to-end metrics only; compare with tools/bench_diff.py",
         "cpu_model": cpu_model(),
         "nproc": os.cpu_count(),
-        "pairs": args.pairs,
+        "pairs": PAIRS,
     }
     for side, checkout in checkouts.items():
         label = getattr(args, f"{side}_revision") or revision(checkout)

@@ -2,8 +2,9 @@
 """Aggregation rules of tools/bench_pairs.py on synthetic pair results.
 
 Quartiles interpolate between order statistics; a pair counts as a win
-only when the change is strictly better; a gain needs at least 9/10 pairs
-won and medians apart by more than the parent's interquartile range; and
+only when the change is strictly better; a gain needs at least ten pairs,
+9/10 of them won, and medians apart by more than the parent's
+interquartile range; and
 the aggregated sides are baselines tools/bench_diff.py reads.
 
   $ python3 tools/test_bench_pairs.py
@@ -52,6 +53,12 @@ def case_eight_of_ten_is_not() -> None:
     change = [8.0] * 8 + [10.0, 11.0]  # one tie, one loss
     verdict = bench_pairs.pair_verdict(parent, change, "lower")
     assert verdict["wins"] == 8 and not verdict["gain"], verdict
+
+
+def case_every_pair_won_of_too_few_is_not_a_gain() -> None:
+    verdict = bench_pairs.pair_verdict([10.0, 10.1, 9.9], [8.0, 8.0, 8.0], "lower")
+    assert verdict["wins"] == 3 and verdict["pairs"] == 3, verdict
+    assert not verdict["gain"], verdict
 
 
 def case_ties_count_for_neither() -> None:
