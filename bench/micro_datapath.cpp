@@ -7,8 +7,8 @@
 //     (std::function callbacks, pending/cancelled unordered_sets, the
 //     callback living inside the heap entry), compiled into this binary so
 //     the comparison shares compiler, flags, and machine;
-//   * `arena` — the real sim::Simulator (SmallFn callbacks + the
-//     generation-stamped slot arena).
+//   * `arena` — the real sim::Simulator (SmallFn callbacks, the
+//     generation-stamped slot arena and its indexed 4-ary heap).
 // Both run the same churn: schedule a batch of timers whose captures match
 // the real datapath's (a Packet-sized payload), cancel two thirds of them
 // before they fire (what TCP retransmission timers do), run the rest.
@@ -172,10 +172,10 @@ BENCHMARK(BM_SchedulerChurn_arena);
 
 // --- RTO re-arm: the cancel-heavy steady state of a TCP sender ---------------
 // kInFlight packet events chain themselves 1-21 us apart, and each cancels
-// and re-arms one 200 ms retransmission timer, so nearly every timer entry
-// is cancelled long before it could fire: about 50 live events against one
-// cancelled entry per event executed within an RTO. items_per_second =
-// packet events executed.
+// and re-arms one 200 ms retransmission timer, so nearly every timer is
+// cancelled long before it could fire. A cancel removes the timer's heap
+// entry, so the heap holds the 51 live events and nothing else.
+// items_per_second = packet events executed.
 class RearmLoop {
  public:
   static constexpr int kInFlight = 50;

@@ -23,103 +23,104 @@ std::uint32_t Simulator::acquire_slot() {
     free_head_ = slots_[index].next_free;
     return index;
   }
-  VW_ASSERT(slots_.size() < kNoSlot, "Simulator: slot arena exhausted");
+  // A slot index must fit in the heap key's low kSlotBits.
+  VW_REQUIRE(slots_.size() <= kSlotMask, "Simulator::schedule_at: more than ", kSlotMask + 1,
+             " events pending");
   slots_.emplace_back();
+  heap_index_.push_back(kNoSlot);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void Simulator::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.live = false;
   slot.cb = nullptr;
-  // The generation bump is what invalidates both the heap entry still
-  // referencing this slot and any EventHandle the caller kept around.
+  // The generation bump invalidates any EventHandle the caller kept around.
   ++slot.gen;
   slot.next_free = free_head_;
   free_head_ = index;
 }
 
+void Simulator::sift_up(std::size_t i, HeapEntry entry) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(entry, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, entry);
+}
+
+void Simulator::remove_at(std::size_t i) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (i == n) return;  // the removed entry was the last one
+  // Walk the hole down to a leaf along the least children, then sift the
+  // last entry up from there: it came from the bottom, so it rarely climbs
+  // far, and each level costs kArity - 1 comparisons instead of kArity.
+  for (std::size_t first = kArity * i + 1; first < n; first = kArity * i + 1) {
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[least])) least = c;
+    }
+    place(i, heap_[least]);
+    i = least;
+  }
+  sift_up(i, last);
+}
+
 EventHandle Simulator::schedule_at(SimTime at, Callback cb) {
   VW_REQUIRE(at >= now_, "Simulator::schedule_at: time in the past (at=", at, " now=", now_, ")");
   VW_REQUIRE(cb != nullptr, "Simulator::schedule_at: empty callback");
+  // seq must fit in the heap key above the slot bits.
+  VW_REQUIRE(next_seq_ < kSeqLimit, "Simulator::schedule_at: ", kSeqLimit,
+             " events scheduled, the sequence space is exhausted");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
-  slot.live = true;
-  queue_.push_back(QueueEntry{at, next_seq_++, index, slot.gen});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
-  ++live_events_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{at, next_seq_++ << kSlotBits | index});
   return EventHandle(encode_handle(index, slot.gen));
 }
 
 bool Simulator::cancel(EventHandle handle) {
   if (!handle.valid()) return false;
   const std::uint32_t index = handle_slot(handle.id_);
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (!slot.live || slot.gen != handle_gen(handle.id_)) {
+  if (index >= slots_.size() || slots_[index].gen != handle_gen(handle.id_)) {
     return false;  // already executed, cancelled, or the slot was reused
   }
+  // A matching generation means the slot is live: release bumps it, and a
+  // free slot's generation has not been handed out yet.
+  const std::uint32_t pos = heap_index_[index];
+  VW_ASSERT(pos < heap_.size() && slot_of(heap_[pos]) == index,
+            "Simulator::cancel: slot ", index, " has no heap entry");
+  remove_at(pos);
   release_slot(index);
-  VW_ASSERT(live_events_ > 0, "Simulator::cancel: live-event count underflow");
-  --live_events_;
-  ++stale_entries_;  // its heap entry stays until it surfaces or is compacted
-  compact_if_stale();
   return true;
 }
 
-void Simulator::compact_if_stale() {
-  // Checked after every cancel and every pop, the two operations that can
-  // tip the balance, so the heap never exceeds 2 * live + kCompactFloor.
-  // Each dropped entry was cancelled once, so the pass is O(1) amortized per
-  // cancel; pops compare unique (at, seq) keys, so the rebuilt heap yields
-  // the live events in exactly the order the old one would have.
-  if (stale_entries_ <= live_events_ || stale_entries_ <= kCompactFloor) return;
-  std::erase_if(queue_, [this](const QueueEntry& entry) { return !is_live(entry); });
-  std::make_heap(queue_.begin(), queue_.end(), Later{});
-  stale_entries_ = 0;
-  VW_ENSURE(queue_.size() == live_events_, "Simulator: compaction kept ", queue_.size(),
-            " entries for ", live_events_, " live events");
-}
-
-bool Simulator::drop_stale_heads() {
-  // Pop cancelled entries off the heap head (without advancing time) until a
-  // live event — identified by a matching slot generation — or nothing is
-  // left. Shared by run_until's boundary check and pop_and_run_next.
-  while (!queue_.empty()) {
-    if (is_live(queue_.front())) return true;
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
-    VW_ASSERT(stale_entries_ > 0, "Simulator: stale-entry count underflow");
-    --stale_entries_;
-  }
-  return false;
-}
-
 bool Simulator::pop_and_run_next() {
-  if (!drop_stale_heads()) return false;
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  const QueueEntry entry = queue_.back();
-  queue_.pop_back();
+  if (heap_.empty()) return false;
+  const HeapEntry entry = heap_.front();
+  remove_at(0);
   // Move the callback out and free the slot *before* invoking: the callback
   // may schedule new events that reuse this very slot.
-  Callback cb = std::move(slots_[entry.slot].cb);
-  release_slot(entry.slot);
+  const std::uint32_t index = slot_of(entry);
+  Callback cb = std::move(slots_[index].cb);
+  release_slot(index);
   // Virtual time is monotone: the heap must never yield an event behind the
   // clock — everything downstream (TCP RTT samples, Wren timestamps, VTTIF
   // slots) assumes it.
   VW_ASSERT(entry.at >= now_, "Simulator: event time regressed (at=", entry.at, " now=", now_, ")");
-  VW_ASSERT(live_events_ > 0, "Simulator: executing with zero live events");
   now_ = entry.at;
-  --live_events_;
   ++executed_;
-  compact_if_stale();
   cb();
   return true;
 }
 
 void Simulator::run_until(SimTime until) {
-  while (drop_stale_heads() && queue_.front().at <= until) {
+  while (!heap_.empty() && heap_.front().at <= until) {
     pop_and_run_next();
   }
   if (now_ < until) now_ = until;
@@ -129,7 +130,6 @@ void Simulator::run_until(SimTime until) {
 void Simulator::run() {
   while (pop_and_run_next()) {
   }
-  VW_ENSURE(live_events_ == 0, "Simulator::run: queue drained but live events remain");
 }
 
 PeriodicTask::PeriodicTask(Simulator& sim, SimTime period, Simulator::Callback cb)

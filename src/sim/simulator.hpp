@@ -12,25 +12,25 @@
 // Properties the rest of the system depends on:
 //  * events at the same virtual time fire in scheduling (FIFO) order, so the
 //    whole system is deterministic;
-//  * events can be cancelled in O(1) amortized, which the TCP retransmission
-//    timers use heavily: a cancelled entry stays in the heap until it
-//    surfaces or until cancelled entries outnumber both the live events and
-//    kCompactFloor, when one pass drops them all;
+//  * events can be cancelled in O(log n), which the TCP retransmission
+//    timers use heavily: a cancel removes the event's heap entry at once, so
+//    the heap holds exactly the live events;
 //  * the engine is purely single-threaded; "processes" are callbacks.
 //
 // Hot-path design (see DESIGN.md §5e): callbacks are small-buffer-optimized
 // (`SmallFn`, 120 inline bytes — enough for `this` + a Packet capture, which
 // the network's loopback and endpoint-delay continuations carry; a link's
 // per-hop arrival event captures only its channel), so the steady state
-// never heap-allocates per event. Live events are tracked
-// in a generation-stamped slot arena with an intrusive free list instead of
-// hash sets: the binary heap holds 24-byte POD entries referencing a slot,
-// and a cancel simply bumps the slot's generation, which orphans the heap
-// entry. The heap therefore holds at most 2 * live + kCompactFloor entries,
-// and compaction cannot reorder anything: pops follow the unique (at, seq)
-// keys of the live entries, whatever the heap's layout. schedule/pop are
-// O(log n) heap operations with zero hashing and zero allocation once the
-// arena and heap have grown to the workload's high-water mark.
+// never heap-allocates per event. Live events are tracked in a
+// generation-stamped slot arena with an intrusive free list instead of hash
+// sets. The queue is an indexed 4-ary heap of 16-byte POD entries
+// `(at, seq << 24 | slot)`, and a per-slot index records where each live
+// event's entry sits, so a cancel removes its entry at once, the same way a
+// pop removes the root: the hole walks down to a leaf and the heap's last
+// entry refills it from there. Pops follow the unique (at, seq) keys, whatever the heap's
+// layout. schedule/pop/cancel are O(log n) with zero hashing and zero
+// allocation once the arena and heap have grown to the workload's
+// high-water mark.
 
 namespace vw::sim {
 
@@ -81,59 +81,56 @@ class Simulator {
   void run();
 
   /// True if a live (uncancelled) event is pending.
-  bool has_pending() const { return live_events_ > 0; }
+  bool has_pending() const { return !heap_.empty(); }
 
   /// Total events executed (diagnostics).
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Heap entries, live and cancelled-but-not-yet-dropped (diagnostics).
-  std::size_t heap_entries() const { return queue_.size(); }
-
-  /// Cancelled entries are dropped in one pass once they outnumber both the
-  /// live events and this floor, which keeps small heaps from compacting
-  /// on every cancel.
-  static constexpr std::size_t kCompactFloor = 64;
+  /// Heap entries (diagnostics): exactly the live events.
+  std::size_t heap_entries() const { return heap_.size(); }
 
  private:
   /// Heap entry: plain data only; the callback stays in the slot arena so
-  /// sift operations move 24 bytes instead of a type-erased callable.
-  struct QueueEntry {
+  /// sift operations move 16 bytes instead of a type-erased callable.
+  struct HeapEntry {
     SimTime at;
-    std::uint64_t seq;  ///< tie-break: FIFO among same-time events
-    std::uint32_t slot;
-    std::uint32_t gen;  ///< must match the slot's generation to be live
+    std::uint64_t key;  ///< seq << kSlotBits | slot; seq makes same-time events FIFO
   };
-  struct Later {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.at != b.at ? a.at < b.at : a.key < b.key;
+  }
   struct Slot {
     Callback cb;
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNoSlot;
-    bool live = false;
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr unsigned kSlotBits = 24;  ///< at most 2^24 pending events
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << (64 - kSlotBits);
+  static constexpr std::size_t kArity = 4;
+  static std::uint32_t slot_of(const HeapEntry& entry) {
+    return static_cast<std::uint32_t>(entry.key & kSlotMask);
+  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  bool is_live(const QueueEntry& entry) const {
-    const Slot& slot = slots_[entry.slot];
-    return slot.live && slot.gen == entry.gen;
+  /// Store `entry` at heap index `i` and record the index for its slot.
+  void place(std::size_t i, const HeapEntry& entry) {
+    heap_[i] = entry;
+    heap_index_[slot_of(entry)] = static_cast<std::uint32_t>(i);
   }
-  void compact_if_stale();
-  bool drop_stale_heads();
+  void sift_up(std::size_t i, HeapEntry entry);
+  /// Remove the entry at heap index `i`: the last entry fills the hole.
+  void remove_at(std::size_t i);
   bool pop_and_run_next();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t live_events_ = 0;
-  std::size_t stale_entries_ = 0;  ///< cancelled entries still in queue_
-  std::vector<QueueEntry> queue_;  ///< binary heap under Later (std::push_heap)
+  std::vector<HeapEntry> heap_;  ///< kArity-ary min-heap under before()
   std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_index_;  ///< per slot: its live entry's heap index
   std::uint32_t free_head_ = kNoSlot;
 };
 

@@ -1,17 +1,21 @@
-// Scheduler-overhaul regression tests: the generation-stamped slot arena
+// Scheduler regression tests: the slot arena and its indexed 4-ary heap
 // must be observationally identical to a naive reference event queue.
 //
 //  * a >=100k-op randomized differential walk (schedule / cancel / run_until
 //    interleaved, including events scheduled from inside callbacks so slots
 //    are recycled mid-run) compares execution order against an independently
-//    implemented lazy-deletion reference queue;
+//    implemented lazy-deletion reference queue, and checks after every round
+//    that the heap holds exactly the reference's live events; a tie-heavy
+//    phase piles hundreds of events onto one timestamp and cancels among
+//    them, so removals mid-heap must keep the seq tie-break;
 //  * handle-reuse tests pin the generation semantics: a stale EventHandle
 //    (fired, cancelled, or its slot since recycled) cancels nothing;
 //  * cancel interleaved with same-timestamp events pins the (at, seq) FIFO
-//    tie-break the whole system's determinism rests on;
+//    tie-break the whole system's determinism rests on, including removal of
+//    the heap's root and of its last entry;
 //  * a cancel-heavy walk in the TCP retransmission-timer shape checks that
-//    compacting cancelled heap entries changes no execution order and keeps
-//    the heap within 2 * live + Simulator::kCompactFloor entries.
+//    removing cancelled events changes no execution order and that the heap
+//    holds exactly the live events after every event.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,7 @@ class ReferenceQueue {
     const Id id = table_.size();
     table_.push_back(Event{op_id, child_delay, false, false, nullptr});
     queue_.push(Entry{at, next_seq_++, id});
+    ++live_;
     return id;
   }
 
@@ -56,6 +61,7 @@ class ReferenceQueue {
     Event& ev = table_[id];
     if (ev.cancelled || ev.executed) return false;
     ev.cancelled = true;
+    --live_;
     return true;
   }
 
@@ -70,6 +76,7 @@ class ReferenceQueue {
       if (top.at > until) break;
       queue_.pop();
       ev.executed = true;
+      --live_;
       now_ = top.at;
       trace.push_back(ev.op_id);
       // Mirror of the self-rescheduling callbacks in the simulator walk.
@@ -81,6 +88,9 @@ class ReferenceQueue {
   }
 
   SimTime now() const { return now_; }
+
+  /// Events scheduled and neither executed nor cancelled.
+  std::size_t live() const { return live_; }
 
  private:
   struct Event {
@@ -104,15 +114,19 @@ class ReferenceQueue {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::size_t live_ = 0;
   std::vector<Event> table_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
 };
 
 TEST(SchedulerDifferentialTest, RandomizedWalkMatchesReferenceQueue) {
-  // ~168k ops total: 120k schedules + 40k cancel attempts + 8k run_until
-  // boundaries, with one in eight events rescheduling a child from inside
-  // its callback (the slot-recycling-while-running case).
+  // ~168k ops in the spread phase: 120k schedules + 40k cancel attempts +
+  // 8k run_until boundaries, with one in eight events rescheduling a child
+  // from inside its callback (the slot-recycling-while-running case). The
+  // tie phase then schedules blocks of 750 events at one timestamp.
   constexpr int kRounds = 8'000;
+  constexpr int kTieBlocks = 40;
+  constexpr int kRoundsPerTieBlock = 50;
   constexpr int kSchedulesPerRound = 15;
   constexpr int kCancelsPerRound = 5;
 
@@ -131,49 +145,107 @@ TEST(SchedulerDifferentialTest, RandomizedWalkMatchesReferenceQueue) {
   std::vector<std::pair<EventHandle, ReferenceQueue::Id>> handles;
 
   int next_op = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int i = 0; i < kSchedulesPerRound; ++i) {
-      const int op = next_op++;
-      const SimTime at = sim.now() + delay(rng);
-      const SimTime child_delay = child(rng) == 0 ? delay(rng) : -1;
-      EventHandle h;
-      if (child_delay >= 0) {
-        h = sim.schedule_at(at, [&sim, &sim_trace, op, child_delay] {
-          sim_trace.push_back(op);
-          sim.schedule_in(child_delay,
-                          [&sim_trace, op] { sim_trace.push_back(op + 1'000'000); });
-        });
-      } else {
-        h = sim.schedule_at(at, [&sim_trace, op] { sim_trace.push_back(op); });
-      }
-      handles.emplace_back(h, ref.schedule(at, op, child_delay));
+  // One event at `at`; a child delay of 0 lands the child on its parent's
+  // timestamp, behind every peer already queued there.
+  auto schedule = [&](SimTime at, SimTime child_delay) {
+    const int op = next_op++;
+    EventHandle h;
+    if (child_delay >= 0) {
+      h = sim.schedule_at(at, [&sim, &sim_trace, op, child_delay] {
+        sim_trace.push_back(op);
+        sim.schedule_in(child_delay, [&sim_trace, op] { sim_trace.push_back(op + 1'000'000); });
+      });
+    } else {
+      h = sim.schedule_at(at, [&sim_trace, op] { sim_trace.push_back(op); });
     }
-    for (int i = 0; i < kCancelsPerRound && !handles.empty(); ++i) {
+    handles.emplace_back(h, ref.schedule(at, op, child_delay));
+  };
+  // Cancel attempts on handles picked from handles[from, end).
+  auto cancel_some = [&](std::size_t from, int round) {
+    for (int i = 0; i < kCancelsPerRound; ++i) {
       const std::size_t pick =
-          std::uniform_int_distribution<std::size_t>(0, handles.size() - 1)(rng);
+          std::uniform_int_distribution<std::size_t>(from, handles.size() - 1)(rng);
       const bool sim_cancelled = sim.cancel(handles[pick].first);
       const bool ref_cancelled = ref.cancel(handles[pick].second);
       ASSERT_EQ(sim_cancelled, ref_cancelled) << "cancel divergence at round " << round;
     }
-    const SimTime until = sim.now() + delay(rng);
+  };
+  auto advance = [&](SimTime until, int round) {
     sim.run_until(until);
     ref.run_until(until, ref_trace);
     ASSERT_EQ(sim.now(), ref.now()) << "clock divergence at round " << round;
+    ASSERT_EQ(sim.heap_entries(), ref.live()) << "heap is not the live set at round " << round;
+  };
+
+  // Spread phase: every event at its own random time.
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kSchedulesPerRound; ++i) {
+      schedule(sim.now() + delay(rng), child(rng) == 0 ? delay(rng) : -1);
+    }
+    cancel_some(0, round);
+    advance(sim.now() + delay(rng), round);
+    if (HasFatalFailure()) return;  // an ASSERT failed inside a lambda
+  }
+
+  // An event at `at` that, when it runs, cancels handles[victim] if that
+  // handle exists; a victim scheduled later at the same time is still live.
+  auto schedule_canceller = [&](SimTime at, std::size_t victim) {
+    const int op = next_op++;
+    const EventHandle h = sim.schedule_at(at, [&sim, &sim_trace, &handles, op, victim] {
+      sim_trace.push_back(op);
+      if (victim < handles.size()) sim.cancel(handles[victim].first);
+    });
+    handles.emplace_back(h, ref.schedule(at, op, [&ref, &handles, victim] {
+                           if (victim < handles.size()) ref.cancel(handles[victim].second);
+                         }));
+  };
+
+  // Tie phase: each block piles its events onto one timestamp the block's
+  // boundaries stay short of, and cancels only among them, so removals hit
+  // the root, interior nodes and the last leaf of a run of equal `at`s.
+  // Once the block's time comes, one event in four cancels a later peer
+  // while pops are reshaping the heap, so a hole can be refilled by an
+  // entry that must sift up past a same-time parent on seq alone.
+  std::uniform_int_distribution<int> tie_kind(0, 3);
+  std::uniform_int_distribution<std::size_t> victim_ahead(1, 60);
+  int round = kRounds;
+  for (int block = 0; block < kTieBlocks; ++block) {
+    const SimTime tie_at = sim.now() + 100'000;
+    const std::size_t block_start = handles.size();
+    for (int r = 0; r < kRoundsPerTieBlock; ++r, ++round) {
+      for (int i = 0; i < kSchedulesPerRound; ++i) {
+        switch (tie_kind(rng)) {
+          case 0:
+            schedule(tie_at, 0);
+            break;
+          case 1:
+            schedule_canceller(tie_at, handles.size() + victim_ahead(rng));
+            break;
+          default:
+            schedule(tie_at, -1);
+        }
+      }
+      cancel_some(block_start, round);
+      advance(sim.now() + 1'000, round);
+    }
+    advance(tie_at, round);
+    if (HasFatalFailure()) return;
   }
   sim.run();
   ref.run_until(std::numeric_limits<SimTime>::max() / 2, ref_trace);
 
-  ASSERT_GT(sim_trace.size(), 80'000u);  // the walk actually executed work
+  ASSERT_GT(sim_trace.size(), 100'000u);  // the walk actually executed work
   ASSERT_EQ(sim_trace.size(), ref_trace.size());
   ASSERT_EQ(sim_trace, ref_trace);
+  EXPECT_EQ(sim.heap_entries(), 0u);
 }
 
-// --- cancelled-entry compaction ----------------------------------------------
+// --- cancel as removal ---------------------------------------------------------
 // The TCP retransmission shape: about kChains packet chains in flight, each
 // packet event re-arming its successor and cancelling and re-arming one long
-// timer, so nearly every timer entry is cancelled long before it surfaces.
+// timer, so nearly every timer is cancelled long before it could fire.
 // Every twentieth round lets the chains die out, so the timer fires and the
-// heap shrinks to a handful of live events among many cancelled ones.
+// heap shrinks to a handful of live events.
 
 /// Drives the same walk on the simulator or on the reference queue; both
 /// expose schedule(at, op, then) / cancel(handle) / now().
@@ -237,8 +309,8 @@ class RtoWalk {
 struct SimEngine {
   Simulator sim;
   std::vector<int> trace;
-  std::size_t max_heap = 0;
-  std::size_t bound_violations = 0;
+  std::size_t checks = 0;
+  std::size_t mismatches = 0;  ///< checks where the heap was not the live set
 
   EventHandle schedule(SimTime at, int op, std::function<void()> then) {
     return sim.schedule_at(at, [this, op, then = std::move(then)] {
@@ -249,8 +321,8 @@ struct SimEngine {
   bool cancel(EventHandle h) { return sim.cancel(h); }
   SimTime now() const { return sim.now(); }
   void after_event(std::size_t live) {
-    max_heap = std::max(max_heap, sim.heap_entries());
-    if (sim.heap_entries() > 2 * live + Simulator::kCompactFloor) ++bound_violations;
+    ++checks;
+    if (sim.heap_entries() != live) ++mismatches;
   }
 };
 
@@ -266,7 +338,7 @@ struct RefEngine {
   void after_event(std::size_t) {}
 };
 
-TEST(SchedulerCompactionTest, RtoRearmWalkMatchesReferenceAndBoundsTheHeap) {
+TEST(SchedulerRemovalTest, RtoRearmWalkMatchesReferenceAndHeapHoldsOnlyLiveEvents) {
   constexpr int kRounds = 1'000;
   SimEngine sim;
   RefEngine ref;
@@ -294,8 +366,8 @@ TEST(SchedulerCompactionTest, RtoRearmWalkMatchesReferenceAndBoundsTheHeap) {
   EXPECT_GT(sim.trace.size(), 50'000u);  // the walk actually executed work
   EXPECT_GT(sim_walk.cancels(), 40'000u);
   ASSERT_EQ(sim.trace, ref.trace);
-  EXPECT_EQ(sim.bound_violations, 0u) << "heap peaked at " << sim.max_heap << " entries";
-  EXPECT_LE(sim.max_heap, 2 * (RtoWalk<SimEngine>::kChains + 1) + Simulator::kCompactFloor);
+  EXPECT_GT(sim.checks, 50'000u);
+  EXPECT_EQ(sim.mismatches, 0u) << "of " << sim.checks << " checks";
   EXPECT_EQ(sim.sim.heap_entries(), 0u);
 }
 
@@ -374,6 +446,29 @@ TEST(SchedulerFifoTest, CancelInterleavedWithSameTimeEventsKeepsFifoOrder) {
   sim.schedule_at(millis(5), [&order] { order.push_back(6); });
   sim.run_until(millis(5));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 6}));
+}
+
+TEST(SchedulerFifoTest, CancelRootThenLastEntryAmongSameTimePeersKeepsFifoOrder) {
+  // Nine same-time events enter the heap in seq order, so event i sits at
+  // heap index i. Removing the root walks the hole down through events 1
+  // and 5 to index 5, where the last entry, event 8, settles; that leaves
+  // event 7 last: removing it just shrinks the heap, and removing event 8
+  // then refills index 5 from the new last entry, event 6.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 9; ++i) {
+    h.push_back(sim.schedule_at(millis(5), [&order, i] { order.push_back(i); }));
+  }
+  ASSERT_TRUE(sim.cancel(h[0]));
+  EXPECT_EQ(sim.heap_entries(), 8u);
+  ASSERT_TRUE(sim.cancel(h[7]));
+  EXPECT_EQ(sim.heap_entries(), 7u);
+  ASSERT_TRUE(sim.cancel(h[8]));
+  EXPECT_EQ(sim.heap_entries(), 6u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(sim.heap_entries(), 0u);
 }
 
 TEST(SchedulerFifoTest, CancelFromCallbackKillsLaterSameTimeEvent) {
